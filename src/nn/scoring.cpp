@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -159,6 +160,12 @@ ScoringPlan::ScoringPlan(const TransformerReconstructor& model,
                                         << next_scale);
 }
 
+ScoringPlan ScoringPlan::canonical(const TransformerReconstructor& model) {
+  ScoringPlan plan(model);
+  plan.canonical_ = true;
+  return plan;
+}
+
 void ScoringPlan::PlanLinear::apply(Tensor& dst, const Tensor& x,
                                     ThreadPool* pool) const {
   if (!qw.empty())
@@ -177,9 +184,10 @@ Tensor ScoringPlan::forward(const Tensor& x,
   const std::size_t tokens = x.size(0);
   NS_REQUIRE(offsets.size() == tokens && segment_ids.size() == tokens,
              "ScoringPlan: offsets/segment_ids must have one entry per token");
-  // The relaxed path's FastKernelScope legalization: every kernel below may
-  // use the dispatch tier's vector variants.
-  FastKernelScope fast;
+  // Relaxed/quantized plans legalize the dispatch tier's vector variants
+  // for every kernel below; a canonical plan keeps the scalar ones.
+  std::optional<FastKernelScope> fast;
+  if (!canonical_) fast.emplace();
   const std::size_t d = d_model_;
   const std::size_t one_block[1] = {tokens};
   const std::span<const std::size_t> blocks =
@@ -190,9 +198,9 @@ Tensor ScoringPlan::forward(const Tensor& x,
   Tensor h = ws.acquire(Shape{tokens, d});
   input_proj_.apply(h, x, pool);
 
-  // Positional encoding by direct row adds: adding the clamped sinusoidal
-  // and segment-embedding rows is the same math as the model's gathered-row
-  // add and one-hot matmul.
+  // Positional encoding by direct row adds: the same two float adds as the
+  // model's gathered-row add and one-hot matmul (a one-hot row selects its
+  // embedding row exactly).
   float* ph = h.data();
   for (std::size_t t = 0; t < tokens; ++t) {
     const std::size_t off = std::min(offsets[t], max_len_ - 1);

@@ -1,24 +1,26 @@
-// Forward-only scoring plan: the relaxed-arithmetic serve path's evaluator
+// Forward-only scoring plan: the evaluator of every serve scoring path
 // (DESIGN.md §16).
 //
 // A ScoringPlan is an immutable, compiled form of one fitted
 // TransformerReconstructor. It re-expresses the model's eval-mode
 // forward_blocked() directly on the tensor kernels — no autograd nodes, no
 // per-op tensor allocation (scratch comes from a caller workspace), the
-// three per-head q/k/v projections packed into one [d, 3d] gemm, attention
-// evaluated by the fused block_attention_into kernel, and every gemm free
-// to use the FastKernelScope dispatch tier. Optionally the encoder/MoE
-// weight matrices are quantized to int8 with per-channel calibration.
+// three per-head q/k/v projections packed into one [d, 3d] gemm, and
+// attention evaluated by the fused block_attention_into kernel.
 //
-// Contract: the plan computes the same mathematical function as the model
-// (identical MoE top-k routing code, identical clamping, identical
-// residual structure) but NOT the same float rounding — outputs agree with
-// the canonical path to vector-math accuracy (or int8 accuracy when
-// quantized), never bitwise. Strict-replay serving keeps using the model's
-// own forward_blocked(); see ServeConfig::scoring_path.
+// Arithmetic comes in three modes. A canonical plan (ScoringPlan::canonical)
+// runs the scalar-reproducible kernels in the model's operation order, so
+// its output is bitwise equal to eval-mode forward_blocked() — the strict
+// serve path. A relaxed plan lets every kernel use the FastKernelScope
+// dispatch tier, and a quantized plan additionally runs the encoder/MoE
+// weight matrices in int8 with per-channel calibration. Both compute the
+// same mathematical function (identical MoE top-k routing code, clamping
+// and residual structure) but agree with the canonical plan only to
+// vector-math (or int8) accuracy, never bitwise.
 //
 // Thread safety: a built plan is immutable and may be shared across
-// threads; forward() only mutates the caller's workspace and its output.
+// threads; forward() only mutates the caller's workspace and its output,
+// so any number of forwards through one plan may run at once.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +60,11 @@ class ScoringPlan {
   explicit ScoringPlan(const TransformerReconstructor& model,
                        const QuantCalibration* calibration = nullptr);
 
+  /// Compiles `model` for canonical arithmetic: fp32 weights and no
+  /// FastKernelScope, so forward() is bitwise equal to the model's
+  /// eval-mode forward_blocked() on the same inputs.
+  static ScoringPlan canonical(const TransformerReconstructor& model);
+
   bool quantized() const { return quantized_; }
   std::size_t input_dim() const { return input_dim_; }
 
@@ -93,6 +100,7 @@ class ScoringPlan {
 
   std::size_t input_dim_ = 0, d_model_ = 0, heads_ = 0, head_dim_ = 0;
   bool quantized_ = false;
+  bool canonical_ = false;
   PlanLinear input_proj_;
   Tensor sin_table_;           // shared with the model's posenc
   Tensor segment_embedding_;   // shared; unset when !segment_term_

@@ -16,8 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -96,21 +94,6 @@ struct ServeResult {
   std::size_t timeline_end = 0;
   ServeStats stats;
   ResidualAttribution attribution;  ///< empty unless ServeConfig::attribution
-};
-
-/// One mutex per cluster model. A cluster's model must never run two
-/// forwards concurrently (MoE layers keep mutable routing state), and in a
-/// fleet the shard engines SHARE the fitted models — so they must also
-/// share this table. A lone ServeEngine owns a private one.
-struct ClusterLockTable {
-  explicit ClusterLockTable(std::size_t clusters) {
-    locks.reserve(clusters);
-    for (std::size_t c = 0; c < clusters; ++c)
-      locks.push_back(std::make_unique<std::mutex>());
-  }
-  std::mutex& lock(std::size_t cluster) { return *locks[cluster]; }
-  std::size_t size() const { return locks.size(); }
-  std::vector<std::unique_ptr<std::mutex>> locks;
 };
 
 /// Abstract serving surface (see file comment for the contract).

@@ -92,21 +92,6 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
   scores_.assign(N, {});
   if (config_.attribution) contrib_.assign(N, {});
   ranges_.assign(N, {});
-  // The engine only ever reads the models; eval mode makes every forward
-  // deterministic (dropout short-circuits) and therefore order-independent.
-  for (ClusterEntry& entry : sentry.mutable_library().clusters())
-    if (entry.model) entry.model->set_training(false);
-  if (config_.cluster_locks) {
-    // Fleet mode: the lock table is shared across every shard engine so a
-    // cluster's model never runs two forwards anywhere in the fleet.
-    NS_REQUIRE(config_.cluster_locks->size() == sentry.library().size(),
-               "serve: shared lock table has "
-                   << config_.cluster_locks->size() << " clusters, library "
-                   << sentry.library().size());
-    cluster_locks_ = config_.cluster_locks;
-  } else {
-    cluster_locks_ = std::make_shared<ClusterLockTable>(sentry.library().size());
-  }
   if (config_.threads > 0) {
     owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
     pool_ = owned_pool_.get();
@@ -143,8 +128,8 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
       "ns_serve_score_timeline_reallocs_total",
       "Per-node score/lane timeline storage reallocations");
   // Which kernel tier this host's scoring dispatches to (relaxed/quantized
-  // paths; strict scoring always uses the canonical scalar-reproducible
-  // kernels regardless of tier).
+  // paths; strict scoring's canonical plans always use the scalar-
+  // reproducible kernels regardless of tier).
   registry_
       ->gauge("ns_serve_kernel_tier",
               "Runtime kernel dispatch tier: 0=scalar 1=neon 2=avx2_fma")
@@ -552,15 +537,22 @@ std::shared_ptr<const ScoringPlan> ServeEngine::plan_for(
   // the expensive part, and concurrent compiles of the same model are
   // idempotent — last writer wins, both plans are correct.
   std::shared_ptr<const ScoringPlan> plan;
-  if (config_.scoring_path == ScoringPath::kQuantized) {
-    if (calibration != nullptr) {
-      plan = std::make_shared<const ScoringPlan>(*model, calibration);
-    } else {
-      const QuantCalibration local = calibrate_quantization(*model);
-      plan = std::make_shared<const ScoringPlan>(*model, &local);
-    }
-  } else {
-    plan = std::make_shared<const ScoringPlan>(*model);
+  switch (config_.scoring_path) {
+    case ScoringPath::kStrict:
+      plan =
+          std::make_shared<const ScoringPlan>(ScoringPlan::canonical(*model));
+      break;
+    case ScoringPath::kRelaxed:
+      plan = std::make_shared<const ScoringPlan>(*model);
+      break;
+    case ScoringPath::kQuantized:
+      if (calibration != nullptr) {
+        plan = std::make_shared<const ScoringPlan>(*model, calibration);
+      } else {
+        const QuantCalibration local = calibrate_quantization(*model);
+        plan = std::make_shared<const ScoringPlan>(*model, &local);
+      }
+      break;
   }
   std::lock_guard<std::mutex> lock(plans_mutex_);
   plans_[model.get()] = PlanCacheEntry{model, plan};
@@ -570,11 +562,8 @@ std::shared_ptr<const ScoringPlan> ServeEngine::plan_for(
 void ServeEngine::score_cluster_units(std::size_t cluster,
                                       std::vector<PendingUnit> units) {
   const ClusterEntry& entry = sentry_->library().clusters()[cluster];
-  std::shared_ptr<const ScoringPlan> plan;
-  if (config_.scoring_path != ScoringPath::kStrict)
-    plan = plan_for(entry.model, nullptr);
-  std::lock_guard<std::mutex> cluster_lock(cluster_locks_->lock(cluster));
-  Rng rng(0);  // eval-mode forwards are deterministic and never draw
+  const std::shared_ptr<const ScoringPlan> plan =
+      plan_for(entry.model, nullptr);
   const std::size_t M = num_metrics_;
   std::size_t i = 0;
   while (i < units.size()) {
@@ -611,18 +600,8 @@ void ServeEngine::score_cluster_units(std::size_t cluster,
       block_lens.push_back(len);
       base += len;
     }
-    // Strict: the canonical autograd forward, bitwise-stable for replay.
-    // Relaxed/quantized: the compiled plan — same math, vector rounding.
-    Tensor rec_all;
-    if (plan) {
-      rec_all = plan->forward(x, offsets, seg_ids, block_lens,
-                              scoring_workspace(), pool_);
-    } else {
-      rec_all = entry.model
-                    ->forward_blocked(Var::constant(std::move(x)), offsets,
-                                      seg_ids, rng, block_lens)
-                    .value();
-    }
+    const Tensor rec_all = plan->forward(x, offsets, seg_ids, block_lens,
+                                         scoring_workspace(), pool_);
     std::vector<ScoredUnit> results;
     results.reserve(j - i);
     std::size_t points = 0;
@@ -697,20 +676,12 @@ void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
     gens.push_back(&fallback);
   }
   const std::size_t G = config_.generations;
-  // Relaxed/quantized: one compiled plan per live generation, each built
-  // with the calibration checkpointed alongside that generation.
+  // One compiled plan per live generation; quantized plans use the
+  // calibration checkpointed alongside that generation.
   std::vector<std::shared_ptr<const ScoringPlan>> plans;
-  if (config_.scoring_path != ScoringPath::kStrict) {
-    plans.reserve(gens.size());
-    for (const ModelGeneration* gen : gens)
-      plans.push_back(plan_for(gen->model, gen->quant_calibration.get()));
-  }
-  // The cluster lock serializes every generation's forward for this
-  // cluster (MoE routing state is per-model, but the retrainer clones from
-  // these models concurrently — one lock per cluster keeps the contract
-  // simple and the batches of different clusters still run in parallel).
-  std::lock_guard<std::mutex> cluster_lock(cluster_locks_->lock(cluster));
-  Rng rng(0);  // eval-mode forwards are deterministic and never draw
+  plans.reserve(gens.size());
+  for (const ModelGeneration* gen : gens)
+    plans.push_back(plan_for(gen->model, gen->quant_calibration.get()));
   const std::size_t M = num_metrics_;
   std::size_t i = 0;
   while (i < units.size()) {
@@ -763,16 +734,8 @@ void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
     for (std::size_t gi = 0; gi < gens.size(); ++gi) {
       const ModelGeneration& gen = *gens[gi];
       const bool newest = gi + 1 == gens.size();
-      Tensor rec_all;
-      if (!plans.empty()) {
-        rec_all = plans[gi]->forward(x, offsets, seg_ids, block_lens,
-                                     scoring_workspace(), pool_);
-      } else {
-        rec_all = gen.model
-                      ->forward_blocked(Var::constant(x.clone()), offsets,
-                                        seg_ids, rng, block_lens)
-                      .value();
-      }
+      const Tensor rec_all = plans[gi]->forward(
+          x, offsets, seg_ids, block_lens, scoring_workspace(), pool_);
       base = 0;
       for (std::size_t k = i; k < j; ++k) {
         const PendingUnit& unit = units[k];

@@ -6,10 +6,10 @@
 // segment's matching window settles, it is matched against the cluster
 // library (§3.5) and its token chunks are queued as scoring units. pump()
 // packs queued units *across nodes* by matched cluster and submits one
-// thread-pool task per cluster; each task runs batched forwards
-// (TransformerReconstructor::forward_blocked, block-diagonal attention), so
-// one model pass serves many nodes while staying bit-identical to scoring
-// each chunk alone. finalize() closes open segments, drains the pool, and
+// thread-pool task per cluster; each task runs batched forwards through the
+// cluster model's compiled ScoringPlan (block-diagonal attention), so one
+// model pass serves many nodes while staying bit-identical to scoring each
+// chunk alone. finalize() closes open segments, drains the pool, and
 // applies the shared thresholding path (score_reference_levels /
 // detection_flags) — on clean data the result reproduces batch detect()
 // (with incremental updates off) within float round-off (in practice:
@@ -23,12 +23,13 @@
 // collector loop); pool tasks only touch the completed-unit queue and the
 // stats block, each behind its own mutex; stats() may be polled from any
 // monitor thread (it reads only the mutex-guarded stats block and the
-// atomic obs histograms — never ingest-owned state). A cluster's model never runs two
-// forwards concurrently (MoE layers keep mutable routing state), enforced
-// by a per-cluster mutex; parallelism comes from scoring different
-// clusters' batches at the same time. Ingest never blocks on scoring: the
-// pending-unit queue is bounded and drops its *oldest* unit past the cap
-// (counted in stats.units_dropped) rather than stalling the collector.
+// atomic obs histograms — never ingest-owned state). Scoring never runs an
+// autograd module and never mutates a model: plans are immutable, so any
+// number of forwards through one cluster model — from this engine's tasks
+// or from other fleet shards — run at the same time, with no lock between
+// them. Ingest never blocks on scoring: the pending-unit queue is bounded
+// and drops its *oldest* unit past the cap (counted in
+// stats.units_dropped) rather than stalling the collector.
 #pragma once
 
 #include <cstddef>
@@ -64,13 +65,14 @@ struct QuantCalibration;
 /// with different rounding, and flag flips can only happen for scores
 /// already within rounding distance of the threshold.
 enum class ScoringPath {
-  /// Canonical model forwards (autograd graph, scalar-reproducible
-  /// kernels). Bitwise identical to batch detect() — the default, and
-  /// what serve_replay / compare_detections / all bitwise tests use
-  /// (the CLI's --strict-replay selects it).
+  /// Canonical ScoringPlan (ScoringPlan::canonical): scalar-reproducible
+  /// kernels in the model's operation order, bitwise equal to the model's
+  /// own eval-mode forward, so serving is bitwise identical to batch
+  /// detect() — the default, and what serve_replay / compare_detections /
+  /// all bitwise tests use (the CLI's --strict-replay selects it).
   kStrict = 0,
-  /// Compiled fp32 ScoringPlan: no graph, fused attention kernel, packed
-  /// q|k|v gemm, FastKernelScope vector math on the dispatched tier.
+  /// Relaxed fp32 ScoringPlan: the same compiled forward with
+  /// FastKernelScope vector math on the dispatched tier.
   kRelaxed = 1,
   /// kRelaxed plus int8 per-channel quantized encoder/MoE weights (the
   /// calibration travels with each model generation).
@@ -122,12 +124,6 @@ struct ServeConfig {
   /// preprocessing layer. With num_nodes <= fitted count the mapping is
   /// the identity and nothing changes.
   std::size_t num_nodes = 0;
-  /// Per-cluster forward locks shared ACROSS engines. A fleet's shard
-  /// engines score through the same fitted models, so the "one forward per
-  /// cluster at a time" invariant must hold fleet-wide; FleetEngine
-  /// injects one shared table into every shard. Null = the engine owns a
-  /// private table (the historic single-engine behavior).
-  std::shared_ptr<ClusterLockTable> cluster_locks;
 
   // ---- rolling generations + consensus (DESIGN.md §12)
   /// Score through the generation registry instead of the single library
@@ -219,10 +215,6 @@ class ServeEngine final : public ServeBackend {
       config_.num_nodes = nodes;
       return *this;
     }
-    Options& cluster_locks(std::shared_ptr<ClusterLockTable> table) {
-      config_.cluster_locks = std::move(table);
-      return *this;
-    }
     /// Enables consensus scoring over G generations with quorum Q.
     Options& consensus(std::size_t g, std::size_t q) {
       config_.consensus_scoring = true;
@@ -249,9 +241,9 @@ class ServeEngine final : public ServeBackend {
   };
 
   /// The engine serves the library `sentry` holds after fit()/restore();
-  /// `sentry` must outlive the engine, and the engine puts every cluster
-  /// model into eval mode. The serving timeline starts at
-  /// sentry.train_end().
+  /// `sentry` must outlive the engine, which only reads it (scoring
+  /// compiles each model into a ScoringPlan). The serving timeline starts
+  /// at sentry.train_end().
   ServeEngine(NodeSentry& sentry, const Options& options);
 
   /// DEPRECATED (kept one release as a thin wrapper over the Options
@@ -369,13 +361,13 @@ class ServeEngine final : public ServeBackend {
                            std::vector<PendingUnit> units);
   void score_cluster_units_consensus(std::size_t cluster,
                                      std::vector<PendingUnit> units);
-  /// Cached compiled ScoringPlan for one model (relaxed/quantized paths).
-  /// Plans are keyed by model identity; an entry whose model died (its
-  /// generation was retired and freed) is rebuilt, so address reuse can
-  /// never serve a stale plan. `calibration` is used only on the quantized
-  /// path; null there means "calibrate from the weights now" (identical
-  /// scales to fit-time calibration — they are a pure function of the
-  /// weights).
+  /// Cached compiled ScoringPlan for one model, in the arithmetic of
+  /// config_.scoring_path. Plans are keyed by model identity; an entry
+  /// whose model died (its generation was retired and freed) is rebuilt,
+  /// so address reuse can never serve a stale plan. `calibration` is used
+  /// only on the quantized path; null there means "calibrate from the
+  /// weights now" (identical scales to fit-time calibration — they are a
+  /// pure function of the weights).
   std::shared_ptr<const ScoringPlan> plan_for(
       const std::shared_ptr<TransformerReconstructor>& model,
       const QuantCalibration* calibration);
@@ -400,10 +392,6 @@ class ServeEngine final : public ServeBackend {
 
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
-  /// One lock per cluster: a cluster's MoE layers keep mutable routing
-  /// state across forward(), so its batches must run serialized — and in a
-  /// fleet, serialized across ALL shard engines (the table is shared).
-  std::shared_ptr<ClusterLockTable> cluster_locks_;
 
   /// Consensus mode state. The engine owns the registry unless an external
   /// one was supplied. Lane timelines mirror scores_ per generation lane
@@ -436,8 +424,8 @@ class ServeEngine final : public ServeBackend {
   mutable std::mutex results_mutex_;
   std::vector<ScoredUnit> scored_ready_;
 
-  /// Compiled-plan cache for the relaxed/quantized paths (empty in strict
-  /// mode). `alive` detects model-address reuse after a generation dies.
+  /// Compiled-plan cache. `alive` detects model-address reuse after a
+  /// generation dies.
   struct PlanCacheEntry {
     std::weak_ptr<const TransformerReconstructor> alive;
     std::shared_ptr<const ScoringPlan> plan;

@@ -103,7 +103,6 @@ FleetEngine::FleetEngine(NodeSentry& sentry, FleetConfig config)
   NS_REQUIRE(config_.shards >= 1, "fleet: shards must be >= 1");
   NS_REQUIRE(config_.ring_capacity >= 2,
              "fleet: ring_capacity " << config_.ring_capacity << " < 2");
-  cluster_locks_ = std::make_shared<ClusterLockTable>(sentry.library().size());
   obs::Registry* registry =
       config_.engine.registry ? config_.engine.registry
                               : &obs::Registry::global();
@@ -124,7 +123,6 @@ FleetEngine::FleetEngine(NodeSentry& sentry, FleetConfig config)
   for (std::size_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>(config_.ring_capacity);
     ServeConfig engine_config = config_.engine;
-    engine_config.cluster_locks = cluster_locks_;
     if (gen_registry_ != nullptr)
       engine_config.generation_registry = gen_registry_;
     shard->engine = std::make_unique<ServeEngine>(sentry, engine_config);

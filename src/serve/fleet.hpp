@@ -7,12 +7,13 @@
 // that owns that shard's engine (reorder stash, pending queue, scoring
 // dispatch). The shards SHARE everything that must stay fleet-wide
 // consistent — the fitted cluster library (read-only), one
-// GenerationRegistry, one ClusterLockTable (a cluster's model never runs
-// two forwards anywhere in the fleet), one obs::Registry (so the latency
-// instruments are fleet-wide automatically), and optionally one
-// StoreWriter — and own everything per-node (stashes, segments, score
-// timelines), which is what makes the split embarrassingly parallel:
-// every node's samples land on exactly one shard, in order.
+// GenerationRegistry, one obs::Registry (so the latency instruments are
+// fleet-wide automatically), and optionally one StoreWriter — and own
+// everything per-node (stashes, segments, score timelines), which is what
+// makes the split embarrassingly parallel: every node's samples land on
+// exactly one shard, in order. Scoring reads the shared models only
+// through immutable ScoringPlans, so shards score the same cluster model
+// at the same time without any fleet-wide lock.
 //
 // finalize() closes the rings, joins the workers, finalizes each shard,
 // and merges: detections come from each node's owner shard (the others
@@ -21,10 +22,11 @@
 // lone ServeEngine: the ring preserves order, the shard engine is
 // constructed with the same config, and scoring is packing-independent.
 //
-// Backpressure: a full ingest ring makes the producer SPIN (yield +
-// ns_fleet_ring_stalls), never drop — dropping raw samples would silently
-// rewrite history downstream; the bounded scoring queue inside each shard
-// already sheds load the visible way (units_dropped).
+// Backpressure: a full ingest ring makes the producer WAIT (spin, yield,
+// then short sleeps, each failed push counted in stats().ring_stalls),
+// never drop — dropping raw samples would silently rewrite history
+// downstream; the bounded scoring queue inside each shard already sheds
+// load the visible way (units_dropped).
 #pragma once
 
 #include <atomic>
@@ -78,10 +80,10 @@ struct FleetConfig {
   /// naps (~100us) instead of spinning.
   std::size_t worker_idle_polls = 64;
   /// Template for every shard engine. `num_nodes` is the FLEET population
-  /// (0 = the fitted dataset's); `cluster_locks` and `generation_registry`
-  /// are overridden with fleet-shared instances, everything else passes
-  /// through verbatim (registry/store_writer/retrainer are already safe to
-  /// share — see the file comment).
+  /// (0 = the fitted dataset's); `generation_registry` is overridden with
+  /// the fleet-shared instance, everything else passes through verbatim
+  /// (registry/store_writer/retrainer are already safe to share — see the
+  /// file comment).
   ServeConfig engine;
 };
 
@@ -144,9 +146,8 @@ class FleetEngine final : public ServeBackend {
   std::size_t start_t_ = 0;
   bool finalized_ = false;
 
-  /// Fleet-shared: per-cluster forward locks and (consensus mode) the one
-  /// generation registry every shard scores through.
-  std::shared_ptr<ClusterLockTable> cluster_locks_;
+  /// Fleet-shared (consensus mode): the one generation registry every
+  /// shard scores through.
   std::unique_ptr<GenerationRegistry> owned_gen_registry_;
   GenerationRegistry* gen_registry_ = nullptr;
 

@@ -58,8 +58,7 @@ GenerationRegistry::GenerationRegistry(std::size_t num_clusters,
   slots_.reserve(num_clusters);
   for (std::size_t c = 0; c < num_clusters; ++c) {
     slots_.push_back(std::make_unique<ClusterSlot>());
-    slots_.back()->current.store(std::make_shared<const GenerationSet>(),
-                                 std::memory_order_release);
+    slots_.back()->current = std::make_shared<const GenerationSet>();
   }
   obs_ = obs_registry ? obs_registry : &obs::Registry::global();
   active_gauges_.reserve(num_clusters);
@@ -105,7 +104,19 @@ std::shared_ptr<const GenerationSet> GenerationRegistry::snapshot(
     std::size_t cluster) const {
   NS_REQUIRE(cluster < slots_.size(),
              "generation registry: cluster " << cluster << " out of range");
-  return slots_[cluster]->current.load(std::memory_order_acquire);
+  const ClusterSlot& slot = *slots_[cluster];
+  std::lock_guard<std::mutex> lock(slot.current_mutex);
+  return slot.current;
+}
+
+void GenerationRegistry::swap_current(
+    ClusterSlot& slot, std::shared_ptr<const GenerationSet> set) {
+  {
+    std::lock_guard<std::mutex> lock(slot.current_mutex);
+    slot.current.swap(set);
+  }
+  // `set` now holds the previous set; dropping it here, outside the
+  // pointer mutex, keeps a possibly-final release off the readers' path.
 }
 
 std::uint64_t GenerationRegistry::publish(std::size_t cluster,
@@ -117,8 +128,7 @@ std::uint64_t GenerationRegistry::publish(std::size_t cluster,
   std::lock_guard<std::mutex> lock(slot.writer_mutex);
   gen.gen_id = slot.next_gen_id++;
   const std::uint64_t id = gen.gen_id;
-  auto old = slot.current.load(std::memory_order_acquire);
-  auto next = std::make_shared<GenerationSet>(*old);
+  auto next = std::make_shared<GenerationSet>(*snapshot(cluster));
   next->generations.push_back(std::move(gen));
   std::size_t retired = 0;
   while (next->generations.size() > max_generations_) {
@@ -129,8 +139,7 @@ std::uint64_t GenerationRegistry::publish(std::size_t cluster,
     ++retired;
   }
   update_gauges(cluster, *next);
-  slot.current.store(std::shared_ptr<const GenerationSet>(std::move(next)),
-                     std::memory_order_release);
+  swap_current(slot, std::move(next));
   epoch_.fetch_add(1, std::memory_order_relaxed);
   published_counter_->inc();
   if (retired > 0) retired_counter_->inc(retired);
@@ -143,8 +152,7 @@ bool GenerationRegistry::quarantine(std::size_t cluster,
              "generation registry: cluster " << cluster << " out of range");
   ClusterSlot& slot = *slots_[cluster];
   std::lock_guard<std::mutex> lock(slot.writer_mutex);
-  auto old = slot.current.load(std::memory_order_acquire);
-  auto next = std::make_shared<GenerationSet>(*old);
+  auto next = std::make_shared<GenerationSet>(*snapshot(cluster));
   bool found = false;
   for (ModelGeneration& gen : next->generations)
     if (gen.gen_id == gen_id && !gen.quarantined) {
@@ -153,8 +161,7 @@ bool GenerationRegistry::quarantine(std::size_t cluster,
     }
   if (!found) return false;
   update_gauges(cluster, *next);
-  slot.current.store(std::shared_ptr<const GenerationSet>(std::move(next)),
-                     std::memory_order_release);
+  swap_current(slot, std::move(next));
   quarantined_counter_->inc();
   return true;
 }
@@ -281,8 +288,7 @@ void GenerationRegistry::load(const std::string& directory,
     std::lock_guard<std::mutex> lock(slot.writer_mutex);
     slot.next_gen_id = count > 0 ? max_id + 1 : 0;
     update_gauges(c, *set);
-    slot.current.store(std::shared_ptr<const GenerationSet>(std::move(set)),
-                       std::memory_order_release);
+    swap_current(slot, std::move(set));
   }
 }
 

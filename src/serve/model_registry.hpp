@@ -3,14 +3,17 @@
 //
 // Each cluster holds up to G staggered generations of its shared
 // reconstruction model. Readers (the serve engine's scoring tasks) grab an
-// immutable snapshot of the whole generation set with one atomic
-// shared_ptr load and never block; writers (the background retrainer)
-// build a new set off to the side and publish it with one atomic store
-// under a per-cluster writer mutex. Publishing a generation past the cap
-// retires the oldest from the set — but a reader still holding the old
-// snapshot keeps the retired model alive through its shared_ptr until the
-// last in-flight forward finishes, which is exactly the RCU grace period:
-// no epoch counters, no reader registration, no blocking.
+// immutable snapshot of the whole generation set by copying one
+// shared_ptr; writers (the background retrainer) build a new set off to
+// the side, under a per-cluster writer mutex, and publish it by swapping
+// that pointer. The copy and the swap are the only work done under the
+// slot's pointer mutex, so a reader waits at most for another pointer copy
+// or swap — never for a publish in progress, a set copy or a forward.
+// Publishing a generation past the cap retires the oldest from the set —
+// but a reader still holding the old snapshot keeps the retired model
+// alive through its shared_ptr until the last in-flight forward finishes,
+// which is exactly the RCU grace period: no epoch counters, no reader
+// registration.
 //
 // The full generation set checkpoints through the CRC-framed machinery
 // (common/fileio.hpp): one framed file per cluster, index written last, so
@@ -74,19 +77,20 @@ class GenerationRegistry {
   GenerationRegistry& operator=(const GenerationRegistry&) = delete;
 
   /// Publishes generation 0 of every cluster from the fitted library:
-  /// shares the entry's model pointer (the engine puts it in eval mode)
-  /// and copies its residual statistics. Call once before serving.
+  /// shares the entry's model pointer and copies its residual statistics.
+  /// Call once before serving.
   void seed_from_library(const ClusterLibrary& library);
 
-  /// RCU read side: one acquire load, never blocks, never returns null
-  /// after seeding (an unseeded cluster returns an empty set). The caller
-  /// may keep the snapshot across a whole batched forward; retired
-  /// generations it references stay alive until it drops the pointer.
+  /// RCU read side: one pointer copy under the slot's pointer mutex (never
+  /// held across more than a copy or swap), never null (an unseeded
+  /// cluster returns an empty set). The caller may keep the snapshot
+  /// across a whole batched forward; retired generations it references
+  /// stay alive until it drops the pointer.
   std::shared_ptr<const GenerationSet> snapshot(std::size_t cluster) const;
 
   /// RCU write side: appends `gen` (gen_id assigned internally), retiring
   /// the oldest generation when the set exceeds max_generations. The new
-  /// set becomes visible to readers in one atomic store; concurrent
+  /// set becomes visible to readers in one pointer swap; concurrent
   /// publishes to the same cluster serialize on the writer mutex. Returns
   /// the assigned gen_id.
   std::uint64_t publish(std::size_t cluster, ModelGeneration gen);
@@ -115,11 +119,20 @@ class GenerationRegistry {
 
  private:
   struct ClusterSlot {
-    std::atomic<std::shared_ptr<const GenerationSet>> current;
+    /// Guards `current` for exactly one pointer copy or swap. libstdc++'s
+    /// std::atomic<std::shared_ptr> takes an internal lock too, and the
+    /// gcc 12 one releases it with relaxed ordering on load, which
+    /// ThreadSanitizer reports as a race with the next publish.
+    mutable std::mutex current_mutex;
+    std::shared_ptr<const GenerationSet> current;
     std::mutex writer_mutex;
     std::uint64_t next_gen_id = 0;  ///< guarded by writer_mutex
   };
 
+  /// Makes `set` the slot's current set (the caller holds writer_mutex).
+  /// The old set is released after the pointer mutex is dropped.
+  static void swap_current(ClusterSlot& slot,
+                           std::shared_ptr<const GenerationSet> set);
   void update_gauges(std::size_t cluster, const GenerationSet& set);
 
   std::size_t max_generations_;

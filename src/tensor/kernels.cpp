@@ -681,12 +681,26 @@ void softmax_scaled_rows_fast(float* x, std::size_t rows, std::size_t cols,
 }
 #endif  // NS_AARCH64
 
-// In-place softmax(scale * x) over rows of a [rows, cols] matrix. Because
-// scale > 0, max(scale*x) == scale*max(x), so the exponent is evaluated as
-// scale*(x - max) in one fused pass — the scaled logits are never
-// materialized. Used only by block_attention_into (relaxed path); the
-// result is a valid float softmax but not bitwise identical to
-// scale_into + softmax_rows_into.
+// The canonical softmax of one row: max-shifted libm exp, denominator
+// accumulated in double. `out` may alias `in`.
+void softmax_row(const float* in, float* out, std::size_t cols) {
+  float mx = in[0];
+  for (std::size_t j = 1; j < cols; ++j) mx = std::max(mx, in[j]);
+  double denom = 0.0;
+  for (std::size_t j = 0; j < cols; ++j) {
+    out[j] = std::exp(in[j] - mx);
+    denom += out[j];
+  }
+  const float inv = static_cast<float>(1.0 / denom);
+  for (std::size_t j = 0; j < cols; ++j) out[j] *= inv;
+}
+
+// In-place softmax(scale * x) over rows of a [rows, cols] matrix, for
+// block_attention_into. The canonical branch scales first and then runs
+// softmax_row, so it is bitwise equal to scale_into + softmax_rows_into —
+// the autograd attention's chain. The fast branch folds the scale into the
+// exponent instead (scale > 0, so max(scale*x) == scale*max(x)): one vector
+// pass, a valid float softmax but not a bitwise one.
 void softmax_scaled_rows_inplace(float* x, std::size_t rows, std::size_t cols,
                                  float scale) {
 #if defined(NS_X86_64) || defined(NS_AARCH64)
@@ -697,15 +711,8 @@ void softmax_scaled_rows_inplace(float* x, std::size_t rows, std::size_t cols,
 #endif
   for (std::size_t i = 0; i < rows; ++i) {
     float* row = x + i * cols;
-    float mx = row[0];
-    for (std::size_t j = 1; j < cols; ++j) mx = std::max(mx, row[j]);
-    double denom = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) {
-      row[j] = std::exp(scale * (row[j] - mx));
-      denom += row[j];
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::size_t j = 0; j < cols; ++j) row[j] *= inv;
+    for (std::size_t j = 0; j < cols; ++j) row[j] *= scale;
+    softmax_row(row, row, cols);
   }
 }
 
@@ -889,19 +896,8 @@ void softmax_rows_into(Tensor& dst, const Tensor& x) {
     return;
   }
 #endif
-  for (std::size_t i = 0; i < rows; ++i) {
-    const float* in = x.data() + i * cols;
-    float* o = dst.data() + i * cols;
-    float mx = in[0];
-    for (std::size_t j = 1; j < cols; ++j) mx = std::max(mx, in[j]);
-    double denom = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) {
-      o[j] = std::exp(in[j] - mx);
-      denom += o[j];
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::size_t j = 0; j < cols; ++j) o[j] *= inv;
-  }
+  for (std::size_t i = 0; i < rows; ++i)
+    softmax_row(x.data() + i * cols, dst.data() + i * cols, cols);
 }
 
 void gelu_into(Tensor& dst, const Tensor& x) {

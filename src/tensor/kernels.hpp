@@ -35,8 +35,9 @@ class ThreadPool;
 // on the calling thread. Exposed so tests can pick shapes on either side.
 inline constexpr std::size_t kMatmulParallelFlops = std::size_t{1} << 22;
 
-// Parallelization threshold for block-diagonal attention (vblock_attention
-// and block_attention_into): total score-stage FLOPs (4 * dh * sum(len^2))
+// Parallelization threshold for block-diagonal attention (vblock_attention;
+// block_attention_into always runs on the calling thread): total
+// score-stage FLOPs (4 * dh * sum(len^2))
 // above which the per-block loop fans out across the thread pool. Much
 // lower than kMatmulParallelFlops because each block is an independent
 // chain of small matmuls — a single cluster's batched forward (e.g. 8
@@ -156,12 +157,13 @@ class Workspace {
 /// out[T,dh] = softmax(scale · q kᵀ) v, evaluated independently per block
 /// of `block_lens` (which must cover all T rows). Unlike the autograd op
 /// (vblock_attention) this kernel never copies q/k/v blocks (it reads the
-/// contiguous row ranges in place), fuses the scale into the softmax
-/// exponent, and keeps no attention matrices for a backward pass. Inside a
-/// FastKernelScope the gemms and the fused softmax run the dispatch tier's
-/// vector variants, so results are NOT bitwise comparable to the canonical
-/// op — relaxed serving paths only. dst must not alias q/k/v; scratch comes
-/// from `ws`.
+/// contiguous row ranges in place) and keeps no attention matrices for a
+/// backward pass. Outside a FastKernelScope it runs the autograd op's
+/// kernel sequence (gemm, scale, softmax, gemm), so its output is bitwise
+/// equal to vblock_attention's; inside one, the gemms run the dispatch
+/// tier's vector variants and the scale folds into the softmax exponent,
+/// so results agree only to vector-math accuracy. dst must not alias
+/// q/k/v; scratch comes from `ws`.
 void block_attention_into(Tensor& out, const Tensor& q, const Tensor& k,
                           const Tensor& v,
                           std::span<const std::size_t> block_lens, float scale,

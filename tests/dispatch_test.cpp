@@ -1,14 +1,15 @@
-// Relaxed-arithmetic serve path tests (DESIGN.md §16): runtime kernel
-// dispatch, FastKernelScope nesting semantics, int8 quantization
-// round-trips, ScoringPlan vs canonical-model equivalence (the ULP
-// harness), the strict-replay bitwise regression pin, the epsilon-band
-// property on flag disagreements, and the score-timeline reallocation
-// bound.
+// Serve scoring-path tests (DESIGN.md §16): runtime kernel dispatch,
+// FastKernelScope nesting semantics, int8 quantization round-trips, the
+// canonical ScoringPlan's bitwise pin against the model, relaxed/quantized
+// plan vs model equivalence (the ULP harness), the strict-replay bitwise
+// regression pin, the epsilon-band property on flag disagreements, and the
+// score-timeline reallocation bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -253,6 +254,86 @@ class ScoringPlanTest : public ::testing::Test {
   }
 };
 
+// The strict serve path's contract: a canonical plan reproduces eval-mode
+// forward_blocked byte for byte — across MoE top-1/top-2 and the dense
+// FFN, with the segment term on and off, for one dense block and for a
+// block-diagonal batch, on a shape big enough to take matmul_into's
+// parallel row-block path, and whether the plan runs on the calling thread
+// or inside a pool task (where nested parallel_for degrades serially).
+TEST_F(ScoringPlanTest, CanonicalPlanIsBitwiseForwardBlocked) {
+  struct Case {
+    const char* name;
+    TransformerConfig config;
+    std::vector<std::size_t> blocks;
+  };
+  const auto with = [](auto edit) {
+    TransformerConfig config = small_config();
+    edit(config);
+    return config;
+  };
+  const std::vector<std::size_t> three_blocks = {20, 12, 16};
+  const std::vector<Case> cases = {
+      {"moe top-1, one block", small_config(), {96}},
+      {"moe top-1", small_config(), three_blocks},
+      {"moe top-2", with([](TransformerConfig& c) { c.top_k = 2; }),
+       three_blocks},
+      {"dense ffn", with([](TransformerConfig& c) { c.use_moe = false; }),
+       three_blocks},
+      {"no segment term, one block",
+       with([](TransformerConfig& c) { c.use_segment_encoding = false; }),
+       {96}},
+      {"no segment term",
+       with([](TransformerConfig& c) { c.use_segment_encoding = false; }),
+       three_blocks},
+      {"d_model 64, 8x96 rows",
+       with([](TransformerConfig& c) {
+         c.d_model = 64;
+         c.ffn_hidden = 64;
+       }),
+       std::vector<std::size_t>(8, 96)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(71);
+    TransformerReconstructor model(c.config, rng);
+    model.set_training(false);
+    std::size_t T = 0;
+    for (const std::size_t len : c.blocks) T += len;
+    Rng data_rng(72);
+    const Tensor x = random_matrix(T, c.config.input_dim, data_rng);
+    std::vector<std::size_t> offsets, seg_ids;
+    for (std::size_t b = 0; b < c.blocks.size(); ++b)
+      for (std::size_t r = 0; r < c.blocks[b]; ++r) {
+        offsets.push_back(r);
+        seg_ids.push_back(b % c.config.max_segments);
+      }
+    Rng fwd_rng(0);
+    const Tensor reference =
+        model
+            .forward_blocked(Var::constant(x.clone()), offsets, seg_ids,
+                             fwd_rng, c.blocks)
+            .value();
+    const ScoringPlan plan = ScoringPlan::canonical(model);
+    Workspace ws;
+    const Tensor here = plan.forward(x, offsets, seg_ids, c.blocks, ws);
+    Tensor in_task;
+    ThreadPool::global()
+        .submit([&] {
+          Workspace task_ws;
+          in_task = plan.forward(x, offsets, seg_ids, c.blocks, task_ws);
+        })
+        .get();
+    const auto expect_bitwise = [&reference](const Tensor& out) {
+      ASSERT_EQ(out.shape(), reference.shape());
+      EXPECT_EQ(std::memcmp(out.data(), reference.data(),
+                            reference.numel() * sizeof(float)),
+                0);
+    };
+    expect_bitwise(here);
+    expect_bitwise(in_task);
+  }
+}
+
 TEST_F(ScoringPlanTest, RelaxedPlanMatchesModelToVectorAccuracy) {
   // fp32 plan: same math, different rounding (FMA contraction, vector exp
   // approximations) — agreement to ~1e-4 of the output scale.
@@ -340,13 +421,12 @@ NodeSentry* DispatchServeFixture::sentry_ = nullptr;
 NodeSentry::DetectReport* DispatchServeFixture::batch_ = nullptr;
 
 // Regression pin for --strict-replay: the strict path (the ServeConfig
-// default) must stay equivalent to batch detect(), exactly as before the
-// relaxed path existed.
+// default, canonical plans) must reproduce batch detect() bit for bit.
 TEST_F(DispatchServeFixture, StrictReplayStaysBitwise) {
   const ServeResult strict = replay(ScoringPath::kStrict);
   const DetectionDelta delta =
       compare_detections(strict.detections, batch_->detections);
-  EXPECT_LE(delta.max_abs_score_delta, 1e-6);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);  // bitwise, not just close
   EXPECT_EQ(delta.prediction_mismatches, 0u);
 }
 

@@ -1,8 +1,9 @@
 // Sharded fleet serving (DESIGN.md §14): N=1 bitwise parity with the lone
 // ServeEngine, multi-shard equivalence on clean data, consistent-hash
 // placement stability under fleet growth, fleet-stats merge == sum of
-// shard stats, ServeSession config validation, and a concurrent
-// ingest/stats-polling race test (run under TSan via the race label).
+// shard stats, ServeSession config validation, and two race tests (run
+// under TSan via the race label): concurrent ingest/stats polling, and
+// every shard scoring through one shared cluster model at once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -241,6 +242,56 @@ TEST_F(FleetFixture, ConcurrentIngestAndStatsPollingIsRaceFree) {
 
   EXPECT_GT(polls.load(), 0u);
   expect_bitwise_equal(rep.result.detections, single_->result.detections);
+}
+
+// Race harness for lock-free scoring (run under TSan via the race label):
+// with forced_k = 1 every segment scores through ONE shared cluster model,
+// so the four shards' pool tasks run forwards through it at the same time
+// with nothing serializing them. The result must still be the lone
+// engine's, bit for bit — on the single-model path and through
+// score_cluster_units_consensus (G = 2, one seeded generation).
+TEST_F(FleetFixture, OneSharedModelScoresConcurrentlyAcrossShards) {
+  NodeSentryConfig config = fast_config();
+  config.forced_k = 1;
+  NodeSentry sentry(config);
+  sentry.fit(sim_->data, sim_->train_end);
+  ASSERT_EQ(sentry.library().size(), 1u);
+  // Four copies of every node, so a run has four times the forwards.
+  constexpr std::size_t kCopies = 4;
+  const std::size_t fitted = sim_->data.num_nodes();
+  const auto serve_copies = [&](ServeBackend& backend) {
+    TelemetryReplaySource source(sim_->data, sim_->train_end);
+    StreamSample sample;
+    while (source.next(sample)) {
+      for (std::size_t copy = 0; copy < kCopies; ++copy) {
+        StreamSample tiled = sample;
+        tiled.node = sample.node + copy * fitted;
+        backend.ingest(tiled);
+      }
+    }
+    return backend.finalize();
+  };
+  for (const bool consensus : {false, true}) {
+    SCOPED_TRACE(consensus ? "consensus, G = 2" : "single model");
+    ServeConfig engine_config;
+    engine_config.num_nodes = fitted * kCopies;
+    // One chunk per forward, dispatched as soon as it is queued: many
+    // small same-model tasks in flight at once instead of a few big ones.
+    engine_config.max_batch_tokens = 0;
+    engine_config.pump_watermark = 1;
+    engine_config.consensus_scoring = consensus;
+    engine_config.generations = consensus ? 2 : 1;
+    ServeEngine lone(sentry, engine_config);
+    const ServeResult ref = serve_copies(lone);
+
+    FleetConfig fleet_config;
+    fleet_config.shards = 4;
+    fleet_config.engine = engine_config;
+    FleetEngine fleet(sentry, fleet_config);
+    const ServeResult got = serve_copies(fleet);
+    EXPECT_GE(got.stats.batches_run, 25 * fleet_config.shards);
+    expect_bitwise_equal(got.detections, ref.detections);
+  }
 }
 
 TEST_F(FleetFixture, SessionRunsAFleetAndMatchesTheSingleEngine) {

@@ -84,7 +84,7 @@ TEST_F(ServeFixture, ReplayMatchesBatchDetect) {
                 (sim_->data.num_timestamps() - sim_->train_end));
   const DetectionDelta delta =
       compare_detections(rep.result.detections, batch_->detections);
-  EXPECT_LE(delta.max_abs_score_delta, 1e-6);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);
   EXPECT_EQ(delta.prediction_mismatches, 0u);
 
   const ServeStats& stats = rep.result.stats;
@@ -136,7 +136,7 @@ TEST_F(ServeFixture, LateSamplesWithinSlackStillExact) {
   EXPECT_EQ(rep.result.stats.gap_rows_filled, 0u);
   const DetectionDelta delta =
       compare_detections(rep.result.detections, batch_->detections);
-  EXPECT_LE(delta.max_abs_score_delta, 1e-6);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);
   EXPECT_EQ(delta.prediction_mismatches, 0u);
 }
 
@@ -233,7 +233,7 @@ TEST_F(ServeFixture, WarmStartFromCheckpointMatchesBatch) {
   const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
   const DetectionDelta delta =
       compare_detections(rep.result.detections, batch_->detections);
-  EXPECT_LE(delta.max_abs_score_delta, 1e-6);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);
   EXPECT_EQ(delta.prediction_mismatches, 0u);
   fs::remove_all(dir);
 }
@@ -270,7 +270,7 @@ TEST_F(ServeFixture, StatsPollingDuringIngestIsRaceFree) {
   EXPECT_EQ(result.stats.queue_depth, 0u);
   const DetectionDelta delta =
       compare_detections(result.detections, batch_->detections);
-  EXPECT_LE(delta.max_abs_score_delta, 1e-6);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);
 }
 
 // Regression for LatencySummary.count: after the reservoir wrapped it
