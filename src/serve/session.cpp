@@ -1,5 +1,6 @@
 #include "serve/session.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <utility>
@@ -85,8 +86,14 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
         config_.store.dir, store_meta_from_dataset(dataset), StoreConfig{});
     if (config_.store.import_train)
       store_append_dataset(store, dataset, 0, train_end);
+    // finalize() hands over one batch per node in one burst: a smaller
+    // nonzero bound would drop whole node histories.
+    StoreWriterConfig writer_config = config_.store.writer;
+    if (writer_config.queue_capacity > 0)
+      writer_config.queue_capacity =
+          std::max(writer_config.queue_capacity, store.num_nodes());
     store_writer_ = std::make_unique<StoreWriter>(
-        std::move(store), config_.store.writer, engine_config.registry);
+        std::move(store), writer_config, engine_config.registry);
     engine_config.store_writer = store_writer_.get();
   }
 
