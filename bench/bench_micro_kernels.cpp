@@ -1,5 +1,6 @@
 // Microbenchmarks for the numeric kernels underlying the pipeline: matmul,
-// FFT, feature extraction, HAC, and the shared model's forward pass.
+// FFT, feature extraction, HAC, PCA's symmetric eigensolve, and the shared
+// model's forward pass.
 //
 // Beyond the google-benchmark suite, `--kernels-json=PATH` runs a GEMM
 // sweep comparing the tiled matmul_into kernel (at 1/2/4/N threads) against
@@ -22,6 +23,7 @@
 #include "common/thread_pool.hpp"
 #include "features/extract.hpp"
 #include "features/fft.hpp"
+#include "features/pca.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
@@ -92,6 +94,32 @@ void BM_HacClustering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HacClustering)->Arg(64)->Arg(128)->Arg(256);
+
+// PCA's eigensolve on a dense PSD Gram matrix X X^T (X n x n, Gaussian).
+// 440 is the D1-sim segment Gram, 640 the ISC'20 covariance (40 features x
+// 16 metrics).
+void BM_SymmetricEigen(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(6);
+  std::vector<double> x(n * n);
+  for (double& v : x) v = rng.gaussian();
+  std::vector<double> gram(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) {
+      double dot = 0.0;
+      for (std::size_t k = 0; k < n; ++k) dot += x[i * n + k] * x[j * n + k];
+      gram[i * n + j] = dot;
+      gram[j * n + i] = dot;
+    }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(symmetric_eigen(gram, n));
+  }
+}
+BENCHMARK(BM_SymmetricEigen)
+    ->Arg(128)
+    ->Arg(440)
+    ->Arg(640)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TransformerForward(benchmark::State& state) {
   const std::size_t tokens = static_cast<std::size_t>(state.range(0));

@@ -8,66 +8,196 @@
 
 namespace ns {
 
-SymmetricEigen jacobi_eigen(std::vector<double> a, std::size_t n,
-                            std::size_t max_sweeps) {
-  NS_REQUIRE(a.size() == n * n, "jacobi_eigen: matrix size mismatch");
-  // V starts as identity; accumulates rotations (columns are eigenvectors).
-  std::vector<double> v(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) v[i * n + i] = 1.0;
+namespace {
 
-  for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = i + 1; j < n; ++j) off += a[i * n + j] * a[i * n + j];
-    if (off < 1e-18) break;
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a[p * n + q];
-        if (std::abs(apq) < 1e-15) continue;
-        const double app = a[p * n + p];
-        const double aqq = a[q * n + q];
-        const double theta = (aqq - app) / (2.0 * apq);
-        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        // Rotate rows/columns p and q of A.
-        for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a[k * n + p];
-          const double akq = a[k * n + q];
-          a[k * n + p] = c * akp - s * akq;
-          a[k * n + q] = s * akp + c * akq;
+// QL sweeps allowed per eigenvalue before symmetric_eigen gives up; implicit
+// shifts converge cubically, so a handful is typical (EISPACK uses 30).
+constexpr std::size_t kMaxQlIterations = 30;
+
+// Householder reduction of the symmetric matrix in `w` (row-major n*n) to
+// tridiagonal form, EISPACK's tred2 as laid out in JAMA. On return `d` holds
+// the diagonal, e[1..n) the subdiagonal, and row k of `w` column k of the
+// accumulated orthogonal transformation. The textbook algorithm walks
+// columns; here every index pair is swapped (the input is symmetric, so it
+// is its own transpose) and each O(n^3) loop runs along a row.
+void tridiagonalize(std::vector<double>& w, std::size_t n,
+                    std::vector<double>& d, std::vector<double>& e) {
+  const auto row = [&](std::size_t r) { return w.data() + r * n; };
+  for (std::size_t j = 0; j < n; ++j) d[j] = row(j)[n - 1];
+
+  for (std::size_t i = n - 1; i > 0; --i) {
+    double scale = 0.0;
+    double h = 0.0;
+    for (std::size_t k = 0; k < i; ++k) scale += std::abs(d[k]);
+    if (scale == 0.0) {
+      e[i] = d[i - 1];
+      for (std::size_t j = 0; j < i; ++j) {
+        d[j] = row(j)[i - 1];
+        row(j)[i] = 0.0;
+        row(i)[j] = 0.0;
+      }
+    } else {
+      // Householder vector u (in d, scaled against under/overflow) that
+      // zeroes row i left of the subdiagonal; it is kept in row i.
+      for (std::size_t k = 0; k < i; ++k) {
+        d[k] /= scale;
+        h += d[k] * d[k];
+      }
+      double f = d[i - 1];
+      double g = f > 0.0 ? -std::sqrt(h) : std::sqrt(h);
+      e[i] = scale * g;
+      h -= f * g;
+      d[i - 1] = f - g;
+      std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
+      // p = A u / h over the leading i x i block, read from its upper
+      // triangle.
+      for (std::size_t j = 0; j < i; ++j) {
+        const double* wj = row(j);
+        f = d[j];
+        row(i)[j] = f;
+        g = e[j] + wj[j] * f;
+        for (std::size_t k = j + 1; k < i; ++k) {
+          g += wj[k] * d[k];
+          e[k] += wj[k] * f;
         }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a[p * n + k];
-          const double aqk = a[q * n + k];
-          a[p * n + k] = c * apk - s * aqk;
-          a[q * n + k] = s * apk + c * aqk;
-        }
-        // Accumulate rotation into V.
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v[k * n + p];
-          const double vkq = v[k * n + q];
-          v[k * n + p] = c * vkp - s * vkq;
-          v[k * n + q] = s * vkp + c * vkq;
-        }
+        e[j] = g;
+      }
+      f = 0.0;
+      for (std::size_t j = 0; j < i; ++j) {
+        e[j] /= h;
+        f += e[j] * d[j];
+      }
+      const double hh = f / (h + h);
+      for (std::size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
+      // A -= u q^T + q u^T with q = p - (u^T p / 2h) u.
+      for (std::size_t j = 0; j < i; ++j) {
+        double* wj = row(j);
+        f = d[j];
+        g = e[j];
+        for (std::size_t k = j; k < i; ++k) wj[k] -= f * e[k] + g * d[k];
+        d[j] = wj[i - 1];
+        wj[i] = 0.0;
       }
     }
+    d[i] = h;
   }
 
-  SymmetricEigen out;
+  // Accumulate the reflections into the transformation.
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    double* wi = row(i);
+    const double* u = row(i + 1);
+    wi[n - 1] = wi[i];
+    wi[i] = 1.0;
+    const double h = d[i + 1];
+    if (h != 0.0) {
+      for (std::size_t k = 0; k <= i; ++k) d[k] = u[k] / h;
+      for (std::size_t j = 0; j <= i; ++j) {
+        double* wj = row(j);
+        double g = 0.0;
+        for (std::size_t k = 0; k <= i; ++k) g += u[k] * wj[k];
+        for (std::size_t k = 0; k <= i; ++k) wj[k] -= g * d[k];
+      }
+    }
+    std::fill(row(i + 1), row(i + 1) + i + 1, 0.0);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    d[j] = row(j)[n - 1];
+    row(j)[n - 1] = 0.0;
+  }
+  row(n - 1)[n - 1] = 1.0;
+  e[0] = 0.0;
+}
+
+// Implicit-shift QL on the tridiagonal (d, e) from tridiagonalize(),
+// EISPACK's tql2 as laid out in JAMA. Leaves the eigenvalues in `d` and
+// applies every Givens rotation to two rows of `w`, so row k ends as the
+// eigenvector of d[k]. Throws ns::Error when an eigenvalue fails to
+// converge within kMaxQlIterations sweeps.
+void tridiagonal_ql(std::vector<double>& w, std::size_t n,
+                    std::vector<double>& d, std::vector<double>& e) {
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+
+  const double eps = std::ldexp(1.0, -52);
+  double shift = 0.0;
+  double tst1 = 0.0;
+  for (std::size_t l = 0; l < n; ++l) {
+    // Find a negligible subdiagonal element; e[n-1] == 0 stops the scan.
+    tst1 = std::max(tst1, std::abs(d[l]) + std::abs(e[l]));
+    std::size_t m = l;
+    while (std::abs(e[m]) > eps * tst1) ++m;
+
+    for (std::size_t iter = 0; m > l && std::abs(e[l]) > eps * tst1;
+         ++iter) {
+      if (iter == kMaxQlIterations)
+        throw Error("symmetric_eigen: QL iteration did not converge");
+      // Implicit shift from the leading 2x2 block.
+      double g = d[l];
+      double p = (d[l + 1] - g) / (2.0 * e[l]);
+      double r = std::hypot(p, 1.0);
+      if (p < 0.0) r = -r;
+      d[l] = e[l] / (p + r);
+      d[l + 1] = e[l] * (p + r);
+      const double dl1 = d[l + 1];
+      double h = g - d[l];
+      for (std::size_t i = l + 2; i < n; ++i) d[i] -= h;
+      shift += h;
+
+      // Chase the bulge from m back to l with Givens rotations.
+      p = d[m];
+      double c = 1.0, c2 = 1.0, c3 = 1.0;
+      double s = 0.0, s2 = 0.0;
+      const double el1 = e[l + 1];
+      for (std::size_t i = m; i-- > l;) {
+        c3 = c2;
+        c2 = c;
+        s2 = s;
+        g = c * e[i];
+        h = c * p;
+        r = std::hypot(p, e[i]);
+        e[i + 1] = s * r;
+        s = e[i] / r;
+        c = p / r;
+        p = c * d[i] - s * g;
+        d[i + 1] = h + s * (c * g + s * d[i]);
+        double* lo = w.data() + i * n;
+        double* hi = lo + n;
+        for (std::size_t k = 0; k < n; ++k) {
+          const double a = lo[k];
+          const double b = hi[k];
+          hi[k] = s * a + c * b;
+          lo[k] = c * a - s * b;
+        }
+      }
+      p = -s * s2 * c3 * el1 * e[l] / dl1;
+      e[l] = s * p;
+      d[l] = c * p;
+    }
+    d[l] += shift;
+    e[l] = 0.0;
+  }
+}
+
+}  // namespace
+
+EigenDecomposition symmetric_eigen(std::vector<double> a, std::size_t n) {
+  NS_REQUIRE(a.size() == n * n, "symmetric_eigen: matrix size mismatch");
+  EigenDecomposition out;
+  if (n == 0) return out;
+  std::vector<double> d(n), e(n);
+  tridiagonalize(a, n, d, e);
+  tridiagonal_ql(a, n, d, e);
+
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::vector<double> diag(n);
-  for (std::size_t i = 0; i < n; ++i) diag[i] = a[i * n + i];
   std::sort(order.begin(), order.end(),
-            [&](std::size_t x, std::size_t y) { return diag[x] > diag[y]; });
+            [&](std::size_t x, std::size_t y) { return d[x] > d[y]; });
   out.values.resize(n);
-  out.vectors.assign(n, std::vector<double>(n));
+  out.vectors.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
-    out.values[r] = diag[order[r]];
-    for (std::size_t k = 0; k < n; ++k)
-      out.vectors[r][k] = v[k * n + order[r]];
+    out.values[r] = d[order[r]];
+    const double* v = a.data() + order[r] * n;
+    out.vectors[r].assign(v, v + n);
   }
   return out;
 }
@@ -111,7 +241,7 @@ void Pca::fit(const std::vector<std::vector<float>>& matrix,
         gram[i * rows + j] = dot;
         gram[j * rows + i] = dot;
       }
-    const SymmetricEigen eig = jacobi_eigen(std::move(gram), rows);
+    const EigenDecomposition eig = symmetric_eigen(std::move(gram), rows);
     for (double l : eig.values) total_variance += std::max(0.0, l);
     for (std::size_t c = 0; c < keep; ++c) {
       const double lambda = eig.values[c];
@@ -137,7 +267,7 @@ void Pca::fit(const std::vector<std::vector<float>>& matrix,
       for (std::size_t j = i; j < dims; ++j) {
         cov[j * dims + i] = cov[i * dims + j];
       }
-    const SymmetricEigen eig = jacobi_eigen(std::move(cov), dims);
+    const EigenDecomposition eig = symmetric_eigen(std::move(cov), dims);
     for (double l : eig.values) total_variance += std::max(0.0, l);
     for (std::size_t c = 0; c < keep; ++c) {
       if (eig.values[c] <= 1e-12) break;

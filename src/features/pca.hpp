@@ -6,7 +6,8 @@
 // Fitting uses the Gram-matrix trick when there are fewer samples than
 // feature columns (the usual case: hundreds of segments x thousands of
 // features), so the eigen-decomposition runs on an n x n matrix. The
-// symmetric eigensolver is cyclic Jacobi.
+// symmetric eigensolver is Householder tridiagonalization followed by
+// implicit-shift QL (EISPACK tred2/tql2), O(n^3) with no sweep count.
 #pragma once
 
 #include <cstddef>
@@ -14,16 +15,17 @@
 
 namespace ns {
 
-/// Jacobi eigen-decomposition of a dense symmetric matrix (row-major n*n).
-/// Returns eigenvalues in descending order and the matching eigenvectors as
-/// rows of `eigenvectors`.
-struct SymmetricEigen {
+/// Eigenvalues in descending order and the matching unit eigenvectors.
+struct EigenDecomposition {
   std::vector<double> values;
   std::vector<std::vector<double>> vectors;  // vectors[i] pairs values[i]
 };
 
-SymmetricEigen jacobi_eigen(std::vector<double> matrix, std::size_t n,
-                            std::size_t max_sweeps = 64);
+/// Eigen-decomposition of a dense symmetric matrix (row-major n*n) by
+/// Householder tridiagonalization and implicit-shift QL. Single-threaded
+/// and deterministic; eigenvector signs are arbitrary. Throws ns::Error if
+/// an eigenvalue needs more than 30 QL sweeps.
+EigenDecomposition symmetric_eigen(std::vector<double> matrix, std::size_t n);
 
 class Pca {
  public:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <numeric>
@@ -244,6 +245,72 @@ TEST(Segments, TokensLayout) {
   // Cap.
   const Tensor capped = segment_tokens(ds, CoreSegment{0, 0, 4, 0}, 2);
   EXPECT_EQ(capped.size(0), 2u);
+}
+
+// Golden clustering of two small simulated fleets: silhouette-chosen k,
+// the silhouette itself and every cluster's kept members in order. Moving a
+// single segment to another cluster fails, so a change to features, scaling,
+// the PCA projection or HAC must reproduce these or update them knowingly.
+// The silhouette tolerance absorbs last-bit float differences in the
+// projection; eigenvector signs do not matter, since every consumer of the
+// projected space uses Euclidean distance.
+struct ExpectedClustering {
+  std::size_t auto_k = 0;
+  double silhouette = 0.0;
+  /// Per cluster, the kept members as (node, begin, end), nearest first.
+  std::vector<std::vector<std::array<std::size_t, 3>>> members;
+};
+
+void expect_pinned_clustering(const SimDatasetConfig& sim_config,
+                              const ExpectedClustering& want) {
+  const SimDataset sim = build_sim_dataset(sim_config);
+  NodeSentryConfig config;
+  config.train_epochs = 1;
+  NodeSentry sentry(config);
+  const NodeSentry::FitReport report = sentry.fit(sim.data, sim.train_end);
+  EXPECT_EQ(sentry.auto_k(), want.auto_k);
+  EXPECT_NEAR(report.silhouette, want.silhouette, 1e-6);
+  const auto& clusters = sentry.library().clusters();
+  ASSERT_EQ(clusters.size(), want.members.size());
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    std::vector<std::array<std::size_t, 3>> got;
+    for (const CoreSegment& m : clusters[c].members)
+      got.push_back({m.node, m.begin, m.end});
+    EXPECT_EQ(got, want.members[c]) << "cluster " << c;
+  }
+}
+
+TEST(PinnedClustering, D1Sim) {
+  expect_pinned_clustering(
+      d1_sim_config(0.25, 5),
+      {8,
+       0.37186231174151063,
+       {{{2, 289, 350}, {0, 399, 432}, {2, 350, 387}, {0, 0, 78}},
+        {{2, 104, 147}, {7, 104, 147}, {6, 202, 225}, {6, 271, 304}},
+        {{0, 99, 136}, {6, 345, 391}, {6, 312, 332}, {6, 254, 271}},
+        {{2, 25, 104}, {6, 79, 174}, {2, 387, 432}, {0, 136, 184}},
+        {{1, 261, 295}, {2, 250, 261}, {1, 304, 349}, {0, 381, 399}},
+        {{4, 117, 131}, {4, 314, 338}, {4, 170, 188}, {6, 174, 191}},
+        {{1, 295, 304}, {2, 234, 250}},
+        {{3, 375, 432}, {4, 338, 428}, {3, 29, 167}, {3, 364, 375}}}});
+}
+
+TEST(PinnedClustering, D2Sim) {
+  expect_pinned_clustering(
+      d2_sim_config(0.25, 5),
+      {11,
+       0.29083229033100427,
+       {{{0, 0, 25}, {3, 0, 25}},
+        {{0, 25, 53}, {0, 185, 204}, {0, 204, 308}},
+        {{3, 102, 153}, {0, 330, 360}, {1, 139, 168}, {0, 53, 154}},
+        {{1, 0, 23}, {2, 225, 264}, {3, 299, 313}, {0, 154, 185}},
+        {{0, 321, 330}},
+        {{1, 23, 74}, {2, 0, 64}, {2, 264, 332}, {3, 53, 102}},
+        {{1, 74, 82}},
+        {{3, 249, 299}, {3, 25, 53}, {3, 217, 249}, {1, 325, 344}},
+        {{2, 64, 129}, {1, 99, 131}},
+        {{1, 131, 139}},
+        {{3, 153, 217}, {1, 168, 205}}}});
 }
 
 TEST(KSigma, FlagsSpikeAboveThreshold) {

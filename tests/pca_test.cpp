@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -10,44 +13,133 @@
 namespace ns {
 namespace {
 
-TEST(JacobiEigen, DiagonalMatrix) {
+TEST(SymmetricEigen, DiagonalMatrix) {
   // diag(3, 1, 2) -> eigenvalues sorted descending.
   std::vector<double> m{3, 0, 0, 0, 1, 0, 0, 0, 2};
-  const auto eig = jacobi_eigen(m, 3);
+  const auto eig = symmetric_eigen(m, 3);
   EXPECT_NEAR(eig.values[0], 3.0, 1e-10);
   EXPECT_NEAR(eig.values[1], 2.0, 1e-10);
   EXPECT_NEAR(eig.values[2], 1.0, 1e-10);
 }
 
-TEST(JacobiEigen, KnownSymmetricMatrix) {
+TEST(SymmetricEigen, KnownSymmetricMatrix) {
   // [[2,1],[1,2]] has eigenvalues 3 and 1 with eigenvectors (1,1), (1,-1).
   std::vector<double> m{2, 1, 1, 2};
-  const auto eig = jacobi_eigen(m, 2);
+  const auto eig = symmetric_eigen(m, 2);
   EXPECT_NEAR(eig.values[0], 3.0, 1e-10);
   EXPECT_NEAR(eig.values[1], 1.0, 1e-10);
   EXPECT_NEAR(std::abs(eig.vectors[0][0]), std::abs(eig.vectors[0][1]), 1e-8);
 }
 
-TEST(JacobiEigen, ReconstructsMatrix) {
-  Rng rng(1);
-  const std::size_t n = 8;
-  std::vector<double> m(n * n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i; j < n; ++j) {
-      m[i * n + j] = rng.gaussian();
-      m[j * n + i] = m[i * n + j];
+TEST(SymmetricEigen, EmptyAndMismatchedInput) {
+  EXPECT_THROW(symmetric_eigen(std::vector<double>(5), 2), InvalidArgument);
+  EXPECT_TRUE(symmetric_eigen({}, 0).values.empty());
+}
+
+enum class MatrixShape { kRandom, kRepeated, kZero, kGram };
+
+struct EigenCase {
+  MatrixShape shape = MatrixShape::kRandom;
+  std::size_t n = 0;
+};
+
+// Row-major n*n symmetric test matrix of the given shape, seeded by n.
+std::vector<double> make_matrix(const EigenCase& c) {
+  const std::size_t n = c.n;
+  Rng rng(n);
+  std::vector<double> m(n * n, 0.0);
+  switch (c.shape) {
+    case MatrixShape::kRandom:
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i; j < n; ++j) {
+          m[i * n + j] = rng.gaussian();
+          m[j * n + i] = m[i * n + j];
+        }
+      break;
+    case MatrixShape::kRepeated:
+      // Eigenvalue 2 on three spread-out diagonal slots (every slot when
+      // n <= 3); the other eigenvalues are distinct.
+      for (std::size_t i = 0; i < n; ++i)
+        m[i * n + i] = 3.0 + static_cast<double>(i);
+      for (std::size_t i : {std::size_t{0}, n / 2, n - 1}) m[i * n + i] = 2.0;
+      break;
+    case MatrixShape::kZero:
+      break;
+    case MatrixShape::kGram: {
+      // X X^T with X n x 3: rank 3, so n - 3 eigenvalues are zero.
+      std::vector<double> x(n * 3);
+      for (double& v : x) v = rng.gaussian();
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          for (std::size_t k = 0; k < 3; ++k)
+            m[i * n + j] += x[i * 3 + k] * x[j * 3 + k];
+      break;
     }
-  const auto original = m;
-  const auto eig = jacobi_eigen(m, n);
-  // A = sum_k lambda_k v_k v_k^T.
+  }
+  return m;
+}
+
+// Names each case, e.g. "random_8", in test listings.
+void PrintTo(const EigenCase& c, std::ostream* os) {
+  static const char* const kNames[] = {"random", "repeated", "zero", "gram"};
+  *os << kNames[static_cast<int>(c.shape)] << '_' << c.n;
+}
+
+class SymmetricEigen : public ::testing::TestWithParam<EigenCase> {};
+
+TEST_P(SymmetricEigen, ReconstructsMatrix) {
+  const std::size_t n = GetParam().n;
+  const std::vector<double> a = make_matrix(GetParam());
+  const auto eig = symmetric_eigen(a, n);
+  ASSERT_EQ(eig.values.size(), n);
+  ASSERT_EQ(eig.vectors.size(), n);
+
+  double scale = 1.0;
+  double trace = 0.0;
+  for (std::size_t i = 0; i < n; ++i) trace += a[i * n + i];
+  for (double v : a) scale = std::max(scale, std::abs(v));
+  double value_sum = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    ASSERT_EQ(eig.vectors[k].size(), n);
+    value_sum += eig.values[k];
+    if (k > 0) {
+      EXPECT_LE(eig.values[k], eig.values[k - 1]) << "k=" << k;
+    }
+  }
+  EXPECT_NEAR(value_sum, trace, 1e-9 * std::max(1.0, std::abs(trace)));
+
+  // A = V^T diag(lambda) V and V V^T = I, with the eigenvectors as rows of V.
+  double worst_reconstruction = 0.0;
+  double worst_orthogonality = 0.0;
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) {
       double acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k)
+      double dot = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
         acc += eig.values[k] * eig.vectors[k][i] * eig.vectors[k][j];
-      EXPECT_NEAR(acc, original[i * n + j], 1e-8);
+        dot += eig.vectors[i][k] * eig.vectors[j][k];
+      }
+      worst_reconstruction =
+          std::max(worst_reconstruction, std::abs(acc - a[i * n + j]));
+      worst_orthogonality =
+          std::max(worst_orthogonality, std::abs(dot - (i == j ? 1.0 : 0.0)));
     }
+  EXPECT_LE(worst_reconstruction, 1e-9 * scale);
+  EXPECT_LE(worst_orthogonality, 1e-10);
 }
+
+std::vector<EigenCase> eigen_cases() {
+  std::vector<EigenCase> cases;
+  for (std::size_t n : {1, 2, 3, 8, 64, 257})
+    for (MatrixShape shape :
+         {MatrixShape::kRandom, MatrixShape::kRepeated, MatrixShape::kZero})
+      cases.push_back({shape, n});
+  cases.push_back({MatrixShape::kGram, 12});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SymmetricEigen,
+                         ::testing::ValuesIn(eigen_cases()));
 
 TEST(Pca, RecoversDominantDirection) {
   // Data varies strongly along (1, 1)/sqrt(2), weakly along (1, -1).
