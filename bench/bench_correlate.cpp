@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   // ---- parity gate: attribution must not perturb detections
   ServeEngine reference(sentry);
   const ReplayReport ref = serve_replay(reference, sim.data, sim.train_end);
-  ServeEngine attributed(sentry, ServeEngine::Options().attribution());
+  ServeEngine attributed(sentry, ServeConfig{.attribution = true});
   Stopwatch sw;
   const ReplayReport run = serve_replay(attributed, sim.data, sim.train_end);
   const double serve_seconds = sw.elapsed_s();

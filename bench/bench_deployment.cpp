@@ -36,8 +36,8 @@ PathRun run_scoring_path(ns::NodeSentry& sentry, const ns::SimDataset& sim,
                          ns::ScoringPath path) {
   using namespace ns;
   obs::Registry registry;
-  ServeEngine engine(
-      sentry, ServeEngine::Options().scoring(path).metrics(&registry));
+  ServeEngine engine(sentry,
+                     ServeConfig{.registry = &registry, .scoring_path = path});
   PathRun run;
   run.result = serve_replay(engine, sim.data, sim.train_end).result;
   run.score_seconds =

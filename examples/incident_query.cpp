@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   const auto fit = sentry.fit(sim.data, sim.train_end);
   std::printf("trained %zu segments -> %zu clusters in %.1f s\n",
               fit.num_segments, fit.num_clusters, fit.total_seconds);
-  ServeEngine engine(sentry, ServeEngine::Options().attribution());
+  ServeEngine engine(sentry, ServeConfig{.attribution = true});
   const ReplayReport report = serve_replay(engine, sim.data, sim.train_end);
 
   // ---- Correlate into incidents.

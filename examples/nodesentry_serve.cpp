@@ -17,7 +17,9 @@
 //       [--metrics-out <prefix>] [--metrics-every N] [--trace-out <file>]
 //
 //   --data-dir      load a CSV dataset instead of simulating one
-//   --restore       warm-start from --checkpoint instead of fitting
+//   --restore       warm-start from --checkpoint instead of fitting (and
+//                   from its generation sets, when the checkpointed run
+//                   saved them)
 //   --store-dir     seal every served sample (with its in-band anomaly and
 //                   validity bits) into an embedded time-series store at
 //                   this directory; the train region is bulk-imported so a
@@ -48,7 +50,7 @@
 //   --generations   serve G rolling model generations per cluster through
 //                   the generation registry (1..8; default 1)
 //   --consensus     flag a point when >= Q of the live generations agree
-//                   (default 1; implies consensus scoring when set)
+//                   (1..G; default 1)
 //   --retrain-every run the background retrainer every MS milliseconds
 //                   while the replay streams (0 = no retraining); fresh
 //                   matched segments feed it, publishes hot-swap in
@@ -247,30 +249,30 @@ int main(int argc, char** argv) {
                             : "quantized int8 + relaxed kernels",
               kernel_tier_name(kernel_dispatch_tier()));
 
-  const std::size_t generations = static_cast<std::size_t>(
+  session_config.engine.generations = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--generations", "1")));
-  const std::size_t quorum = static_cast<std::size_t>(
-      std::atoi(arg_value(argc, argv, "--consensus", "0")));
-  const std::size_t retrain_every_ms = static_cast<std::size_t>(
+  session_config.engine.consensus_quorum = static_cast<std::size_t>(
+      std::atoi(arg_value(argc, argv, "--consensus", "1")));
+  session_config.generations.retrain_every_ms = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--retrain-every", "0")));
-  if (generations > 1 || quorum > 0 || retrain_every_ms > 0) {
-    session_config.generations.enabled = true;
-    session_config.generations.generations =
-        generations > 0 ? generations : 1;
-    session_config.generations.quorum = quorum > 0 ? quorum : 1;
-    session_config.generations.retrain_every_ms = retrain_every_ms;
-    session_config.generations.seed = seed;
-    // Generations ride the serve checkpoint flow (DESIGN.md §12 follow-on):
-    // a warm start restores the rolling generation sets saved by the
-    // previous run instead of re-seeding every lane from the library.
-    if (arg_flag(argc, argv, "--restore") && checkpoint[0] != '\0')
-      session_config.generations.restore_dir =
-          (std::filesystem::path(checkpoint) / "generations").string();
-    std::printf("consensus scoring: G=%zu Q=%zu%s\n",
-                session_config.generations.generations,
-                session_config.generations.quorum,
-                retrain_every_ms > 0 ? ", background retrainer on" : "");
-  }
+  session_config.generations.seed = seed;
+  // Generations ride the serve checkpoint flow (DESIGN.md §12): a warm
+  // start restores the rolling generation sets saved by the previous run
+  // instead of re-seeding every lane from the library.
+  const std::filesystem::path generations_dir =
+      std::filesystem::path(checkpoint) / "generations";
+  if (arg_flag(argc, argv, "--restore") &&
+      std::filesystem::exists(generations_dir))
+    session_config.generations.restore_dir = generations_dir.string();
+  std::printf("consensus scoring: G=%zu Q=%zu%s%s\n",
+              session_config.engine.generations,
+              session_config.engine.consensus_quorum,
+              session_config.generations.restore_dir.empty()
+                  ? ""
+                  : ", generations restored",
+              session_config.generations.retrain_every_ms > 0
+                  ? ", background retrainer on"
+                  : "");
   // Embedded store (DESIGN.md §13): seal every served sample with its
   // in-band anomaly/validity bits. --from-store replays read-only.
   if (store_dir[0] != '\0' && !from_store) {
@@ -326,23 +328,24 @@ int main(int argc, char** argv) {
   print_latency("ingest", stats.ingest_latency);
   print_latency("match", stats.match_latency);
   print_latency("score", stats.score_latency);
-  if (session_config.generations.enabled)
-    std::printf("consensus: %zu points voted, %zu disagreements "
-                "(%.2f%% of voted points)\n",
-                stats.consensus_points, stats.consensus_disagreements,
-                stats.consensus_points > 0
-                    ? 100.0 * static_cast<double>(stats.consensus_disagreements) /
-                          static_cast<double>(stats.consensus_points)
-                    : 0.0);
+  std::printf("consensus: %zu points voted, %zu disagreements "
+              "(%.2f%% of voted points)\n",
+              stats.consensus_points, stats.consensus_disagreements,
+              stats.consensus_points > 0
+                  ? 100.0 * static_cast<double>(stats.consensus_disagreements) /
+                        static_cast<double>(stats.consensus_points)
+                  : 0.0);
   if (session.retrainer())
     std::printf("retrainer: %llu cycles run during the replay "
                 "(%llu segments offered)\n",
                 static_cast<unsigned long long>(session.retrainer()->cycles()),
                 static_cast<unsigned long long>(
                     session.retrainer()->segments_offered()));
-  if (checkpoint[0] != '\0' && session.save_generations(checkpoint))
-    std::printf("generation sets checkpointed to %s/generations\n",
-                checkpoint);
+  if (checkpoint[0] != '\0') {
+    session.save_generations(checkpoint);
+    std::printf("generation sets checkpointed to %s\n",
+                generations_dir.c_str());
+  }
 
   // ---- Seal the store and audit it with the in-band-bit queries.
   if (session.store_writer() != nullptr) {

@@ -57,14 +57,14 @@ struct ServeStats {
   std::size_t units_dropped = 0;         ///< backpressure drops
   std::size_t queue_depth = 0;           ///< pending units right now
   std::size_t max_queue_depth = 0;
-  /// Times a per-node score/lane timeline reallocated its storage. The
-  /// commit path reserves to the stashed-batch extent per flush, so this
-  /// stays near log2(ticks) per node instead of growing with every row.
+  /// Times a per-node lane/attribution timeline reallocated its storage.
+  /// Each growth reserves out to the node's newest seen tick, so this
+  /// stays near log2(ticks) per node instead of growing with every unit.
   std::size_t score_reallocs = 0;
   /// Fleet only: times the producer had to wait on a full ingest ring
   /// (raw samples are never dropped — the producer spins instead).
   std::size_t ring_stalls = 0;
-  /// Consensus mode only: points voted on, and points where the active
+  /// Points voted on (every scored point), and points where the active
   /// generations disagreed (some flagged, some did not).
   std::size_t consensus_points = 0;
   std::size_t consensus_disagreements = 0;
@@ -125,13 +125,12 @@ class ServeBackend {
   /// First serving tick (the fitted train_end).
   virtual std::size_t start_t() const = 0;
 
-  /// The generation registry scoring reads; null in single-model mode.
+  /// The generation registry scoring reads; never null.
   virtual GenerationRegistry* generation_registry() = 0;
 
   /// Persists the rolling generation sets into `dir` (CRC-framed
-  /// checkpoints, DESIGN.md §12). Returns false (and writes nothing) in
-  /// single-model mode.
-  virtual bool checkpoint(const std::string& dir) = 0;
+  /// checkpoints, DESIGN.md §12).
+  virtual void checkpoint(const std::string& dir) = 0;
 };
 
 }  // namespace ns

@@ -63,9 +63,6 @@ LatencySummary summarize_histogram(const obs::Histogram& histogram) {
 
 }  // namespace
 
-ServeEngine::ServeEngine(NodeSentry& sentry, const Options& options)
-    : ServeEngine(sentry, options.config()) {}
-
 ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
     : sentry_(&sentry),
       config_(config),
@@ -89,7 +86,6 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
     st.next_t = start_t_;
     st.last_good.assign(num_metrics_, 0.0f);
   }
-  scores_.assign(N, {});
   if (config_.attribution) contrib_.assign(N, {});
   ranges_.assign(N, {});
   if (config_.threads > 0) {
@@ -126,7 +122,7 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
       "Scoring units dropped (oldest-first) by queue backpressure");
   score_reallocs_counter_ = &registry_->counter(
       "ns_serve_score_timeline_reallocs_total",
-      "Per-node score/lane timeline storage reallocations");
+      "Per-node lane/attribution timeline storage reallocations");
   // Which kernel tier this host's scoring dispatches to (relaxed/quantized
   // paths; strict scoring's canonical plans always use the scalar-
   // reproducible kernels regardless of tier).
@@ -134,41 +130,44 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
       ->gauge("ns_serve_kernel_tier",
               "Runtime kernel dispatch tier: 0=scalar 1=neon 2=avx2_fma")
       .set(static_cast<double>(static_cast<int>(kernel_dispatch_tier())));
-  if (config_.consensus_scoring) {
-    const std::size_t G = config_.generations;
-    NS_REQUIRE(G >= 1 && G <= 8,
-               "serve: generations " << G << " out of [1,8]");
-    NS_REQUIRE(config_.consensus_quorum >= 1 && config_.consensus_quorum <= G,
-               "serve: consensus_quorum " << config_.consensus_quorum
-                                          << " out of [1," << G << "]");
-    if (config_.generation_registry != nullptr) {
-      gen_registry_ = config_.generation_registry;
-      NS_REQUIRE(gen_registry_->num_clusters() == sentry.library().size(),
-                 "serve: registry has " << gen_registry_->num_clusters()
-                                        << " clusters, library has "
-                                        << sentry.library().size());
-      NS_REQUIRE(gen_registry_->max_generations() == G,
-                 "serve: registry cap " << gen_registry_->max_generations()
-                                        << " != generations " << G);
-      // Convenience: an external registry handed over empty gets the seed
-      // generation, same as the engine-owned path.
-      if (gen_registry_->snapshot(0)->generations.empty())
-        gen_registry_->seed_from_library(sentry.library());
-    } else {
-      owned_gen_registry_ = std::make_unique<GenerationRegistry>(
-          sentry.library().size(), G, registry_);
-      owned_gen_registry_->seed_from_library(sentry.library());
-      gen_registry_ = owned_gen_registry_.get();
-    }
-    lane_scores_.assign(G, std::vector<std::vector<float>>(N));
-    lane_active_.assign(N, {});
-    consensus_points_counter_ =
-        &registry_->counter("ns_serve_consensus_points_total",
-                            "Points decided by the consensus vote");
-    consensus_disagreements_counter_ = &registry_->counter(
-        "ns_serve_consensus_disagreements_total",
-        "Voted points where the active generations disagreed");
+  const std::size_t G = config_.generations;
+  NS_REQUIRE(G >= 1 && G <= 8, "serve: generations " << G << " out of [1,8]");
+  NS_REQUIRE(config_.consensus_quorum >= 1 && config_.consensus_quorum <= G,
+             "serve: consensus_quorum " << config_.consensus_quorum
+                                        << " out of [1," << G << "]");
+  if (config_.generation_registry != nullptr) {
+    gen_registry_ = config_.generation_registry;
+    NS_REQUIRE(gen_registry_->num_clusters() == sentry.library().size(),
+               "serve: registry has " << gen_registry_->num_clusters()
+                                      << " clusters, library has "
+                                      << sentry.library().size());
+    NS_REQUIRE(gen_registry_->max_generations() == G,
+               "serve: registry cap " << gen_registry_->max_generations()
+                                      << " != generations " << G);
+    // Convenience: an external registry handed over empty gets the seed
+    // generation, same as the engine-owned path.
+    if (gen_registry_->snapshot(0)->generations.empty())
+      gen_registry_->seed_from_library(sentry.library());
+  } else {
+    owned_gen_registry_ = std::make_unique<GenerationRegistry>(
+        sentry.library().size(), G, registry_);
+    owned_gen_registry_->seed_from_library(sentry.library());
+    gen_registry_ = owned_gen_registry_.get();
   }
+  // A retrainer publishing anywhere else would train generations that are
+  // never served.
+  NS_REQUIRE(config_.retrainer == nullptr ||
+                 &config_.retrainer->registry() == gen_registry_,
+             "serve: the retrainer publishes into a registry this engine "
+             "does not score through (pass it as generation_registry)");
+  lane_scores_.assign(G, std::vector<std::vector<float>>(N));
+  spans_.assign(N, {});
+  consensus_points_counter_ =
+      &registry_->counter("ns_serve_consensus_points_total",
+                          "Points decided by the consensus vote");
+  consensus_disagreements_counter_ = &registry_->counter(
+      "ns_serve_consensus_disagreements_total",
+      "Voted points where the active generations disagreed");
 }
 
 ServeEngine::~ServeEngine() {
@@ -323,15 +322,6 @@ void ServeEngine::commit_row(std::size_t node, std::size_t t,
   }
   st.open->rows.push_back(std::move(row.values));
   st.open->valid.push_back(std::move(row.valid));
-  // Hint the reservation out to the newest tick seen for this node: one
-  // allocation then covers the whole stash flush / gap-fill run that
-  // advance_node is in the middle of, instead of growing per row.
-  if (grow_timeline(scores_[node], t + 1, std::max(st.max_seen, t) + 1,
-                    0.0f)) {
-    score_reallocs_counter_->inc();
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.score_reallocs;
-  }
   maybe_match(node);
 }
 
@@ -499,10 +489,7 @@ std::size_t ServeEngine::pump() {
     dispatched += units.size();
     inflight_.push_back(pool_->submit(
         [this, cluster, batch = std::move(units)]() mutable {
-          if (config_.consensus_scoring)
-            score_cluster_units_consensus(cluster, std::move(batch));
-          else
-            score_cluster_units(cluster, std::move(batch));
+          score_cluster_units(cluster, std::move(batch));
         }));
   }
   // Reap finished futures so inflight_ stays bounded on long streams; a
@@ -562,101 +549,6 @@ std::shared_ptr<const ScoringPlan> ServeEngine::plan_for(
 void ServeEngine::score_cluster_units(std::size_t cluster,
                                       std::vector<PendingUnit> units) {
   const ClusterEntry& entry = sentry_->library().clusters()[cluster];
-  const std::shared_ptr<const ScoringPlan> plan =
-      plan_for(entry.model, nullptr);
-  const std::size_t M = num_metrics_;
-  std::size_t i = 0;
-  while (i < units.size()) {
-    // Pack units into one batched forward up to max_batch_tokens rows. A
-    // single oversized unit still goes alone (it cannot be split: its
-    // attention window is the chunk).
-    std::size_t j = i + 1;
-    std::size_t rows = units[i].tokens.size(0);
-    if (config_.max_batch_tokens > 0) {
-      while (j < units.size() &&
-             rows + units[j].tokens.size(0) <= config_.max_batch_tokens) {
-        rows += units[j].tokens.size(0);
-        ++j;
-      }
-    }
-    obs::ScopedTimer batch_timer(score_hist_, "serve.score");
-    Tensor x(Shape{rows, M});
-    std::vector<std::size_t> offsets;
-    std::vector<std::size_t> seg_ids;
-    std::vector<std::size_t> block_lens;
-    offsets.reserve(rows);
-    seg_ids.reserve(rows);
-    block_lens.reserve(j - i);
-    std::size_t base = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      const PendingUnit& unit = units[k];
-      const std::size_t len = unit.tokens.size(0);
-      for (std::size_t r = 0; r < len; ++r) {
-        for (std::size_t m = 0; m < M; ++m)
-          x.at(base + r, m) = unit.tokens.at(r, m);
-        offsets.push_back(unit.offset + r);
-        seg_ids.push_back(unit.segment_id);
-      }
-      block_lens.push_back(len);
-      base += len;
-    }
-    const Tensor rec_all = plan->forward(x, offsets, seg_ids, block_lens,
-                                         scoring_workspace(), pool_);
-    std::vector<ScoredUnit> results;
-    results.reserve(j - i);
-    std::size_t points = 0;
-    base = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      const PendingUnit& unit = units[k];
-      const std::size_t len = unit.tokens.size(0);
-      const Tensor rec = slice_rows(rec_all, base, base + len);
-      base += len;
-      ScoredUnit scored;
-      scored.node = unit.node;
-      scored.abs_begin = unit.abs_begin;
-      scored.scores.assign(len, 0.0f);
-      ValidityMask unit_mask;
-      if (masked_mode_) {
-        unit_mask = ValidityMask(1, M, len, 1);
-        for (std::size_t r = 0; r < len; ++r)
-          for (std::size_t m = 0; m < M; ++m)
-            unit_mask.at(0, m, r) = unit.valid[r * M + m];
-      }
-      scored.scored_points = chunk_point_scores(
-          entry, rec, unit.tokens, masked_mode_ ? &unit_mask : nullptr, 0, 0,
-          scored.scores.data());
-      if (config_.attribution) {
-        // Separate pass, identical arithmetic: the score bits above are
-        // already written and never revisited.
-        scored.contrib.assign(len * M, 0.0f);
-        chunk_point_metric_contributions(
-            entry.metric_weights, entry.residual_scale, entry.baseline_error,
-            rec, unit.tokens, masked_mode_ ? &unit_mask : nullptr, 0, 0,
-            scored.contrib.data());
-      }
-      points += scored.scored_points;
-      results.push_back(std::move(scored));
-    }
-    batch_timer.stop();  // the batched forward + scoring, not the fold-in
-    {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      for (ScoredUnit& scored : results)
-        scored_ready_.push_back(std::move(scored));
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.batches_run;
-      units_batched_total_ += j - i;
-      stats_.chunks_scored += j - i;
-      stats_.points_scored += points;
-    }
-    i = j;
-  }
-}
-
-void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
-                                                std::vector<PendingUnit> units) {
-  const ClusterEntry& entry = sentry_->library().clusters()[cluster];
   // One snapshot for the whole batch: every unit in it is scored by the
   // same generation set, and the snapshot keeps retired generations alive
   // through our forwards (the RCU grace period).
@@ -685,6 +577,9 @@ void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
   const std::size_t M = num_metrics_;
   std::size_t i = 0;
   while (i < units.size()) {
+    // Pack units into one batched forward up to max_batch_tokens rows. A
+    // single oversized unit still goes alone (it cannot be split: its
+    // attention window is the chunk).
     std::size_t j = i + 1;
     std::size_t rows = units[i].tokens.size(0);
     if (config_.max_batch_tokens > 0) {
@@ -750,13 +645,11 @@ void ServeEngine::score_cluster_units_consensus(std::size_t cluster,
             lane.data());
         scored.lanes.push_back(static_cast<std::uint8_t>(gen.gen_id % G));
         if (newest) {
-          // The newest generation is the primary lane: its scores feed the
-          // reported timeline (and, with G == 1, reproduce the single-model
-          // path bitwise).
+          // The newest generation is the primary lane: its scores are the
+          // reported ones (with the seed generation alone, exactly batch
+          // detect()'s).
           scored.node = unit.node;
           scored.abs_begin = unit.abs_begin;
-          scored.scores = lane;
-          scored.scored_points = scored_points;
           if (config_.attribution) {
             // Attribution follows the primary lane: the same generation
             // statistics that produced the reported scores.
@@ -794,32 +687,17 @@ void ServeEngine::drain_scored() {
     std::lock_guard<std::mutex> lock(results_mutex_);
     ready.swap(scored_ready_);
   }
-  // Lane/attribution timelines get the same reserve-to-extent treatment as
-  // the commit path: the node's known frontier is the hint, so one
-  // reservation covers many future units.
+  // Lane/attribution timelines reserve to the node's known frontier, so
+  // one reservation covers many future units.
   std::size_t reallocs = 0;
   for (const ScoredUnit& unit : ready) {
-    std::vector<float>& timeline = scores_[unit.node];
-    const std::size_t end = unit.abs_begin + unit.scores.size();
+    const std::size_t end = unit.abs_begin + unit.lane_scores.back().size();
     const std::size_t hint = std::max(nodes_[unit.node].max_seen + 1, end);
-    reallocs += grow_timeline(timeline, end, hint, 0.0f);
-    // Units cover disjoint [abs_begin, end) ranges; unscored cells inside a
-    // unit are 0 in its buffer, matching batch detect() leaving them 0.
-    std::copy(unit.scores.begin(), unit.scores.end(),
-              timeline.begin() + static_cast<std::ptrdiff_t>(unit.abs_begin));
-    if (!unit.contrib.empty()) {
-      std::vector<float>& plane = contrib_[unit.node];
-      const std::size_t M = num_metrics_;
-      reallocs += grow_timeline(plane, end * M, hint * M, 0.0f);
-      std::copy(unit.contrib.begin(), unit.contrib.end(),
-                plane.begin() + static_cast<std::ptrdiff_t>(unit.abs_begin * M));
-    }
-    if (unit.lanes.empty()) continue;
-    // Consensus mode: fold every generation's scores into its lane
-    // timeline and record which lanes covered these points. Lanes within
+    // Fold every generation's scores into its lane timeline. Units cover
+    // disjoint [abs_begin, end) ranges; unscored cells inside a unit are 0
+    // in its buffer, matching batch detect() leaving them 0. Lanes within
     // one snapshot are distinct (gen_ids are consecutive, G apart repeats).
-    std::vector<std::uint8_t>& active = lane_active_[unit.node];
-    reallocs += grow_timeline(active, end, hint, std::uint8_t{0});
+    ScoredSpan span{unit.abs_begin, end, 0, unit.lanes.back()};
     for (std::size_t li = 0; li < unit.lanes.size(); ++li) {
       const std::uint8_t lane = unit.lanes[li];
       std::vector<float>& lane_timeline = lane_scores_[lane][unit.node];
@@ -827,8 +705,15 @@ void ServeEngine::drain_scored() {
       std::copy(
           unit.lane_scores[li].begin(), unit.lane_scores[li].end(),
           lane_timeline.begin() + static_cast<std::ptrdiff_t>(unit.abs_begin));
-      for (std::size_t t = unit.abs_begin; t < end; ++t)
-        active[t] |= static_cast<std::uint8_t>(1u << lane);
+      span.lanes |= static_cast<std::uint8_t>(1u << lane);
+    }
+    spans_[unit.node].push_back(span);
+    if (!unit.contrib.empty()) {
+      std::vector<float>& plane = contrib_[unit.node];
+      const std::size_t M = num_metrics_;
+      reallocs += grow_timeline(plane, end * M, hint * M, 0.0f);
+      std::copy(unit.contrib.begin(), unit.contrib.end(),
+                plane.begin() + static_cast<std::ptrdiff_t>(unit.abs_begin * M));
     }
   }
   if (reallocs > 0) {
@@ -916,9 +801,10 @@ ServeResult ServeEngine::finalize() {
   inflight_.clear();
   drain_scored();
 
+  // Every committed tick is on the timeline, scored or not.
   std::size_t timeline_end = start_t_;
-  for (const std::vector<float>& timeline : scores_)
-    timeline_end = std::max(timeline_end, timeline.size());
+  for (const NodeState& st : nodes_)
+    timeline_end = std::max(timeline_end, st.next_t);
 
   ServeResult result;
   result.timeline_end = timeline_end;
@@ -927,25 +813,16 @@ ServeResult ServeEngine::finalize() {
     result.attribution.num_metrics = num_metrics_;
     result.attribution.contrib.assign(nodes_.size(), {});
   }
-  const NodeSentryConfig& cfg = sentry_->config();
   // Per-node thresholding writes disjoint detection records; fan it out
   // across the engine's pool (all scoring tasks have drained by now).
   pool_->parallel_for(0, nodes_.size(), 1, [&](std::size_t n) {
     NodeDetection& det = result.detections[n];
-    det.scores = std::move(scores_[n]);
-    det.scores.resize(timeline_end, 0.0f);
     if (config_.attribution) {
       // Same alignment as the scores: one [t, M] plane per node, zero
       // wherever the point was never scored.
       std::vector<float>& plane = result.attribution.contrib[n];
       plane = std::move(contrib_[n]);
       plane.resize(timeline_end * num_metrics_, 0.0f);
-    }
-    if (!config_.consensus_scoring) {
-      const std::vector<float> reference =
-          score_reference_levels(det.scores, ranges_[n]);
-      det.predictions = detection_flags(det.scores, reference, start_t_, cfg);
-      return;
     }
     std::size_t points = 0;
     std::size_t disagreements = 0;
@@ -981,37 +858,54 @@ ServeResult ServeEngine::finalize() {
 
 void ServeEngine::consensus_node_predictions(
     std::size_t node, NodeDetection& det, std::size_t timeline_end,
-    std::size_t* out_points, std::size_t* out_disagreements) const {
+    std::size_t* out_points, std::size_t* out_disagreements) {
   const NodeSentryConfig& cfg = sentry_->config();
   const std::size_t G = config_.generations;
-  const std::vector<std::uint8_t>& active = lane_active_[node];
+  // Per point, the bitmap of lanes that scored it (0 = never scored).
+  std::vector<std::uint8_t> active(timeline_end, 0);
   std::uint8_t node_mask = 0;
-  for (const std::uint8_t bits : active) node_mask |= bits;
+  for (const ScoredSpan& span : spans_[node]) {
+    std::fill(active.begin() + static_cast<std::ptrdiff_t>(span.begin),
+              active.begin() + static_cast<std::ptrdiff_t>(span.end),
+              span.lanes);
+    node_mask |= span.lanes;
+  }
   // Each lane thresholds its own full timeline with the shared k-sigma
-  // machinery — identical arithmetic to the single-model path, so a lone
-  // lane (G == 1) reproduces it bitwise.
+  // machinery — batch detect()'s arithmetic, so the seed generation alone
+  // reproduces it bitwise.
   std::vector<std::vector<std::uint8_t>> lane_flags(G);
   for (std::size_t lane = 0; lane < G; ++lane) {
     if ((node_mask & (1u << lane)) == 0) continue;
-    std::vector<float> lane_timeline = lane_scores_[lane][node];
+    std::vector<float>& lane_timeline = lane_scores_[lane][node];
     lane_timeline.resize(timeline_end, 0.0f);
     const std::vector<float> reference =
         score_reference_levels(lane_timeline, ranges_[node]);
     lane_flags[lane] =
         detection_flags(lane_timeline, reference, start_t_, cfg);
   }
+  // The reported scores are each span's primary lane; after that the lane
+  // timelines are spent, so free them before the next node's.
+  det.scores.assign(timeline_end, 0.0f);
+  for (const ScoredSpan& span : spans_[node]) {
+    const std::vector<float>& primary = lane_scores_[span.primary][node];
+    std::copy(primary.begin() + static_cast<std::ptrdiff_t>(span.begin),
+              primary.begin() + static_cast<std::ptrdiff_t>(span.end),
+              det.scores.begin() + static_cast<std::ptrdiff_t>(span.begin));
+  }
+  for (std::vector<std::vector<float>>& lane : lane_scores_)
+    std::vector<float>().swap(lane[node]);
   det.predictions.assign(timeline_end, 0);
   const std::uint8_t all_mask =
       static_cast<std::uint8_t>(G >= 8 ? 0xFFu : (1u << G) - 1u);
   std::size_t points = 0;
   std::size_t disagreements = 0;
   for (std::size_t t = start_t_; t < timeline_end; ++t) {
-    std::uint8_t mask = t < active.size() ? active[t] : 0;
+    std::uint8_t mask = active[t];
     const bool voted = mask != 0;
     // Unscored points fall back to the lanes that scored this node at all
     // (their flags still cover t through smoothing), then to every lane:
-    // all-absent flags vote 0 and the point stays unflagged, matching the
-    // single-model path's score-0 handling.
+    // all-absent flags vote 0 and the point stays unflagged, like batch
+    // detect()'s score-0 handling.
     if (mask == 0) mask = node_mask != 0 ? node_mask : all_mask;
     std::size_t votes = 0;
     std::size_t active_lanes = 0;
@@ -1033,10 +927,8 @@ void ServeEngine::consensus_node_predictions(
   *out_disagreements = disagreements;
 }
 
-bool ServeEngine::checkpoint(const std::string& dir) {
-  if (gen_registry_ == nullptr) return false;
+void ServeEngine::checkpoint(const std::string& dir) {
   gen_registry_->save(dir);
-  return true;
 }
 
 ServeStats ServeEngine::stats() const {

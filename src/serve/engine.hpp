@@ -6,14 +6,17 @@
 // segment's matching window settles, it is matched against the cluster
 // library (§3.5) and its token chunks are queued as scoring units. pump()
 // packs queued units *across nodes* by matched cluster and submits one
-// thread-pool task per cluster; each task runs batched forwards through the
-// cluster model's compiled ScoringPlan (block-diagonal attention), so one
-// model pass serves many nodes while staying bit-identical to scoring each
-// chunk alone. finalize() closes open segments, drains the pool, and
-// applies the shared thresholding path (score_reference_levels /
-// detection_flags) — on clean data the result reproduces batch detect()
-// (with incremental updates off) within float round-off (in practice:
-// bit-identical).
+// thread-pool task per cluster; each task snapshots the cluster's model
+// generations from the GenerationRegistry (DESIGN.md §12 — by default one
+// seed generation: the fitted library model) and runs batched forwards
+// through each generation's compiled ScoringPlan (block-diagonal
+// attention), so one model pass serves many nodes while staying
+// bit-identical to scoring each chunk alone. finalize() closes open
+// segments, drains the pool, and applies the shared thresholding path
+// (score_reference_levels / detection_flags) per generation lane, then the
+// >= Q vote — on clean data the default G = Q = 1 result reproduces batch
+// detect() (with incremental updates off) within float round-off (in
+// practice: bit-identical).
 //
 // ServeEngine is one implementation of the ServeBackend contract
 // (serve/backend.hpp); FleetEngine (serve/fleet.hpp) shards a node
@@ -126,24 +129,23 @@ struct ServeConfig {
   std::size_t num_nodes = 0;
 
   // ---- rolling generations + consensus (DESIGN.md §12)
-  /// Score through the generation registry instead of the single library
-  /// model. Off (the default) is exactly the historic single-model path;
-  /// on with generations == consensus_quorum == 1 reproduces it bitwise
-  /// through the registry's seed generation.
-  bool consensus_scoring = false;
-  /// G: staggered model generations per cluster (1..8; the per-point lane
-  /// bitmap is a byte).
+  /// Every engine scores through a generation registry. G: staggered model
+  /// generations per cluster (1..8; the per-point lane bitmap is a byte).
+  /// The default G = Q = 1 serves the fitted library's models through the
+  /// registry's seed generation — bitwise batch detect().
   std::size_t generations = 1;
   /// Q: a point is flagged when >= min(Q, lanes active at that point)
   /// generations flag it — the bootstrap/quarantine fallback: with fewer
   /// than Q generations alive, the ones that exist decide.
   std::size_t consensus_quorum = 1;
-  /// External generation registry shared with a Retrainer; null makes the
-  /// engine own one, seeded from the fitted library. Ignored unless
-  /// consensus_scoring.
+  /// External generation registry shared with a Retrainer (or across fleet
+  /// shards); null makes the engine own one, seeded from the fitted
+  /// library. Its cap must equal `generations`.
   GenerationRegistry* generation_registry = nullptr;
   /// When set, every matched closed segment's centered tokens are offered
-  /// to this retrainer (bounded ring, never blocks ingest).
+  /// to this retrainer (bounded ring, never blocks ingest). It must publish
+  /// into the registry this engine scores through (`generation_registry`);
+  /// construction rejects any other, whose generations would never serve.
   Retrainer* retrainer = nullptr;
 
   // ---- embedded time-series store (DESIGN.md §13)
@@ -160,95 +162,10 @@ struct ServeConfig {
 
 class ServeEngine final : public ServeBackend {
  public:
-  /// Builder-style configuration (preferred): the engine's optional
-  /// attachments (store writer, generation registry, consensus quorum,
-  /// retrainer) read as prose instead of positional config-field soup:
-  ///
-  ///   ServeEngine engine(sentry, ServeEngine::Options()
-  ///                                  .threads(4)
-  ///                                  .batch_tokens(512)
-  ///                                  .store(&writer)
-  ///                                  .consensus(3, 2)
-  ///                                  .retrain_with(&retrainer));
-  ///
-  /// Options is a thin fluent wrapper over ServeConfig — config() hands
-  /// the built struct back, so the two forms can never drift apart.
-  class Options {
-   public:
-    Options& threads(std::size_t n) { config_.threads = n; return *this; }
-    Options& reorder_slack(std::size_t ticks) {
-      config_.reorder_slack = ticks;
-      return *this;
-    }
-    Options& max_pending_units(std::size_t units) {
-      config_.max_pending_units = units;
-      return *this;
-    }
-    Options& batch_tokens(std::size_t rows) {
-      config_.max_batch_tokens = rows;
-      return *this;
-    }
-    Options& pump_watermark(std::size_t units) {
-      config_.pump_watermark = units;
-      return *this;
-    }
-    Options& latency_reservoir(std::size_t window) {
-      config_.latency_reservoir = window;
-      return *this;
-    }
-    Options& metrics(obs::Registry* registry) {
-      config_.registry = registry;
-      return *this;
-    }
-    /// Records per-metric WMSE attribution (see ServeConfig::attribution).
-    Options& attribution(bool on = true) {
-      config_.attribution = on;
-      return *this;
-    }
-    /// Forward-evaluation strategy (see ScoringPath).
-    Options& scoring(ScoringPath path) {
-      config_.scoring_path = path;
-      return *this;
-    }
-    /// Serve `nodes` node ids (fleet population; see ServeConfig::num_nodes).
-    Options& population(std::size_t nodes) {
-      config_.num_nodes = nodes;
-      return *this;
-    }
-    /// Enables consensus scoring over G generations with quorum Q.
-    Options& consensus(std::size_t g, std::size_t q) {
-      config_.consensus_scoring = true;
-      config_.generations = g;
-      config_.consensus_quorum = q;
-      return *this;
-    }
-    Options& generation_registry(GenerationRegistry* registry) {
-      config_.generation_registry = registry;
-      return *this;
-    }
-    Options& retrain_with(Retrainer* retrainer) {
-      config_.retrainer = retrainer;
-      return *this;
-    }
-    Options& store(StoreWriter* writer) {
-      config_.store_writer = writer;
-      return *this;
-    }
-    const ServeConfig& config() const { return config_; }
-
-   private:
-    ServeConfig config_;
-  };
-
   /// The engine serves the library `sentry` holds after fit()/restore();
   /// `sentry` must outlive the engine, which only reads it (scoring
   /// compiles each model into a ScoringPlan). The serving timeline starts
   /// at sentry.train_end().
-  ServeEngine(NodeSentry& sentry, const Options& options);
-
-  /// DEPRECATED (kept one release as a thin wrapper over the Options
-  /// form): the config-struct signature that grew by accretion. New code
-  /// should construct through ServeEngine::Options.
   explicit ServeEngine(NodeSentry& sentry, ServeConfig config = {});
 
   ~ServeEngine() override;
@@ -277,10 +194,10 @@ class ServeEngine final : public ServeBackend {
 
   const ServeConfig& config() const { return config_; }
   /// The generation registry scoring reads (the external one, or the
-  /// engine-owned one seeded from the library); null in single-model mode.
+  /// engine-owned one seeded from the library); never null.
   GenerationRegistry* generation_registry() override { return gen_registry_; }
-  /// Saves the generation sets (no-op returning false in single-model mode).
-  bool checkpoint(const std::string& dir) override;
+  /// Saves the generation sets into `dir`.
+  void checkpoint(const std::string& dir) override;
 
  private:
   struct OpenSegment {
@@ -324,21 +241,29 @@ class ServeEngine final : public ServeBackend {
     std::vector<std::uint8_t> valid;  ///< [len * M]; empty = all valid
   };
 
-  /// A scored unit ready to fold into the per-node score timeline.
+  /// A scored unit ready to fold into the per-node lane timelines.
   struct ScoredUnit {
     std::size_t node = 0;
     std::size_t abs_begin = 0;
-    /// Primary scores (consensus mode: the newest generation's lane).
-    std::vector<float> scores;
-    std::size_t scored_points = 0;
-    /// Consensus mode: one score timeline per generation that scored this
-    /// unit, with the lane index (gen_id % G) it belongs to. Empty in
-    /// single-model mode.
+    /// One score slice per generation that scored this unit, with the lane
+    /// (gen_id % G) it belongs to, oldest first: the last entry is the
+    /// newest generation — the primary lane, whose scores are reported.
     std::vector<std::uint8_t> lanes;
     std::vector<std::vector<float>> lane_scores;
     /// Attribution mode: per-metric terms of the primary scores,
     /// [len * M] row-major. Empty unless ServeConfig::attribution.
     std::vector<float> contrib;
+  };
+
+  /// A folded unit's footprint on its node's timeline: the lanes that
+  /// scored [begin, end) and which of them is primary. Units of one node
+  /// cover disjoint ranges, so a node's spans say which lanes hold a score
+  /// at each point, and whose score is reported there.
+  struct ScoredSpan {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::uint8_t lanes = 0;    ///< bitmap of lanes that scored the range
+    std::uint8_t primary = 0;  ///< lane of the newest generation
   };
 
   void commit_row(std::size_t node, std::size_t t, std::int64_t job_id,
@@ -357,10 +282,10 @@ class ServeEngine final : public ServeBackend {
   void match_segment(std::size_t node);
   void emit_ready_chunks(std::size_t node, bool closing, std::size_t len);
   void enqueue_unit(PendingUnit unit);
+  /// Scores one cluster's units through every live generation of its
+  /// registry snapshot, in batched forwards.
   void score_cluster_units(std::size_t cluster,
                            std::vector<PendingUnit> units);
-  void score_cluster_units_consensus(std::size_t cluster,
-                                     std::vector<PendingUnit> units);
   /// Cached compiled ScoringPlan for one model, in the arithmetic of
   /// config_.scoring_path. Plans are keyed by model identity; an entry
   /// whose model died (its generation was retired and freed) is rebuilt,
@@ -372,12 +297,14 @@ class ServeEngine final : public ServeBackend {
       const std::shared_ptr<TransformerReconstructor>& model,
       const QuantCalibration* calibration);
   void drain_scored();
-  /// Consensus thresholding for one node (called from finalize's
-  /// parallel_for): per-lane reference levels + flags, then the >= Q vote.
+  /// One node's detection record (called from finalize's parallel_for):
+  /// per-lane reference levels + flags, the >= Q vote, and the reported
+  /// scores gathered from each span's primary lane. Consumes the node's
+  /// lane timelines.
   void consensus_node_predictions(std::size_t node, NodeDetection& det,
                                   std::size_t timeline_end,
                                   std::size_t* out_points,
-                                  std::size_t* out_disagreements) const;
+                                  std::size_t* out_disagreements);
 
   NodeSentry* sentry_;
   ServeConfig config_;
@@ -393,23 +320,22 @@ class ServeEngine final : public ServeBackend {
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
 
-  /// Consensus mode state. The engine owns the registry unless an external
-  /// one was supplied. Lane timelines mirror scores_ per generation lane
-  /// (lane = gen_id % G); lane_active_[node][t] is the bitmap of lanes
-  /// that scored point t — the bootstrap/quarantine fallback keys off it.
-  /// Lane state is written by pool tasks ONLY through drain_scored()
-  /// (ingest thread), same discipline as scores_.
+  /// Scoring state. The engine owns the registry unless an external one
+  /// was supplied. Each node keeps one score timeline per generation lane
+  /// (lane = gen_id % G) and the spans saying which lanes scored which
+  /// points; finalize() gathers the reported scores from each span's
+  /// primary lane. Pool tasks reach this state ONLY through drain_scored()
+  /// (ingest thread).
   std::unique_ptr<GenerationRegistry> owned_gen_registry_;
   GenerationRegistry* gen_registry_ = nullptr;
   std::vector<std::vector<std::vector<float>>> lane_scores_;  ///< [G][node][t]
-  std::vector<std::vector<std::uint8_t>> lane_active_;        ///< [node][t]
+  std::vector<std::vector<ScoredSpan>> spans_;                ///< [node]
 
   std::vector<NodeState> nodes_;
   /// Store path: per-node retained samples awaiting their anomaly bit
   /// (stamped in finalize). Empty vectors unless store_writer is set.
   std::vector<std::vector<StoreSample>> retained_;
-  std::vector<std::vector<float>> scores_;  ///< [node][t], grows with ingest
-  /// Attribution mode: per-metric planes mirroring scores_ —
+  /// Attribution mode: per-metric planes of the primary scores —
   /// [node][t * M + m], written only through drain_scored() (ingest
   /// thread), handed to ServeResult::attribution at finalize. Empty
   /// vectors unless ServeConfig::attribution.

@@ -106,25 +106,22 @@ FleetEngine::FleetEngine(NodeSentry& sentry, FleetConfig config)
   obs::Registry* registry =
       config_.engine.registry ? config_.engine.registry
                               : &obs::Registry::global();
-  if (config_.engine.consensus_scoring) {
-    if (config_.engine.generation_registry != nullptr) {
-      gen_registry_ = config_.engine.generation_registry;
-    } else {
-      // The shards must score through ONE generation set; give them a
-      // fleet-owned registry instead of letting each engine own a private
-      // copy.
-      owned_gen_registry_ = std::make_unique<GenerationRegistry>(
-          sentry.library().size(), config_.engine.generations, registry);
-      owned_gen_registry_->seed_from_library(sentry.library());
-      gen_registry_ = owned_gen_registry_.get();
-    }
+  if (config_.engine.generation_registry != nullptr) {
+    gen_registry_ = config_.engine.generation_registry;
+  } else {
+    // The shards must score through ONE generation set; give them a
+    // fleet-owned registry instead of letting each engine own a private
+    // copy.
+    owned_gen_registry_ = std::make_unique<GenerationRegistry>(
+        sentry.library().size(), config_.engine.generations, registry);
+    owned_gen_registry_->seed_from_library(sentry.library());
+    gen_registry_ = owned_gen_registry_.get();
   }
+  ServeConfig engine_config = config_.engine;
+  engine_config.generation_registry = gen_registry_;
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>(config_.ring_capacity);
-    ServeConfig engine_config = config_.engine;
-    if (gen_registry_ != nullptr)
-      engine_config.generation_registry = gen_registry_;
     shard->engine = std::make_unique<ServeEngine>(sentry, engine_config);
     shards_.push_back(std::move(shard));
   }
@@ -271,10 +268,8 @@ ServeStats FleetEngine::stats() const {
                            ring_stalls_.load(std::memory_order_relaxed));
 }
 
-bool FleetEngine::checkpoint(const std::string& dir) {
-  if (gen_registry_ == nullptr) return false;
+void FleetEngine::checkpoint(const std::string& dir) {
   gen_registry_->save(dir);
-  return true;
 }
 
 }  // namespace ns

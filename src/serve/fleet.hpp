@@ -80,10 +80,11 @@ struct FleetConfig {
   /// naps (~100us) instead of spinning.
   std::size_t worker_idle_polls = 64;
   /// Template for every shard engine. `num_nodes` is the FLEET population
-  /// (0 = the fitted dataset's); `generation_registry` is overridden with
-  /// the fleet-shared instance, everything else passes through verbatim
-  /// (registry/store_writer/retrainer are already safe to share — see the
-  /// file comment).
+  /// (0 = the fitted dataset's). Every shard scores through
+  /// `generation_registry` when it is set, else through one registry the
+  /// fleet owns; everything else passes through verbatim (registry/
+  /// store_writer/retrainer are already safe to share — see the file
+  /// comment).
   ServeConfig engine;
 };
 
@@ -117,8 +118,8 @@ class FleetEngine final : public ServeBackend {
   std::size_t start_t() const override { return start_t_; }
   GenerationRegistry* generation_registry() override { return gen_registry_; }
   /// Saves the fleet-shared generation sets (once — the shards share one
-  /// registry); false in single-model mode.
-  bool checkpoint(const std::string& dir) override;
+  /// registry).
+  void checkpoint(const std::string& dir) override;
 
   std::size_t num_shards() const { return shards_.size(); }
   const ConsistentHashRing& placement() const { return ring_; }
@@ -146,8 +147,8 @@ class FleetEngine final : public ServeBackend {
   std::size_t start_t_ = 0;
   bool finalized_ = false;
 
-  /// Fleet-shared (consensus mode): the one generation registry every
-  /// shard scores through.
+  /// The one generation registry every shard scores through: borrowed
+  /// from config.engine, or owned.
   std::unique_ptr<GenerationRegistry> owned_gen_registry_;
   GenerationRegistry* gen_registry_ = nullptr;
 

@@ -120,6 +120,9 @@ class Retrainer {
   void start(std::chrono::milliseconds interval);
   void stop();
 
+  /// The registry this retrainer publishes into.
+  GenerationRegistry& registry() const { return *registry_; }
+
   BreakerState breaker(std::size_t cluster) const;
   /// Cycles run so far.
   std::uint64_t cycles() const;

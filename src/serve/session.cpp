@@ -18,20 +18,14 @@ void ServeSessionConfig::validate() const {
              "session: fleet.ring_capacity " << fleet.ring_capacity << " < 2");
   NS_REQUIRE(fleet.vnodes_per_shard >= 1,
              "session: fleet.vnodes_per_shard must be >= 1");
-  if (generations.enabled) {
-    NS_REQUIRE(generations.generations >= 1 && generations.generations <= 8,
-               "session: generations " << generations.generations
-                                       << " out of [1,8]");
-    NS_REQUIRE(generations.quorum >= 1 &&
-                   generations.quorum <= generations.generations,
-               "session: quorum " << generations.quorum << " out of [1,"
-                                  << generations.generations << "]");
-  } else {
-    NS_REQUIRE(generations.retrain_every_ms == 0,
-               "session: retrain_every_ms needs generations.enabled");
-    NS_REQUIRE(generations.restore_dir.empty(),
-               "session: generations.restore_dir needs generations.enabled");
-  }
+  NS_REQUIRE(engine.generations >= 1 && engine.generations <= 8,
+             "session: engine.generations " << engine.generations
+                                            << " out of [1,8]");
+  NS_REQUIRE(engine.consensus_quorum >= 1 &&
+                 engine.consensus_quorum <= engine.generations,
+             "session: engine.consensus_quorum " << engine.consensus_quorum
+                                                 << " out of [1,"
+                                                 << engine.generations << "]");
   NS_REQUIRE(replay.speedup >= 0.0, "session: negative replay speedup");
   NS_REQUIRE(metrics.every == 0 || !metrics.out_prefix.empty(),
              "session: metrics.every needs metrics.out_prefix");
@@ -53,32 +47,21 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
              "profile to serve from");
 
   ServeConfig engine_config = config_.engine;
-  // The generations sub-config is the single source of truth for the
-  // consensus knobs — it overwrites whatever the engine template carried.
-  engine_config.consensus_scoring = config_.generations.enabled;
-  engine_config.generations =
-      config_.generations.enabled ? config_.generations.generations : 1;
-  engine_config.consensus_quorum =
-      config_.generations.enabled ? config_.generations.quorum : 1;
-  engine_config.generation_registry = nullptr;
   engine_config.retrainer = nullptr;
   engine_config.store_writer = nullptr;
 
-  if (config_.generations.enabled) {
-    registry_ = std::make_unique<GenerationRegistry>(
-        sentry.library().size(), config_.generations.generations,
-        engine_config.registry);
-    if (!config_.generations.restore_dir.empty() &&
-        std::filesystem::exists(config_.generations.restore_dir))
-      registry_->load(config_.generations.restore_dir, sentry.model_config(),
-                      config_.generations.seed);
-    engine_config.generation_registry = registry_.get();
-    if (config_.generations.retrain_every_ms > 0) {
-      retrainer_ = std::make_unique<Retrainer>(*registry_, sentry.library(),
-                                               sentry.model_config(),
-                                               config_.generations.retrainer);
-      engine_config.retrainer = retrainer_.get();
-    }
+  registry_ = std::make_unique<GenerationRegistry>(
+      sentry.library().size(), engine_config.generations,
+      engine_config.registry);
+  if (!config_.generations.restore_dir.empty())
+    registry_->load(config_.generations.restore_dir, sentry.model_config(),
+                    config_.generations.seed);
+  engine_config.generation_registry = registry_.get();
+  if (config_.generations.retrain_every_ms > 0) {
+    retrainer_ = std::make_unique<Retrainer>(*registry_, sentry.library(),
+                                             sentry.model_config(),
+                                             config_.generations.retrainer);
+    engine_config.retrainer = retrainer_.get();
   }
 
   if (!config_.store.dir.empty()) {
@@ -149,10 +132,8 @@ ReplayReport ServeSession::run() {
   return report;
 }
 
-bool ServeSession::save_generations(const std::string& dir) {
-  const std::string generations_dir =
-      (std::filesystem::path(dir) / "generations").string();
-  return backend_->checkpoint(generations_dir);
+void ServeSession::save_generations(const std::string& dir) {
+  backend_->checkpoint((std::filesystem::path(dir) / "generations").string());
 }
 
 }  // namespace ns

@@ -6,11 +6,12 @@
 // config — engine + fleet + generations + store + replay + metrics — with
 // one validate() that cross-checks the knobs BEFORE any resource is built.
 // ServeSession then owns the whole serving phase: it constructs the right
-// backend (a lone ServeEngine for shards == 1, the historic path; a
-// FleetEngine otherwise), the generation registry + background retrainer,
-// and the store writer, wires them together, replays the dataset, and
-// tears everything down in order. The CLI, the replay harness and tests
-// all construct the same struct instead of re-implementing the wiring.
+// backend (a lone ServeEngine for shards == 1; a FleetEngine otherwise),
+// the generation registry every backend scores through (plus the optional
+// background retrainer), and the store writer, wires them together,
+// replays the dataset, and tears everything down in order. The CLI, the
+// replay harness and tests all construct the same struct instead of
+// re-implementing the wiring.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +30,9 @@ namespace ns {
 
 struct ServeSessionConfig {
   /// Template for the (shard) engine(s): threads, reorder slack, batching,
-  /// metrics registry. The consensus fields are OVERWRITTEN from
-  /// `generations` below — set them there, not here.
+  /// metrics registry, and G/Q (`generations`, `consensus_quorum`). The
+  /// session wires its own generation registry, retrainer and store
+  /// writer, so those three pointers are ignored here.
   ServeConfig engine;
 
   /// Fleet shape. shards == 1 serves through a lone ServeEngine (the
@@ -42,12 +44,9 @@ struct ServeSessionConfig {
     std::size_t vnodes_per_shard = 64;
   } fleet;
 
-  /// Rolling generations + consensus (DESIGN.md §12). Disabled = the
-  /// single-model path.
+  /// Rolling generations (DESIGN.md §12): the session's registry has
+  /// engine.generations lanes per cluster.
   struct Generations {
-    bool enabled = false;
-    std::size_t generations = 1;  ///< G in [1, 8]
-    std::size_t quorum = 1;       ///< Q in [1, G]
     /// Run the background retrainer every this many ms (0 = never).
     std::size_t retrain_every_ms = 0;
     RetrainerConfig retrainer;
@@ -111,9 +110,8 @@ class ServeSession {
   /// Null unless the store was configured.
   StoreWriter* store_writer() { return store_writer_.get(); }
 
-  /// Saves the generation sets under <dir>/generations; false in
-  /// single-model mode.
-  bool save_generations(const std::string& dir);
+  /// Saves the generation sets under <dir>/generations.
+  void save_generations(const std::string& dir);
 
  private:
   NodeSentry* sentry_;

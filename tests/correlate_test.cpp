@@ -340,7 +340,7 @@ class CorrelatedFaultFixture : public ::testing::Test {
       ServeEngine off(st->sentry);
       st->reference =
           serve_replay(off, st->sim.data, st->sim.train_end).result;
-      ServeEngine on(st->sentry, ServeEngine::Options().attribution());
+      ServeEngine on(st->sentry, ServeConfig{.attribution = true});
       st->attributed =
           serve_replay(on, st->sim.data, st->sim.train_end).result;
       for (const MetricMeta& meta : st->sentry.processed().metrics)

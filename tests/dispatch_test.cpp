@@ -407,7 +407,7 @@ class DispatchServeFixture : public ::testing::Test {
   }
 
   static ServeResult replay(ScoringPath path) {
-    ServeEngine engine(*sentry_, ServeEngine::Options().scoring(path));
+    ServeEngine engine(*sentry_, ServeConfig{.scoring_path = path});
     return serve_replay(engine, sim_->data, sim_->train_end).result;
   }
 
@@ -537,7 +537,7 @@ TEST_F(DispatchServeFixture, FlagDisagreementsOnlyInThresholdEpsilonBand) {
 // timeline per row — the reserve-to-extent policy keeps reallocations to
 // a handful per node instead of O(T).
 TEST_F(DispatchServeFixture, ScoreTimelineReallocationsBounded) {
-  ServeEngine engine(*sentry_, ServeEngine::Options());
+  ServeEngine engine(*sentry_);
   const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
   const ServeStats& stats = rep.result.stats;
   const std::size_t ticks = sim_->data.num_timestamps() - sim_->train_end;

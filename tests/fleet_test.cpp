@@ -1,14 +1,19 @@
 // Sharded fleet serving (DESIGN.md §14): N=1 bitwise parity with the lone
 // ServeEngine, multi-shard equivalence on clean data, consistent-hash
 // placement stability under fleet growth, fleet-stats merge == sum of
-// shard stats, ServeSession config validation, and two race tests (run
+// shard stats, ServeSession config validation and generation checkpoint
+// round trip, and two race tests (run
 // under TSan via the race label): concurrent ingest/stats polling, and
 // every shard scoring through one shared cluster model at once.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "core/nodesentry.hpp"
 #include "serve/engine.hpp"
 #include "serve/fleet.hpp"
+#include "serve/model_registry.hpp"
 #include "serve/replay.hpp"
 #include "serve/session.hpp"
 #include "sim/dataset_builder.hpp"
@@ -248,8 +254,8 @@ TEST_F(FleetFixture, ConcurrentIngestAndStatsPollingIsRaceFree) {
 // with forced_k = 1 every segment scores through ONE shared cluster model,
 // so the four shards' pool tasks run forwards through it at the same time
 // with nothing serializing them. The result must still be the lone
-// engine's, bit for bit — on the single-model path and through
-// score_cluster_units_consensus (G = 2, one seeded generation).
+// engine's, bit for bit — with the default one generation and with G = 2
+// lanes (one seeded generation).
 TEST_F(FleetFixture, OneSharedModelScoresConcurrentlyAcrossShards) {
   NodeSentryConfig config = fast_config();
   config.forced_k = 1;
@@ -271,16 +277,15 @@ TEST_F(FleetFixture, OneSharedModelScoresConcurrentlyAcrossShards) {
     }
     return backend.finalize();
   };
-  for (const bool consensus : {false, true}) {
-    SCOPED_TRACE(consensus ? "consensus, G = 2" : "single model");
+  for (const std::size_t generations : {1, 2}) {
+    SCOPED_TRACE("G = " + std::to_string(generations));
     ServeConfig engine_config;
     engine_config.num_nodes = fitted * kCopies;
     // One chunk per forward, dispatched as soon as it is queued: many
     // small same-model tasks in flight at once instead of a few big ones.
     engine_config.max_batch_tokens = 0;
     engine_config.pump_watermark = 1;
-    engine_config.consensus_scoring = consensus;
-    engine_config.generations = consensus ? 2 : 1;
+    engine_config.generations = generations;
     ServeEngine lone(sentry, engine_config);
     const ServeResult ref = serve_copies(lone);
 
@@ -302,8 +307,25 @@ TEST_F(FleetFixture, SessionRunsAFleetAndMatchesTheSingleEngine) {
   EXPECT_EQ(session.backend().num_nodes(), sim_->data.num_nodes());
   const ReplayReport rep = session.run();
   expect_bitwise_equal(rep.result.detections, single_->result.detections);
-  // Single-model mode: nothing to checkpoint.
-  EXPECT_FALSE(session.backend().checkpoint("/nonexistent/never-written"));
+
+  // Generation checkpoint round trip: a second session warm-started from
+  // the saved sets scores through the deserialized models, not the
+  // library's, and replays to the same detections bit for bit.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("ns_fleet_session_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  session.save_generations(dir.string());
+  ServeSessionConfig restored_config = config;
+  restored_config.generations.restore_dir = (dir / "generations").string();
+  ServeSession restored(*sentry_, sim_->data, sim_->train_end,
+                        restored_config);
+  const auto restored_set = restored.generation_registry()->snapshot(0);
+  EXPECT_NE(restored_set->generations.at(0).model,
+            sentry_->library().clusters()[0].model);
+  expect_bitwise_equal(restored.run().result.detections,
+                       rep.result.detections);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FleetSession, ValidateRejectsBrokenConfigs) {
@@ -319,20 +341,13 @@ TEST(FleetSession, ValidateRejectsBrokenConfigs) {
   }
   {
     ServeSessionConfig config;
-    config.generations.enabled = true;
-    config.generations.generations = 9;  // lane bitmap is a byte
+    config.engine.generations = 9;  // lane bitmap is a byte
     EXPECT_THROW(config.validate(), Error);
   }
   {
     ServeSessionConfig config;
-    config.generations.enabled = true;
-    config.generations.generations = 2;
-    config.generations.quorum = 3;  // Q > G
-    EXPECT_THROW(config.validate(), Error);
-  }
-  {
-    ServeSessionConfig config;
-    config.generations.retrain_every_ms = 50;  // retrainer without lanes
+    config.engine.generations = 2;
+    config.engine.consensus_quorum = 3;  // Q > G
     EXPECT_THROW(config.validate(), Error);
   }
   {

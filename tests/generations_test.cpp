@@ -1,6 +1,7 @@
 // Rolling model generations (DESIGN.md §12): RCU registry snapshot
-// completeness under concurrent publish, G=1 consensus bitwise equivalence
-// with the single-model serve path, the self-healing retrainer's failure
+// completeness under concurrent publish, default-config (G = Q = 1) serving
+// through the registry bitwise equal to batch detect(), the retrainer-to-
+// served-registry wiring check, the self-healing retrainer's failure
 // semantics (crash-mid-train, crash-mid-publish, poisoned segments, circuit
 // breaker), CRC-framed checkpoint round-trips, and a concurrent
 // score/hot-swap race test (run under TSan via the race label).
@@ -17,8 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/nodesentry.hpp"
 #include "nn/module.hpp"
+#include "obs/export.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/engine.hpp"
 #include "serve/replay.hpp"
@@ -100,11 +103,13 @@ class GenerationsFixture : public ::testing::Test {
   }
 
   /// Fills `retrainer`'s per-cluster rings with real serving segments by
-  /// replaying the stream through a throwaway engine that offers every
-  /// matched closed segment.
+  /// replaying the stream through a throwaway engine that scores through
+  /// the retrainer's registry and offers every matched closed segment.
   static void feed(Retrainer& retrainer, obs::Registry& obs) {
     ServeConfig config;
     config.registry = &obs;
+    config.generations = retrainer.registry().max_generations();
+    config.generation_registry = &retrainer.registry();
     config.retrainer = &retrainer;
     ServeEngine engine(*sentry_, config);
     serve_replay(engine, sim_->data, sim_->train_end);
@@ -181,9 +186,8 @@ TEST_F(GenerationsFixture, RegistrySnapshotsCompleteUnderConcurrentPublish) {
 
 TEST_F(GenerationsFixture, ConsensusWithOneGenerationMatchesBatchBitwise) {
   obs::Registry obs;
-  ServeConfig config;
+  ServeConfig config;  // G = 1, Q = 1 defaults: one seeded generation
   config.registry = &obs;
-  config.consensus_scoring = true;  // G = 1, Q = 1 defaults
   ServeEngine engine(*sentry_, config);
   const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
 
@@ -197,6 +201,43 @@ TEST_F(GenerationsFixture, ConsensusWithOneGenerationMatchesBatchBitwise) {
   EXPECT_EQ(engine.generation_registry()->max_generations(), 1u);
 }
 
+// A default engine owns and seeds its registry, and the exposition shows
+// it: one live generation per cluster, and every scored point voted.
+TEST_F(GenerationsFixture, DefaultEngineExposesItsGenerations) {
+  obs::Registry obs;
+  ServeConfig config;
+  config.registry = &obs;
+  ServeEngine engine(*sentry_, config);
+  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  ASSERT_GT(rep.result.stats.consensus_points, 0u);
+
+  const std::string prom = obs::to_prometheus(obs);
+  EXPECT_NE(prom.find("ns_generations_active{cluster=\"0\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("ns_serve_consensus_points_total " +
+                      std::to_string(rep.result.stats.consensus_points) +
+                      "\n"),
+            std::string::npos);
+}
+
+// A retrainer publishes into its own registry; an engine scoring through
+// any other would never serve what it trains, so construction refuses it.
+TEST_F(GenerationsFixture, RetrainerMustFeedTheServedRegistry) {
+  obs::Registry obs;
+  GenerationRegistry registry(sentry_->library().size(), 2, &obs);
+  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
+                      fast_retrain_config(), &obs);
+  ServeConfig config;
+  config.registry = &obs;
+  config.generations = 2;
+  config.retrainer = &retrainer;
+  // Without the registry the engine would score through one of its own.
+  EXPECT_THROW({ ServeEngine engine(*sentry_, config); }, Error);
+
+  config.generation_registry = &registry;
+  EXPECT_NO_THROW({ ServeEngine engine(*sentry_, config); });
+}
+
 TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
   obs::Registry obs;
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
@@ -206,7 +247,6 @@ TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
   // First replay seeds the registry (via the engine) and feeds the rings.
   ServeConfig config;
   config.registry = &obs;
-  config.consensus_scoring = true;
   config.generations = 3;
   config.consensus_quorum = 2;
   config.generation_registry = &registry;
@@ -440,7 +480,6 @@ TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {
 
   ServeConfig config;
   config.registry = &obs;
-  config.consensus_scoring = true;
   config.generations = 3;
   config.consensus_quorum = 2;
   config.generation_registry = &registry;
@@ -485,7 +524,6 @@ TEST_F(GenerationsFixture, ServeRetrainerStoreAgreement) {
 
   ServeConfig config;
   config.registry = &obs;
-  config.consensus_scoring = true;
   config.generations = 2;
   config.consensus_quorum = 1;
   config.generation_registry = &registry;
