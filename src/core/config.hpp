@@ -93,13 +93,15 @@ struct NodeSentryConfig {
   /// preserving real anomaly intervals, which span many samples.
   std::size_t score_median_window = 3;
   /// Relative floor on the score: a point is only flagged when its smoothed
-  /// score also exceeds this multiple of the node's median test score.
+  /// score also exceeds this multiple of its segment's reference level, the
+  /// 25th-percentile score of that test segment (score_reference_levels).
   /// Suppresses k-sigma triggers on benign local wiggles; genuine faults
-  /// run several times the median.
+  /// run several times the reference.
   double min_score_factor = 3.0;
-  /// Hard ceiling: a smoothed score above this multiple of the node median
-  /// is flagged even when the local k-sigma window is too noisy to trigger
-  /// (e.g. the window already contains the anomaly's own samples).
+  /// Hard ceiling: a smoothed score above this multiple of the segment's
+  /// reference level is flagged even when the local k-sigma window is too
+  /// noisy to trigger (e.g. the window already contains the anomaly's own
+  /// samples).
   double hard_score_factor = 6.0;
   std::size_t detect_chunk = 96;  ///< bound on attention sequence length
   /// A segment matches a cluster when its centroid distance is below
@@ -133,7 +135,10 @@ struct NodeSentryConfig {
   std::string checkpoint_dir;
   /// Clusters trained between mid-fit checkpoints (0 = checkpoint only
   /// after the final cluster). Also the stride, in new clusters, between
-  /// checkpoints during incremental detection.
+  /// checkpoints during incremental detection (0 acts as 1). Those are
+  /// written once the spawned models are trained and before any fine-tune:
+  /// a detect-time checkpoint holds the fitted clusters as fit() left them
+  /// plus the spawned ones, so base-cluster fine-tunes are not in it.
   std::size_t checkpoint_every = 0;
   /// Keep numbered step_<n> snapshots instead of overwriting one
   /// directory (each snapshot is a complete, loadable library).

@@ -13,9 +13,38 @@
 #include "core/trainer.hpp"
 #include "features/extract.hpp"
 #include "nn/optim.hpp"
+#include "nn/scoring.hpp"
 #include "obs/timer.hpp"
+#include "tensor/kernels.hpp"
 
 namespace ns {
+namespace {
+
+/// WMSE weights from MAC (Eq. 5–6): metrics with high mean absolute change
+/// are intrinsically unstable within a pattern, so they are down-weighted
+/// (w = 1 / (1 + MAC), MAC averaged over `members`, normalized to mean 1).
+Tensor mac_weights(const MtsDataset& processed,
+                   const std::vector<CoreSegment>& members) {
+  const std::size_t M = processed.num_metrics();
+  std::vector<double> mac(M, 0.0);
+  for (const CoreSegment& seg : members) {
+    const auto values = core_segment_values(processed, seg);
+    for (std::size_t m = 0; m < M; ++m)
+      mac[m] += mean_absolute_change(values[m]);
+  }
+  Tensor weights(Shape{M});
+  double weight_sum = 0.0;
+  for (std::size_t m = 0; m < M; ++m) {
+    const double w = 1.0 / (1.0 + mac[m] / members.size());
+    weights.at(m) = static_cast<float>(w);
+    weight_sum += w;
+  }
+  const float norm = static_cast<float>(static_cast<double>(M) / weight_sum);
+  for (std::size_t m = 0; m < M; ++m) weights.at(m) *= norm;
+  return weights;
+}
+
+}  // namespace
 
 std::vector<float> NodeSentry::segment_features(
     const CoreSegment& segment) const {
@@ -293,26 +322,7 @@ ClusterEntry NodeSentry::build_cluster(
     entry.member_features.push_back(features[by_distance[i].second]);
   }
 
-  // WMSE weights from MAC (Eq. 5–6): metrics with high mean absolute change
-  // are intrinsically unstable within this pattern, so they are
-  // down-weighted (w = 1 / (1 + MAC), normalized to mean 1).
-  const std::size_t M = processed_.num_metrics();
-  std::vector<double> mac(M, 0.0);
-  for (const CoreSegment& seg : entry.members) {
-    const auto values = core_segment_values(processed_, seg);
-    for (std::size_t m = 0; m < M; ++m)
-      mac[m] += mean_absolute_change(values[m]);
-  }
-  Tensor weights(Shape{M});
-  double weight_sum = 0.0;
-  for (std::size_t m = 0; m < M; ++m) {
-    const double w = 1.0 / (1.0 + mac[m] / entry.members.size());
-    weights.at(m) = static_cast<float>(w);
-    weight_sum += w;
-  }
-  const float norm = static_cast<float>(static_cast<double>(M) / weight_sum);
-  for (std::size_t m = 0; m < M; ++m) weights.at(m) *= norm;
-  entry.metric_weights = std::move(weights);
+  entry.metric_weights = mac_weights(processed_, entry.members);
 
   Rng model_rng(seed);
   entry.model =
@@ -585,7 +595,6 @@ NodeSentry::DetectReport NodeSentry::detect() {
 
   const std::vector<CoreSegment> segments =
       test_segments(processed_, train_end_, config_);
-  Rng rng(config_.seed ^ 0xDE7EC7);
   obs::Registry& metrics = obs::Registry::global();
   const char* kDetectHelp = "Batch detect stage latency in seconds";
   obs::Histogram& detect_match_hist = metrics.histogram(
@@ -594,30 +603,164 @@ NodeSentry::DetectReport NodeSentry::detect() {
   obs::Histogram& detect_score_hist = metrics.histogram(
       "ns_detect_stage_seconds", kDetectHelp, obs::default_latency_buckets(),
       {{"stage", "score"}}, 4096);
-  double match_seconds = 0.0;
   const bool have_mask = !mask_.empty();
-  std::size_t clusters_since_checkpoint = 0;
+  ThreadPool& pool = ThreadPool::global();
 
-  // Normalized mean reconstruction error of a window under a cluster's
-  // model (capped at one detection chunk) — the trigger for targeted
-  // incremental fine-tuning. Masked (invalid) cells carry no weight; the
-  // error renormalizes over the alive metrics.
-  const auto window_error = [&](const ClusterEntry& entry,
-                                const CoreSegment& window,
-                                std::size_t segment_id) {
-    const Tensor tokens =
-        model_tokens(window, config_.detect_chunk);
+  // What the first two passes learn about one test segment.
+  struct Route {
+    SegmentStatus status = SegmentStatus::kScored;
+    double valid_fraction = 1.0;
+    CoreSegment window;           ///< matching window after the transition
+    std::vector<float> features;  ///< its scaled features
+    double match_seconds = 0.0;   ///< feature extraction + matching
+    bool matched = false;
+    std::size_t cluster = 0;  ///< the cluster that scores the segment
+    std::size_t member = 0;   ///< its nearest member: the segment id
+  };
+  std::vector<Route> routes(segments.size());
+
+  // ---- Pass 1, parallel per segment: the data-quality gate and the
+  // matching-window features.
+  pool.parallel_for(0, segments.size(), 1, [&](std::size_t i) {
+    const CoreSegment& seg = segments[i];
+    Route& route = routes[i];
+    if (have_mask) {
+      // A mostly-masked segment cannot be scored honestly: it is reported
+      // kInsufficientData (scores stay 0) instead of matched.
+      route.valid_fraction =
+          mask_.segment_valid_fraction(seg.node, seg.begin, seg.end);
+      if (route.valid_fraction < config_.quality.min_segment_valid_fraction) {
+        route.status = SegmentStatus::kInsufficientData;
+        return;
+      }
+    }
+    Stopwatch extract_sw;
+    route.window = seg;
+    route.window.end = std::min(seg.end, seg.begin + config_.match_period);
+    // Metrics dead within the matching window are excluded from the
+    // feature distance (their feature blocks are mean-imputed), so a
+    // dying sensor degrades the match instead of dominating it.
+    std::vector<std::uint8_t> feature_valid;
+    if (have_mask) {
+      const std::size_t fpm = features_per_metric();
+      for (std::size_t m = 0; m < M; ++m) {
+        const bool alive = mask_.valid_fraction(seg.node, m, route.window.begin,
+                                                route.window.end) >=
+                           config_.quality.min_metric_valid_fraction;
+        if (!alive && feature_valid.empty())
+          feature_valid.assign(M * fpm, 1);
+        if (!alive)
+          std::fill(feature_valid.begin() +
+                        static_cast<std::ptrdiff_t>(m * fpm),
+                    feature_valid.begin() +
+                        static_cast<std::ptrdiff_t>((m + 1) * fpm),
+                    static_cast<std::uint8_t>(0));
+      }
+    }
+    route.features = library_.scale_masked(segment_features(route.window),
+                                           feature_valid);
+    route.match_seconds = extract_sw.elapsed_s();
+  });
+
+  // ---- Pass 2, serial in segment order: matching. It reads only centroids
+  // and radii, so an unmatched pattern's cluster joins the library at once
+  // (centroid, radius, member, MAC weights; the model follows in pass 3)
+  // and later segments can match it.
+  const std::size_t fitted_clusters = library_.size();
+  std::vector<std::size_t> spawned_by;  // segment index per new cluster
+  double match_seconds = 0.0;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    Route& route = routes[i];
+    if (have_mask)
+      report.outcomes.push_back(
+          SegmentOutcome{segments[i], route.status, route.valid_fraction});
+    if (route.status == SegmentStatus::kInsufficientData) {
+      ++report.segments_insufficient;
+      continue;
+    }
+    Stopwatch match_sw;
+    const MatchResult match =
+        library_.match(route.features, config_.match_threshold_factor);
+    route.match_seconds += match_sw.elapsed_s();
+    detect_match_hist.observe(route.match_seconds);
+    match_seconds += route.match_seconds;
+    route.matched = match.matched;
+    route.cluster = match.cluster;
+    if (match.matched) {
+      ++report.segments_matched;
+    } else {
+      ++report.segments_unmatched;
+      if (config_.incremental_updates) {
+        // New pattern: spawn a cluster trained on the matching window.
+        ClusterEntry entry;
+        entry.centroid = route.features;
+        entry.radius =
+            std::max(1e-6, library_.clusters()[match.cluster].radius);
+        entry.members.push_back(route.window);
+        entry.member_features.push_back(route.features);
+        entry.metric_weights = mac_weights(processed_, entry.members);
+        library_.clusters().push_back(std::move(entry));
+        route.cluster = library_.size() - 1;
+        spawned_by.push_back(i);
+      }
+    }
+    route.member = library_.nearest_member(route.cluster, route.features);
+  }
+  report.incremental_new_clusters = spawned_by.size();
+
+  // ---- Pass 3, parallel: train the spawned models. Each one is seeded by
+  // its own segment.
+  pool.parallel_for(0, spawned_by.size(), 1, [&](std::size_t k) {
+    const CoreSegment& seg = segments[spawned_by[k]];
+    ClusterEntry& entry = library_.clusters()[fitted_clusters + k];
+    Rng model_rng(config_.seed ^ (0xBEEF + seg.node * 131 + seg.begin));
+    entry.model =
+        std::make_shared<TransformerReconstructor>(model_config(), model_rng);
+    train_cluster(entry, config_.finetune_epochs,
+                  config_.seed ^ (seg.begin * 17 + seg.node));
+  });
+  // Checkpoint the grown library every checkpoint_every spawns, so a crash
+  // mid-detection resumes with the incrementally-learned patterns intact.
+  if (!config_.checkpoint_dir.empty()) {
+    const std::size_t stride =
+        std::max<std::size_t>(config_.checkpoint_every, 1);
+    std::vector<const ClusterEntry*> grown;
+    for (std::size_t k = stride; k <= spawned_by.size(); k += stride) {
+      for (std::size_t c = grown.size(); c < fitted_clusters + k; ++c)
+        grown.push_back(&library_.clusters()[c]);
+      write_checkpoint(grown, grown.size());
+    }
+  }
+
+  // Eval-mode reconstruction of a segment's leading token rows (offsets
+  // 0, 1, ...) through a canonical plan, bitwise the model's own eval
+  // forward; `blocks` confines attention as in forward_blocked().
+  const auto reconstruct = [](const ScoringPlan& plan, const Tensor& tokens,
+                              std::size_t segment_id,
+                              std::span<const std::size_t> blocks,
+                              Workspace& ws) {
     std::vector<std::size_t> offsets(tokens.size(0));
     std::iota(offsets.begin(), offsets.end(), 0);
     const std::vector<std::size_t> seg_ids(tokens.size(0), segment_id);
-    const Var out = entry.model->forward(Var::constant(tokens), offsets,
-                                         seg_ids, rng);
+    return plan.forward(tokens, offsets, seg_ids, blocks, ws);
+  };
+
+  // Normalized mean reconstruction error of a matching window (capped at
+  // one detection chunk) — the trigger for targeted incremental
+  // fine-tuning. Masked (invalid) cells carry no weight; the error
+  // renormalizes over the alive metrics.
+  const auto window_error = [&](const ClusterEntry& entry,
+                                const ScoringPlan& plan, const Route& route,
+                                Workspace& ws) {
+    const Tensor tokens = model_tokens(route.window, config_.detect_chunk);
+    const Tensor out = reconstruct(plan, tokens, route.member, {}, ws);
     double err = 0.0, weight = 0.0;
     for (std::size_t t = 0; t < tokens.size(0); ++t)
       for (std::size_t m = 0; m < M; ++m) {
-        if (have_mask && !mask_.valid(window.node, m, window.begin + t))
+        if (have_mask &&
+            !mask_.valid(route.window.node, m, route.window.begin + t))
           continue;
-        const double d = out.value().at(t, m) - tokens.at(t, m);
+        const double d = out.at(t, m) - tokens.at(t, m);
         err += entry.metric_weights.at(m) * d * d /
                entry.residual_scale.at(m);
         weight += entry.metric_weights.at(m);
@@ -629,231 +772,175 @@ NodeSentry::DetectReport NodeSentry::detect() {
                      static_cast<double>(M) / entry.baseline_error;
   };
 
-  for (const CoreSegment& seg : segments) {
-    // ---- Data-quality gate: a mostly-masked segment cannot be scored
-    // honestly — flag it kInsufficientData (scores stay 0) instead of
-    // matching garbage against the library.
-    if (have_mask) {
-      const double vf =
-          mask_.segment_valid_fraction(seg.node, seg.begin, seg.end);
-      if (vf < config_.quality.min_segment_valid_fraction) {
-        report.outcomes.push_back(
-            SegmentOutcome{seg, SegmentStatus::kInsufficientData, vf});
-        ++report.segments_insufficient;
-        continue;
+  // Light fine-tune of a cluster's shared model on one matching window
+  // (the cluster's other members are already fitted; retraining them here
+  // would dominate online cost). Positional metadata matches scoring.
+  const auto finetune = [&](ClusterEntry& entry, const ScoringPlan& plan,
+                            const CoreSegment& seg, const Route& route,
+                            Workspace& ws) {
+    const CoreSegment& window = route.window;
+    Rng tune_rng(config_.seed ^ (seg.begin * 31 + seg.node));
+    Adam optimizer(entry.model->parameters(), config_.learning_rate);
+    const Tensor tokens = model_tokens(window, config_.max_tokens_per_segment);
+    // Robust (trimmed) fine-tuning: tokens in the top error quartile under
+    // the current model are excluded from the loss — if the window hides a
+    // localized anomaly, those are its points, and learning them would mask
+    // the fault for the rest of the segment.
+    std::vector<float> token_weight(tokens.size(0), 1.0f);
+    {
+      const Tensor probe = reconstruct(plan, tokens, route.member, {}, ws);
+      std::vector<float> errs(tokens.size(0));
+      for (std::size_t t = 0; t < tokens.size(0); ++t) {
+        double e = 0.0;
+        for (std::size_t m = 0; m < M; ++m) {
+          if (have_mask && !mask_.valid(window.node, m, window.begin + t))
+            continue;
+          const double d = probe.at(t, m) - tokens.at(t, m);
+          e += entry.metric_weights.at(m) * d * d /
+               entry.residual_scale.at(m);
+        }
+        errs[t] = static_cast<float>(e);
       }
-      report.outcomes.push_back(
-          SegmentOutcome{seg, SegmentStatus::kScored, vf});
+      const float cut = static_cast<float>(percentile(errs, 0.75));
+      for (std::size_t t = 0; t < tokens.size(0); ++t)
+        if (errs[t] > cut) token_weight[t] = 0.0f;
     }
-
-    // ---- Pattern matching on the short window after the transition.
-    Stopwatch match_sw;
-    CoreSegment window = seg;
-    window.end = std::min(seg.end, seg.begin + config_.match_period);
-    // Metrics dead within the matching window are excluded from the
-    // feature distance (their feature blocks are mean-imputed), so a
-    // dying sensor degrades the match instead of dominating it.
-    std::vector<std::uint8_t> feature_valid;
-    if (have_mask) {
-      const std::size_t fpm = features_per_metric();
-      for (std::size_t m = 0; m < M; ++m) {
-        const bool alive =
-            mask_.valid_fraction(seg.node, m, window.begin, window.end) >=
-            config_.quality.min_metric_valid_fraction;
-        if (!alive && feature_valid.empty())
-          feature_valid.assign(M * fpm, 1);
-        if (!alive)
-          std::fill(feature_valid.begin() +
-                        static_cast<std::ptrdiff_t>(m * fpm),
-                    feature_valid.begin() +
-                        static_cast<std::ptrdiff_t>((m + 1) * fpm),
-                    static_cast<std::uint8_t>(0));
+    entry.model->set_training(true);
+    const std::size_t W = std::max<std::size_t>(config_.train_window, 4);
+    for (std::size_t epoch = 0; epoch < config_.finetune_epochs; ++epoch) {
+      for (std::size_t start = 0; start < tokens.size(0); start += W) {
+        const std::size_t stop =
+            std::min<std::size_t>(tokens.size(0), start + W);
+        if (stop - start < 4) break;
+        Tensor chunk = slice_rows(tokens, start, stop);
+        for (std::size_t t = 0; t < chunk.size(0); ++t) {
+          if (config_.denoise_token_drop > 0.0f &&
+              tune_rng.bernoulli(config_.denoise_token_drop)) {
+            for (std::size_t m = 0; m < M; ++m) chunk.at(t, m) = 0.0f;
+            continue;
+          }
+          for (std::size_t m = 0; m < M; ++m)
+            chunk.at(t, m) += static_cast<float>(
+                tune_rng.gaussian(0.0, config_.denoise_noise));
+        }
+        std::vector<std::size_t> offsets(stop - start);
+        std::iota(offsets.begin(), offsets.end(), start);
+        const std::vector<std::size_t> seg_ids(stop - start, route.member);
+        optimizer.zero_grad();
+        Var out = entry.model->forward(Var::constant(chunk), offsets, seg_ids,
+                                       tune_rng);
+        // Row-masked WMSE: rows with token weight 0 drop out of the loss
+        // (sqrt(w_m) folded into a constant [T, M] mask).
+        Tensor weight_mask(Shape{stop - start, M});
+        for (std::size_t t = 0; t < stop - start; ++t)
+          for (std::size_t m = 0; m < M; ++m) {
+            const bool cell_valid =
+                !have_mask ||
+                mask_.valid(window.node, m, window.begin + start + t);
+            weight_mask.at(t, m) =
+                cell_valid ? token_weight[start + t] *
+                                 std::sqrt(entry.metric_weights.at(m))
+                           : 0.0f;
+          }
+        Var diff =
+            vsub(out, Var::constant(slice_rows(tokens, start, stop)));
+        Var masked = vmask(diff, weight_mask);
+        Var loss = vmean(vmul(masked, masked));
+        loss.backward();
+        optimizer.step();
       }
     }
-    const std::vector<float> feats =
-        feature_valid.empty()
-            ? library_.scale(segment_features(window))
-            : library_.scale_masked(segment_features(window), feature_valid);
-    const MatchResult match =
-        library_.match(feats, config_.match_threshold_factor);
-    const double match_elapsed = match_sw.elapsed_s();
-    detect_match_hist.observe(match_elapsed);
-    match_seconds += match_elapsed;
+    entry.model->set_training(false);
+  };
 
-    std::size_t cluster_index = match.cluster;
-    if (match.matched) {
-      ++report.segments_matched;
-      if (config_.incremental_updates) {
-        ClusterEntry& entry = library_.clusters()[cluster_index];
+  // Reconstruction scoring of a whole segment: its detect_chunk-row chunks
+  // (a trailing 1-row chunk is skipped) run as one block-diagonal forward,
+  // bitwise equal to one forward per chunk. Returns the points scored.
+  const auto score_segment = [&](const ClusterEntry& entry,
+                                 const ScoringPlan& plan,
+                                 const CoreSegment& seg, std::size_t member,
+                                 Workspace& ws) {
+    const std::size_t len = seg.length();
+    std::vector<std::size_t> blocks;
+    std::size_t rows = 0;
+    for (std::size_t start = 0; start < len; start += config_.detect_chunk) {
+      const std::size_t stop = std::min(len, start + config_.detect_chunk);
+      if (stop - start < 2) break;
+      blocks.push_back(stop - start);
+      rows = stop;
+    }
+    if (rows == 0) return std::size_t{0};
+    Tensor tokens = model_tokens(seg);
+    if (rows < len) tokens = slice_rows(tokens, 0, rows);
+    const Tensor out = reconstruct(plan, tokens, member, blocks, ws);
+    float* scores = report.detections[seg.node].scores.data() + seg.begin;
+    std::size_t points = 0, start = 0;
+    for (const std::size_t block : blocks) {
+      const std::size_t stop = start + block;
+      points += chunk_point_scores(
+          entry, slice_rows(out, start, stop), slice_rows(tokens, start, stop),
+          have_mask ? &mask_ : nullptr, seg.node, seg.begin + start,
+          scores + start);
+      start = stop;
+    }
+    return points;
+  };
+
+  // ---- Pass 4, parallel over clusters, largest first: each cluster walks
+  // its own segments in test order — fine-tune trigger, optional fine-tune,
+  // then scoring. A cluster's model changes only through its own segments
+  // and eval forwards draw no randomness, so every score equals that of
+  // one sequential walk over all segments, at any thread count.
+  const std::size_t K = library_.size();
+  std::vector<std::vector<std::size_t>> walks(K);
+  std::vector<std::size_t> work(K, 0);
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    if (routes[i].status != SegmentStatus::kScored) continue;
+    walks[routes[i].cluster].push_back(i);
+    work[routes[i].cluster] += segments[i].length();
+  }
+  std::vector<std::size_t> order(K);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&work](std::size_t a, std::size_t b) {
+                     return work[a] > work[b];
+                   });
+  std::vector<std::size_t> scored(K, 0), finetunes(K, 0);
+  pool.parallel_for(0, K, 1, [&](std::size_t o) {
+    const std::size_t c = order[o];
+    if (walks[c].empty()) return;
+    ClusterEntry& entry = library_.clusters()[c];
+    Workspace ws;
+    ScoringPlan plan = ScoringPlan::canonical(*entry.model);
+    for (const std::size_t i : walks[c]) {
+      const CoreSegment& seg = segments[i];
+      const Route& route = routes[i];
+      if (route.matched && config_.incremental_updates) {
         bool tune = config_.finetune_matched;
         if (!tune && config_.finetune_trigger > 0.0) {
           // Targeted adaptation: only when the shared model visibly misfits
           // this segment's matching window — but not when the window looks
           // outright anomalous (learning it would mask the fault).
-          const std::size_t member =
-              library_.nearest_member(cluster_index, feats);
-          const double err = window_error(entry, window, member);
+          const double err = window_error(entry, plan, route, ws);
           tune = err > config_.finetune_trigger &&
                  (config_.finetune_ceiling <= 0.0 ||
                   err < config_.finetune_ceiling);
         }
         if (tune) {
-          // Light fine-tune on the window only (the cluster's other members
-          // are already fitted; retraining them here would dominate online
-          // cost). Positional metadata matches what detection uses below.
-          const std::size_t member =
-              library_.nearest_member(cluster_index, feats);
-          Rng tune_rng(config_.seed ^ (seg.begin * 31 + seg.node));
-          Adam optimizer(entry.model->parameters(), config_.learning_rate);
-          const Tensor tokens =
-              model_tokens(window, config_.max_tokens_per_segment);
-          // Robust (trimmed) fine-tuning: tokens in the top error quartile
-          // under the current model are excluded from the loss — if the
-          // window hides a localized anomaly, those are its points, and
-          // learning them would mask the fault for the rest of the segment.
-          std::vector<float> token_weight(tokens.size(0), 1.0f);
-          {
-            std::vector<std::size_t> offsets(tokens.size(0));
-            std::iota(offsets.begin(), offsets.end(), 0);
-            const std::vector<std::size_t> ids(tokens.size(0), member);
-            const Var probe = entry.model->forward(Var::constant(tokens),
-                                                   offsets, ids, tune_rng);
-            std::vector<float> errs(tokens.size(0));
-            for (std::size_t t = 0; t < tokens.size(0); ++t) {
-              double e = 0.0;
-              for (std::size_t m = 0; m < M; ++m) {
-                if (have_mask &&
-                    !mask_.valid(window.node, m, window.begin + t))
-                  continue;
-                const double d = probe.value().at(t, m) - tokens.at(t, m);
-                e += entry.metric_weights.at(m) * d * d /
-                     entry.residual_scale.at(m);
-              }
-              errs[t] = static_cast<float>(e);
-            }
-            const float cut = static_cast<float>(percentile(errs, 0.75));
-            for (std::size_t t = 0; t < tokens.size(0); ++t)
-              if (errs[t] > cut) token_weight[t] = 0.0f;
-          }
-          entry.model->set_training(true);
-          const std::size_t W = std::max<std::size_t>(config_.train_window, 4);
-          for (std::size_t epoch = 0; epoch < config_.finetune_epochs;
-               ++epoch) {
-            for (std::size_t start = 0; start < tokens.size(0); start += W) {
-              const std::size_t stop = std::min<std::size_t>(tokens.size(0),
-                                                             start + W);
-              if (stop - start < 4) break;
-              Tensor chunk = slice_rows(tokens, start, stop);
-              for (std::size_t t = 0; t < chunk.size(0); ++t) {
-                if (config_.denoise_token_drop > 0.0f &&
-                    tune_rng.bernoulli(config_.denoise_token_drop)) {
-                  for (std::size_t m = 0; m < M; ++m) chunk.at(t, m) = 0.0f;
-                  continue;
-                }
-                for (std::size_t m = 0; m < M; ++m)
-                  chunk.at(t, m) += static_cast<float>(
-                      tune_rng.gaussian(0.0, config_.denoise_noise));
-              }
-              std::vector<std::size_t> offsets(stop - start);
-              std::iota(offsets.begin(), offsets.end(), start);
-              const std::vector<std::size_t> seg_ids(stop - start, member);
-              optimizer.zero_grad();
-              Var out = entry.model->forward(Var::constant(chunk), offsets,
-                                             seg_ids, tune_rng);
-              // Row-masked WMSE: rows with token weight 0 drop out of the
-              // loss (sqrt(w_m) folded into a constant [T, M] mask).
-              Tensor weight_mask(Shape{stop - start, M});
-              for (std::size_t t = 0; t < stop - start; ++t)
-                for (std::size_t m = 0; m < M; ++m) {
-                  const bool cell_valid =
-                      !have_mask ||
-                      mask_.valid(window.node, m, window.begin + start + t);
-                  weight_mask.at(t, m) =
-                      cell_valid ? token_weight[start + t] *
-                                       std::sqrt(entry.metric_weights.at(m))
-                                 : 0.0f;
-                }
-              Var diff = vsub(
-                  out, Var::constant(slice_rows(tokens, start, stop)));
-              Var masked = vmask(diff, weight_mask);
-              Var loss = vmean(vmul(masked, masked));
-              loss.backward();
-              optimizer.step();
-            }
-          }
-          entry.model->set_training(false);
-          ++report.incremental_finetunes;
+          finetune(entry, plan, seg, route, ws);
+          // The plan packs q|k|v into its own copy of the weights, so it
+          // is recompiled from the tuned model.
+          plan = ScoringPlan::canonical(*entry.model);
+          ++finetunes[c];
         }
       }
-    } else {
-      ++report.segments_unmatched;
-      if (config_.incremental_updates) {
-        // New pattern: spawn a cluster trained on the matching window.
-        ClusterEntry entry;
-        entry.centroid = feats;
-        entry.radius = std::max(
-            1e-6, library_.clusters()[match.cluster].radius);
-        entry.members.push_back(window);
-        entry.member_features.push_back(feats);
-        // Weights from this window's MAC.
-        const auto values = core_segment_values(processed_, window);
-        Tensor weights(Shape{M});
-        double weight_sum = 0.0;
-        for (std::size_t m = 0; m < M; ++m) {
-          const double w = 1.0 / (1.0 + mean_absolute_change(values[m]));
-          weights.at(m) = static_cast<float>(w);
-          weight_sum += w;
-        }
-        for (std::size_t m = 0; m < M; ++m)
-          weights.at(m) *=
-              static_cast<float>(static_cast<double>(M) / weight_sum);
-        entry.metric_weights = std::move(weights);
-        Rng model_rng(config_.seed ^ (0xBEEF + seg.node * 131 + seg.begin));
-        entry.model = std::make_shared<TransformerReconstructor>(
-            model_config(), model_rng);
-        train_cluster(entry, config_.finetune_epochs,
-                      config_.seed ^ (seg.begin * 17 + seg.node));
-        library_.clusters().push_back(std::move(entry));
-        cluster_index = library_.size() - 1;
-        ++report.incremental_new_clusters;
-        // Checkpoint the grown library so a crash mid-detection resumes
-        // with the incrementally-learned patterns intact.
-        if (!config_.checkpoint_dir.empty() &&
-            ++clusters_since_checkpoint >=
-                std::max<std::size_t>(config_.checkpoint_every, 1)) {
-          std::vector<const ClusterEntry*> all;
-          all.reserve(library_.size());
-          for (const ClusterEntry& e : library_.clusters())
-            all.push_back(&e);
-          write_checkpoint(all, library_.size());
-          clusters_since_checkpoint = 0;
-        }
-      }
+      obs::ScopedTimer score_timer(&detect_score_hist, "detect.score");
+      scored[c] += score_segment(entry, plan, seg, route.member, ws);
     }
-
-    // ---- Reconstruction scoring with the matched shared model.
-    obs::ScopedTimer score_timer(&detect_score_hist, "detect.score");
-    const ClusterEntry& entry = library_.clusters()[cluster_index];
-    const std::size_t segment_id =
-        library_.nearest_member(cluster_index, feats);
-    entry.model->set_training(false);
-    std::vector<float>& scores = report.detections[seg.node].scores;
-    const Tensor all_tokens = model_tokens(seg);
-    const std::size_t len = seg.length();
-    for (std::size_t start = 0; start < len;
-         start += config_.detect_chunk) {
-      const std::size_t stop = std::min(len, start + config_.detect_chunk);
-      if (stop - start < 2) break;
-      const Tensor chunk = slice_rows(all_tokens, start, stop);
-      std::vector<std::size_t> offsets(stop - start);
-      std::iota(offsets.begin(), offsets.end(), start);
-      const std::vector<std::size_t> seg_ids(stop - start, segment_id);
-      const Var out = entry.model->forward(Var::constant(chunk), offsets,
-                                           seg_ids, rng);
-      report.scored_points += chunk_point_scores(
-          entry, out.value(), chunk, have_mask ? &mask_ : nullptr, seg.node,
-          seg.begin + start, scores.data() + seg.begin + start);
-    }
+  });
+  for (std::size_t c = 0; c < K; ++c) {
+    report.scored_points += scored[c];
+    report.incremental_finetunes += finetunes[c];
   }
 
   // ---- Dynamic k-sigma thresholding per node (§3.5). The reference level
@@ -864,7 +951,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
     ranges[seg.node].emplace_back(seg.begin, seg.end);
   // Per-node thresholding is embarrassingly parallel: each iteration only
   // touches its own node's detection record.
-  ThreadPool::global().parallel_for(0, N, 1, [&](std::size_t n) {
+  pool.parallel_for(0, N, 1, [&](std::size_t n) {
     const std::vector<float> reference =
         score_reference_levels(report.detections[n].scores, ranges[n]);
     report.detections[n].predictions = detection_flags(

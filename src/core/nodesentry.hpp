@@ -81,7 +81,10 @@ class NodeSentry {
     /// Per node, aligned to the full timeline (zeros before train_end).
     std::vector<NodeDetection> detections;
     double total_seconds = 0.0;
-    double match_seconds = 0.0;  ///< feature extraction + centroid matching
+    /// Per-segment matching-window feature extraction plus centroid
+    /// matching, summed over segments (and so over threads: it can exceed
+    /// total_seconds).
+    double match_seconds = 0.0;
     std::size_t scored_points = 0;
     std::size_t segments_matched = 0;
     std::size_t segments_unmatched = 0;
@@ -89,7 +92,7 @@ class NodeSentry {
     std::size_t segments_insufficient = 0;
     std::size_t incremental_new_clusters = 0;
     std::size_t incremental_finetunes = 0;
-    /// Per-segment status, in scoring order (only populated when the
+    /// Per-segment status, in test-segment order (only populated when the
     /// quality guard produced a mask).
     std::vector<SegmentOutcome> outcomes;
   };
@@ -97,7 +100,10 @@ class NodeSentry {
   /// Runs online detection over the test region of the fitted dataset.
   /// With config.incremental_updates, unmatched patterns spawn new clusters
   /// and matched patterns fine-tune their shared model (mutates the
-  /// library).
+  /// library). Segments are matched in test order; the clusters then adapt
+  /// and score concurrently on the global pool, each walking its own
+  /// segments in test order, and the result does not depend on the thread
+  /// count.
   DetectReport detect();
 
   const ClusterLibrary& library() const { return library_; }

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "baselines/detector.hpp"
-#include "baselines/deephydra_lite.hpp"
 #include "baselines/examon.hpp"
 #include "baselines/isc20.hpp"
 #include "baselines/prodigy.hpp"
@@ -109,20 +108,6 @@ TEST_F(BaselineFixture, RuadRunsAndScores) {
   Ruad detector(config);
   const auto report = detector.run(*processed_, sim_->train_end);
   check_report(report);
-}
-
-
-TEST_F(BaselineFixture, DeepHydraLiteRunsAndScores) {
-  DeepHydraLiteConfig config;
-  config.epochs = 1;
-  config.max_train_rows = 1024;
-  DeepHydraLite detector(config);
-  EXPECT_EQ(detector.name(), "DeepHYDRA-lite");
-  const auto report = detector.run(*processed_, sim_->train_end);
-  check_report(report);
-  const double auc = auc_of(report);
-  EXPECT_GE(auc, 0.0);
-  EXPECT_LE(auc, 1.0);
 }
 
 TEST(BaselineThreshold, FlagsObviousSpike) {

@@ -253,12 +253,12 @@ TEST_F(CorruptionTest, IncrementalDetectionCheckpointsNewClusters) {
   const auto report = grower.detect();
   ASSERT_GT(report.incremental_new_clusters, 0u);
   ASSERT_TRUE(fs::exists(fs::path(grow_dir) / "index.bin"));
-  // The checkpoint written after the last spawn holds every cluster the
-  // library had at that moment — at least the pre-detect size + 1.
+  // With a stride of one spawn, the last checkpoint holds every spawned
+  // cluster: the reloaded library is exactly the grown one.
   NodeSentry reloaded(fast_config());
   reloaded.restore(sim_->data, sim_->train_end, grow_dir);
   EXPECT_GT(reloaded.library().size(), before);
-  EXPECT_LE(reloaded.library().size(), grower.library().size());
+  EXPECT_EQ(reloaded.library().size(), grower.library().size());
   fs::remove_all(grow_dir);
 }
 

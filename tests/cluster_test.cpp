@@ -5,7 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "cluster/dbscan.hpp"
 #include "cluster/distance.hpp"
 #include "cluster/gmm.hpp"
 #include "cluster/hac.hpp"
@@ -231,34 +230,6 @@ TEST(Gmm, ScoreBeforeFitThrows) {
   BayesianGmm gmm;
   const std::vector<float> x{0, 0};
   EXPECT_THROW(gmm.mahalanobis_score(x), InvalidArgument);
-}
-
-TEST(Dbscan, FindsBlobsAndNoise) {
-  auto points = three_blobs(15, 25, 0.2);
-  points.push_back({50.0f, 50.0f});  // isolated noise point
-  const auto result = dbscan(points, 1.5, 4);
-  EXPECT_EQ(result.num_clusters, 3u);
-  EXPECT_EQ(result.labels.back(), kDbscanNoise);
-  // Blob members share labels.
-  for (std::size_t blob = 0; blob < 3; ++blob) {
-    const auto expected = result.labels[blob * 15];
-    EXPECT_NE(expected, kDbscanNoise);
-    for (std::size_t i = 0; i < 15; ++i)
-      EXPECT_EQ(result.labels[blob * 15 + i], expected);
-  }
-}
-
-TEST(Dbscan, AllNoiseWhenEpsTiny) {
-  const auto points = three_blobs(5, 26);
-  const auto result = dbscan(points, 1e-6, 3);
-  EXPECT_EQ(result.num_clusters, 0u);
-  for (auto l : result.labels) EXPECT_EQ(l, kDbscanNoise);
-}
-
-TEST(Dbscan, EmptyInput) {
-  const auto result = dbscan({}, 1.0, 3);
-  EXPECT_EQ(result.num_clusters, 0u);
-  EXPECT_TRUE(result.labels.empty());
 }
 
 }  // namespace

@@ -313,6 +313,81 @@ TEST(PinnedClustering, D2Sim) {
         {{3, 153, 217}, {1, 168, 205}}}});
 }
 
+// Golden detect() runs with §3.5 adaptation on: a 64-bit FNV-1a hash over
+// every node's score bytes, then its prediction bytes, plus the report's
+// counters. Matching, spawn order, fine-tune triggers and the scoring
+// arithmetic all feed the hash, so a change to any of them (or to the
+// order adaptation runs in) must reproduce these or update them knowingly.
+// The hashes hold for -O2 builds (the default RelWithDebInfo and the
+// sanitizer presets): the batched trainer's AVX2/FMA kernels round
+// differently at -O3.
+struct ExpectedDetection {
+  std::uint64_t hash = 0;
+  std::size_t matched = 0;
+  std::size_t unmatched = 0;
+  std::size_t new_clusters = 0;
+  std::size_t finetunes = 0;
+  std::size_t scored_points = 0;
+};
+
+std::uint64_t detection_hash(const std::vector<NodeDetection>& detections) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const NodeDetection& det : detections) {
+    mix(det.scores.data(), det.scores.size() * sizeof(float));
+    mix(det.predictions.data(), det.predictions.size());
+  }
+  return h;
+}
+
+/// The benches' configuration (bench_nodesentry_config()).
+NodeSentryConfig bench_config() {
+  NodeSentryConfig config;
+  config.train_epochs = 10;
+  config.learning_rate = 3e-3f;
+  return config;
+}
+
+void expect_pinned_detection(const SimDatasetConfig& sim_config,
+                             const NodeSentryConfig& config,
+                             const ExpectedDetection& want) {
+  const SimDataset sim = build_sim_dataset(sim_config);
+  NodeSentry sentry(config);
+  sentry.fit(sim.data, sim.train_end);
+  const NodeSentry::DetectReport report = sentry.detect();
+  EXPECT_EQ(detection_hash(report.detections), want.hash)
+      << std::hex << detection_hash(report.detections);
+  EXPECT_EQ(report.segments_matched, want.matched);
+  EXPECT_EQ(report.segments_unmatched, want.unmatched);
+  EXPECT_EQ(report.incremental_new_clusters, want.new_clusters);
+  EXPECT_EQ(report.incremental_finetunes, want.finetunes);
+  EXPECT_EQ(report.scored_points, want.scored_points);
+}
+
+TEST(PinnedDetect, D2Sim) {
+  expect_pinned_detection(d2_sim_config(0.25, 5), bench_config(),
+                          {0xcc9942f351f706b8ull, 26, 3, 3, 3, 958});
+}
+
+TEST(PinnedDetect, D2SimManySpawnsAndTunes) {
+  NodeSentryConfig config = bench_config();
+  config.match_threshold_factor = 1.0;
+  config.finetune_trigger = 1.5;
+  expect_pinned_detection(d2_sim_config(0.25, 5), config,
+                          {0x5c4ed5030a42f297ull, 16, 13, 13, 3, 958});
+}
+
+TEST(PinnedDetect, DeploymentSimMaskedCells) {
+  expect_pinned_detection(deployment_sim_config(33), bench_config(),
+                          {0xa8e6f92a8f87e85dull, 65, 8, 8, 9, 7679});
+}
+
 TEST(KSigma, FlagsSpikeAboveThreshold) {
   std::vector<float> scores(100, 1.0f);
   for (std::size_t i = 0; i < scores.size(); ++i)

@@ -8,7 +8,10 @@
 //  - ksigma_flags warms up after min(window, 8) samples, so small-window
 //    configs actually threshold;
 //  - forced-k fits report the forced cut's own silhouette without running
-//    the sweep.
+//    the sweep;
+//  - detect() adapts clusters concurrently (spawned-model training, then
+//    per-cluster fine-tunes and scoring) yet gives the same bits at any
+//    thread count.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -482,6 +485,60 @@ TEST_F(ForcedKTest, ForcedKReportsOwnSilhouetteWithoutSweep) {
   const auto off_fit = off_sentry.fit(sim_->data, sim_->train_end);
   EXPECT_EQ(off_sentry.auto_k(), 0u);
   EXPECT_LE(off_fit.silhouette, auto_fit.silhouette + 1e-12);
+}
+
+// Run from a pool worker, every nested parallel_for inside detect() is a
+// serial loop; run from the test thread, spawned models train and clusters
+// adapt and score concurrently on the whole pool. Both must give the same
+// bits: scores, flags, counters and every model of the grown library.
+TEST(ParallelDetect, WorkerThreadMatchesTestThreadBitwise) {
+  const SimDataset sim = build_sim_dataset(d2_sim_config(0.25, 5));
+  NodeSentryConfig config;
+  config.model.d_model = 12;
+  config.model.num_layers = 1;
+  config.model.num_heads = 2;
+  config.model.ffn_hidden = 16;
+  config.train_epochs = 2;
+  config.max_tokens_per_segment = 64;
+  config.train_window = 32;
+  config.match_period = 60;
+  // Many spawns and fine-tunes.
+  config.match_threshold_factor = 1.0;
+  config.finetune_trigger = 1.5;
+  config.finetune_epochs = 1;
+  config.seed = 5;
+  NodeSentry here(config), there(config);
+  here.fit(sim.data, sim.train_end);
+  there.fit(sim.data, sim.train_end);
+
+  const NodeSentry::DetectReport a = here.detect();
+  NodeSentry::DetectReport b;
+  ThreadPool::global().submit([&] { b = there.detect(); }).get();
+
+  ASSERT_GT(a.incremental_new_clusters, 0u);
+  ASSERT_GT(a.incremental_finetunes, 0u);
+  EXPECT_EQ(a.incremental_new_clusters, b.incremental_new_clusters);
+  EXPECT_EQ(a.incremental_finetunes, b.incremental_finetunes);
+  EXPECT_EQ(a.segments_matched, b.segments_matched);
+  EXPECT_EQ(a.scored_points, b.scored_points);
+  ASSERT_EQ(a.detections.size(), b.detections.size());
+  for (std::size_t n = 0; n < a.detections.size(); ++n) {
+    const std::vector<float>& sa = a.detections[n].scores;
+    const std::vector<float>& sb = b.detections[n].scores;
+    ASSERT_EQ(sa.size(), sb.size());
+    EXPECT_EQ(0, std::memcmp(sa.data(), sb.data(), sa.size() * sizeof(float)))
+        << "node " << n << " scores differ bitwise";
+    EXPECT_EQ(a.detections[n].predictions, b.detections[n].predictions)
+        << "node " << n;
+  }
+  const auto& ca = here.library().clusters();
+  const auto& cb = there.library().clusters();
+  ASSERT_EQ(ca.size(), cb.size());
+  for (std::size_t c = 0; c < ca.size(); ++c) {
+    expect_params_bitwise_equal(*ca[c].model, *cb[c].model);
+    expect_bitwise_equal(ca[c].residual_scale, cb[c].residual_scale,
+                         "residual_scale");
+  }
 }
 
 }  // namespace
