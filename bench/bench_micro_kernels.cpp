@@ -4,18 +4,22 @@
 //
 // Beyond the google-benchmark suite, `--kernels-json=PATH` runs a GEMM
 // sweep comparing the tiled matmul_into kernel (at 1/2/4/N threads) against
-// the historic scalar i-k-j baseline and writes GFLOP/s + speedup numbers
-// to PATH (BENCH_kernels.json at the repo root via the `bench` target). The
-// sweep also cross-checks that every thread count produces bitwise
-// identical output, which is the kernel's documented contract.
+// the historic scalar i-k-j baseline, then times the serve model's own gemm
+// shapes canonical and under FastKernelScope, and writes GFLOP/s + speedup
+// numbers to PATH (BENCH_kernels.json at the repo root via the `bench`
+// target). The sweep also cross-checks that every thread count and every
+// canonical model-shape gemm produces output bitwise identical to the
+// scalar baseline, which is the kernel's documented contract.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/hac.hpp"
@@ -24,6 +28,7 @@
 #include "features/extract.hpp"
 #include "features/fft.hpp"
 #include "features/pca.hpp"
+#include "nn/scoring.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
@@ -137,6 +142,41 @@ void BM_TransformerForward(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformerForward)->Arg(32)->Arg(96);
 
+// One scoring batch at the fleet benches' model shape (d_model 24, 2
+// layers, 2 heads, ffn 32; 4 chunks of 96 rows): Arg(0) is the canonical
+// plan of the strict path, Arg(1) the relaxed plan on the same weights.
+void BM_ScoringPlanForward(benchmark::State& state) {
+  constexpr std::size_t kChunk = 96, kChunks = 4;
+  Rng rng(7);
+  TransformerConfig config;
+  config.d_model = 24;
+  config.num_layers = 2;
+  config.num_heads = 2;
+  config.ffn_hidden = 32;
+  TransformerReconstructor model(config, rng);
+  model.set_training(false);
+  const ScoringPlan plan = state.range(0) == 0 ? ScoringPlan::canonical(model)
+                                               : ScoringPlan(model);
+  const Tensor x =
+      Tensor::randn(Shape{kChunk * kChunks, config.input_dim}, rng);
+  std::vector<std::size_t> offsets, segment_ids;
+  for (std::size_t c = 0; c < kChunks; ++c)
+    for (std::size_t t = 0; t < kChunk; ++t) {
+      offsets.push_back(t);
+      segment_ids.push_back(c);
+    }
+  const std::vector<std::size_t> block_lens(kChunks, kChunk);
+  Workspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        plan.forward(x, offsets, segment_ids, block_lens, ws));
+  }
+  state.SetLabel(state.range(0) == 0 ? "canonical" : "relaxed");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kChunk * kChunks);
+}
+BENCHMARK(BM_ScoringPlanForward)->Arg(0)->Arg(1);
+
 // --------------------------------------------------------- kernels JSON
 
 // The matmul the repo shipped before the kernel layer: naive i-k-j with a
@@ -200,7 +240,6 @@ int run_kernels_json(const std::string& path) {
     scalar_baseline_matmul(ref, a, b);  // warm
     const double base_s =
         best_seconds([&] { scalar_baseline_matmul(ref, a, b); }, reps);
-    const double base_gflops = flops / base_s / 1e9;
 
     auto emit = [&](const char* variant, std::size_t threads, double secs) {
       if (!first) os << ",";
@@ -226,6 +265,49 @@ int run_kernels_json(const std::string& path) {
                 << threads << ": " << flops / secs / 1e9 << " GFLOP/s ("
                 << base_s / secs << "x scalar)\n";
     }
+  }
+  os << "\n  ],\n  \"model_shapes\": [";
+  // The serve model's gemms (m x k x n) at the fleet benches' shape:
+  // input projection, packed qkv, out projection, and per 96-row block the
+  // two attention gemms with dh = 12. Each timing is a loop of calls long
+  // enough to dwarf the clock, best of 5.
+  const std::size_t model_shapes[][3] = {
+      {384, 16, 24}, {384, 24, 72}, {384, 24, 24}, {96, 12, 96}, {96, 96, 12}};
+  first = true;
+  for (const auto& [m, k, n] : model_shapes) {
+    Rng rng(43);
+    const Tensor a = Tensor::randn(Shape{m, k}, rng);
+    const Tensor b = Tensor::randn(Shape{k, n}, rng);
+    const double flops = 2.0 * static_cast<double>(m) * k * n;
+    const int calls = static_cast<int>(std::max(1.0, 2e7 / flops));
+    Tensor ref, out;
+    scalar_baseline_matmul(ref, a, b);
+    matmul_into(out, a, b);
+    if (!bitwise_equal(out, ref)) all_bitwise = false;
+    auto per_call = [&](auto&& fn) {
+      return best_seconds([&] {
+               for (int c = 0; c < calls; ++c) fn();
+             }, 5) /
+             calls;
+    };
+    const double base_s = per_call([&] { scalar_baseline_matmul(ref, a, b); });
+    const double canonical_s = per_call([&] { matmul_into(out, a, b); });
+    const double fast_s = per_call([&] {
+      FastKernelScope fast;
+      matmul_into(out, a, b);
+    });
+    for (const auto& [variant, secs] :
+         {std::pair{"scalar_baseline", base_s},
+          std::pair{"canonical", canonical_s}, std::pair{"fast", fast_s}}) {
+      if (!first) os << ",";
+      first = false;
+      os << "\n    {\"m\": " << m << ", \"n\": " << n << ", \"k\": " << k
+         << ", \"variant\": \"" << variant << "\", \"seconds\": " << secs
+         << ", \"gflops\": " << flops / secs / 1e9 << "}";
+    }
+    std::cout << "gemm " << m << "x" << k << "x" << n << ": scalar "
+              << base_s * 1e6 << " us, canonical " << canonical_s * 1e6
+              << " us, fast " << fast_s * 1e6 << " us\n";
   }
   os << "\n  ],\n  \"bitwise_identical_across_thread_counts\": "
      << (all_bitwise ? "true" : "false") << "\n}\n";

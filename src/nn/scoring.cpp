@@ -184,8 +184,9 @@ Tensor ScoringPlan::forward(const Tensor& x,
   const std::size_t tokens = x.size(0);
   NS_REQUIRE(offsets.size() == tokens && segment_ids.size() == tokens,
              "ScoringPlan: offsets/segment_ids must have one entry per token");
-  // Relaxed/quantized plans legalize the dispatch tier's vector variants
-  // for every kernel below; a canonical plan keeps the scalar ones.
+  // Relaxed/quantized plans legalize the dispatch tier's fast variants
+  // (fused multiply-add, polynomial exp/tanh) for every kernel below; a
+  // canonical plan keeps the canonical, bitwise-reproducible ones.
   std::optional<FastKernelScope> fast;
   if (!canonical_) fast.emplace();
   const std::size_t d = d_model_;

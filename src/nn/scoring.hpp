@@ -9,7 +9,8 @@
 // attention evaluated by the fused block_attention_into kernel.
 //
 // Arithmetic comes in three modes. A canonical plan (ScoringPlan::canonical)
-// runs the scalar-reproducible kernels in the model's operation order, so
+// runs the canonical kernels (a vectorized gemm whose lanes round like the
+// scalar loop, scalar libm softmax/gelu) in the model's operation order, so
 // its output is bitwise equal to eval-mode forward_blocked() — the strict
 // serve path. A relaxed plan lets every kernel use the FastKernelScope
 // dispatch tier, and a quantized plan additionally runs the encoder/MoE

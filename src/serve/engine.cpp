@@ -124,8 +124,8 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
       "ns_serve_score_timeline_reallocs_total",
       "Per-node lane/attribution timeline storage reallocations");
   // Which kernel tier this host's scoring dispatches to (relaxed/quantized
-  // paths; strict scoring's canonical plans always use the scalar-
-  // reproducible kernels regardless of tier).
+  // paths; strict scoring's canonical plans always use the canonical,
+  // bitwise-reproducible kernels regardless of tier).
   registry_
       ->gauge("ns_serve_kernel_tier",
               "Runtime kernel dispatch tier: 0=scalar 1=neon 2=avx2_fma")

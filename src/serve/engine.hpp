@@ -68,8 +68,9 @@ struct QuantCalibration;
 /// with different rounding, and flag flips can only happen for scores
 /// already within rounding distance of the threshold.
 enum class ScoringPath {
-  /// Canonical ScoringPlan (ScoringPlan::canonical): scalar-reproducible
-  /// kernels in the model's operation order, bitwise equal to the model's
+  /// Canonical ScoringPlan (ScoringPlan::canonical): the canonical
+  /// kernels (vectorized gemm, no fused multiply-add, libm softmax/gelu)
+  /// in the model's operation order, bitwise equal to the model's
   /// own eval-mode forward, so serving is bitwise identical to batch
   /// detect() — the default, and what serve_replay / compare_detections /
   /// all bitwise tests use (the CLI's --strict-replay selects it).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -19,76 +20,129 @@
 namespace ns {
 namespace {
 
-// Register-tile geometry for the GEMM micro-kernel. 4x8 keeps the
-// accumulator block (plus one broadcast A scalar and one B vector) inside
-// the 16 xmm registers of baseline x86-64, so the hot loop neither spills
-// nor touches C until the k-loop finishes.
+// Canonical GEMM micro-kernel, written with GCC vector types so one source
+// lowers to packed SSE2, AVX2 or NEON code. A lane computes exactly what
+// the scalar i-k-j loop computes for its C element: multiply, round, add,
+// round, in ascending k. Nothing here may be contracted into a fused
+// multiply-add, which is why the x86-64 versions target "avx2" and the
+// baseline but never "fma" (GCC contracts `acc += a * b` whenever FMA is
+// enabled).
+using f32x8 = float __attribute__((vector_size(32)));
+using f32x4 = float __attribute__((vector_size(16)));
+
+// Register-tile geometry: 4 rows by 2 vectors of columns. That is 8
+// accumulators, 2 B vectors and 1 broadcast A scalar: 11 of the 16 xmm
+// (SSE2, 4x8 tile) or ymm (AVX2, 4x16 tile) registers, so the k-loop
+// neither spills nor touches C.
 constexpr std::size_t kRowTile = 4;
-constexpr std::size_t kColTile = 8;
 // Rows of C per parallel task. A fixed block size keeps the partition a
 // pure function of the shape (never of the worker count).
 constexpr std::size_t kRowBlock = 64;
 
-// Computes rows [i0, i1) of C = A @ B. Every C element is accumulated in
-// ascending-k order in a register, which is the exact operation sequence of
-// the canonical i-k-j scalar loop — so any row partition of this function
-// is bitwise identical to running it once over [0, m).
-void gemm_rows(const float* a, const float* b, float* c, std::size_t i0,
-               std::size_t i1, std::size_t k, std::size_t n) {
-  std::size_t j0 = 0;
-  // Full j-tiles: the [k, kColTile] panel of B cycles through cache while
-  // successive row tiles reuse it.
-  for (; j0 + kColTile <= n; j0 += kColTile) {
-    std::size_t i = i0;
-    for (; i + kRowTile <= i1; i += kRowTile) {
-      float acc[kRowTile][kColTile] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float* brow = b + kk * n + j0;
-        for (std::size_t r = 0; r < kRowTile; ++r) {
-          const float aik = a[(i + r) * k + kk];
-          for (std::size_t jj = 0; jj < kColTile; ++jj)
-            acc[r][jj] += aik * brow[jj];
-        }
+// Columns [j0, j0 + kVecs * lanes(V)) of rows [i0, i1) of C = A @ B, in
+// tiles of kRows rows; rows left over recurse with kRows = 1. Inlined into
+// each gemm_rows version, so it is compiled for that version's ISA. memcpy
+// is the unaligned vector load/store; each one moves a single vector so
+// the accumulators stay in registers.
+template <class V, std::size_t kVecs, std::size_t kRows = kRowTile>
+[[gnu::always_inline]] inline void gemm_panel(const float* a, const float* b,
+                                              float* c, std::size_t i0,
+                                              std::size_t i1, std::size_t k,
+                                              std::size_t n, std::size_t j0) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  std::size_t i = i0;
+  for (; i + kRows <= i1; i += kRows) {
+    V acc[kRows][kVecs] = {};
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      V bv[kVecs];
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < kVecs; ++v)
+        std::memcpy(&bv[v], b + kk * n + j0 + v * kLanes, sizeof(V));
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < kRows; ++r) {
+        const float aik = a[(i + r) * k + kk];
+#pragma GCC unroll 2
+        for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += aik * bv[v];
       }
-      for (std::size_t r = 0; r < kRowTile; ++r)
-        for (std::size_t jj = 0; jj < kColTile; ++jj)
-          c[(i + r) * n + j0 + jj] = acc[r][jj];
     }
-    for (; i < i1; ++i) {  // remainder rows, one at a time
-      float acc[kColTile] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float aik = a[i * k + kk];
-        const float* brow = b + kk * n + j0;
-        for (std::size_t jj = 0; jj < kColTile; ++jj)
-          acc[jj] += aik * brow[jj];
-      }
-      for (std::size_t jj = 0; jj < kColTile; ++jj)
-        c[i * n + j0 + jj] = acc[jj];
-    }
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < kRows; ++r)
+#pragma GCC unroll 2
+      for (std::size_t v = 0; v < kVecs; ++v)
+        std::memcpy(c + (i + r) * n + j0 + v * kLanes, &acc[r][v], sizeof(V));
   }
-  if (j0 < n) {  // remainder columns (< kColTile of them)
-    const std::size_t w = n - j0;
+  if constexpr (kRows > 1) gemm_panel<V, kVecs, 1>(a, b, c, i, i1, k, n, j0);
+}
+
+// Computes rows [i0, i1) of C = A @ B with V-wide column panels, then a
+// 4-wide panel and a scalar tail below 4 columns. Every C element is
+// accumulated in ascending-k order in one lane (or scalar), which is the
+// exact operation sequence of the canonical i-k-j scalar loop, so any row
+// partition, vector width or ISA gives bitwise identical results.
+template <class V>
+[[gnu::always_inline]] inline void gemm_tiles(const float* a, const float* b,
+                                              float* c, std::size_t i0,
+                                              std::size_t i1, std::size_t k,
+                                              std::size_t n) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  std::size_t j0 = 0;
+  // Full 2-vector panels: the [k, 2 * kLanes] panel of B cycles through
+  // cache while successive row tiles reuse it.
+  for (; j0 + 2 * kLanes <= n; j0 += 2 * kLanes)
+    gemm_panel<V, 2>(a, b, c, i0, i1, k, n, j0);
+  if (j0 + kLanes <= n) {
+    gemm_panel<V, 1>(a, b, c, i0, i1, k, n, j0);
+    j0 += kLanes;
+  }
+  if (kLanes > 4 && j0 + 4 <= n) {
+    gemm_panel<f32x4, 1>(a, b, c, i0, i1, k, n, j0);
+    j0 += 4;
+  }
+  for (; j0 < n; ++j0) {  // remainder columns (< 4 of them)
     for (std::size_t i = i0; i < i1; ++i) {
-      float acc[kColTile] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float aik = a[i * k + kk];
-        const float* brow = b + kk * n + j0;
-        for (std::size_t jj = 0; jj < w; ++jj) acc[jj] += aik * brow[jj];
-      }
-      for (std::size_t jj = 0; jj < w; ++jj) c[i * n + j0 + jj] = acc[jj];
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk)
+        acc += a[i * k + kk] * b[kk * n + j0];
+      c[i * n + j0] = acc;
     }
   }
 }
 
+#ifdef NS_X86_64
+__attribute__((target("avx2"))) void gemm_rows_avx2(
+    const float* a, const float* b, float* c, std::size_t i0, std::size_t i1,
+    std::size_t k, std::size_t n) {
+  gemm_tiles<f32x8>(a, b, c, i0, i1, k, n);
+}
+#endif
+
+// The canonical gemm: 8-lane panels on CPUs with AVX2, 4-lane SSE2 (or
+// NEON) panels otherwise, the same bits either way. The SSE2 baseline gets
+// 4-lane vectors because it would split 8-lane ones through the stack.
+// The CPU check is a cached branch rather than an ifunc (target_clones or
+// target overloads): with GCC 12, ifunc dispatch crashes ThreadSanitizer
+// builds at startup.
+void gemm_rows(const float* a, const float* b, float* c, std::size_t i0,
+               std::size_t i1, std::size_t k, std::size_t n) {
+#ifdef NS_X86_64
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  if (avx2) {
+    gemm_rows_avx2(a, b, c, i0, i1, k, n);
+    return;
+  }
+#endif
+  gemm_tiles<f32x4>(a, b, c, i0, i1, k, n);
+}
+
 // ---- FastKernelScope: opt-in AVX2/FMA variants of the hot kernels.
 //
-// The fast gemm keeps the same row-range interface and the same
-// ascending-k accumulation per output element, but each multiply-add is
-// fused (one rounding instead of two) and 8/16 columns are processed per
-// vector; the fast softmax/gelu replace scalar libm calls with polynomial
-// vector math. Results differ from the canonical kernels in the last
-// ulps. Only opted into by paths without a bitwise-reproducibility
-// contract (see kernels.hpp).
+// The fast gemm keeps the same row-range interface, tiles and
+// ascending-k accumulation per output element as the canonical one, but
+// each multiply-add is fused (one rounding instead of two); the fast
+// softmax/gelu replace scalar libm calls with polynomial vector math.
+// Results differ from the canonical kernels in the last ulps. Only opted
+// into by paths without a bitwise-reproducibility contract (see
+// kernels.hpp).
 thread_local int fast_kernel_depth = 0;
 
 // tanh-approximation GELU constants (shared by both kernel variants).
@@ -427,7 +481,7 @@ __attribute__((target("avx2,fma"))) void softmax_scaled_rows_fast(
 // accumulation order, same polynomial constants as the AVX2 variants —
 // only the vector width (4 lanes) and the ISA differ. aarch64 NEON is
 // baseline, so there is no runtime capability probe: any FastKernelScope
-// on aarch64 dispatches here instead of falling back to scalar.
+// on aarch64 dispatches here instead of the canonical kernels.
 
 void gemm_rows_neon(const float* a, const float* b, float* c, std::size_t i0,
                     std::size_t i1, std::size_t k, std::size_t n) {

@@ -14,10 +14,14 @@
 //
 // Determinism: matmul_into shards fixed row-blocks of C across the thread
 // pool above a FLOP threshold, but every output element is accumulated in
-// ascending-k order by exactly one task, so results are bitwise identical
-// for any thread count — including the sequential path. Unlike the historic
-// scalar loop, the kernel never skips zero multiplicands, so NaN/Inf in
-// either operand propagates per IEEE semantics.
+// ascending-k order by exactly one task, with a separately rounded multiply
+// and add per step. The canonical gemm is vectorized (AVX2 or SSE2 on
+// x86-64, chosen per CPU; NEON on aarch64), but each vector lane performs
+// exactly that scalar sequence and never a fused multiply-add, so results
+// are bitwise identical for any thread count, including the sequential
+// path, and on x86-64 with or without AVX2. Unlike the historic scalar
+// loop, the kernel never skips zero multiplicands, so NaN/Inf in either
+// operand propagates per IEEE semantics.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +56,10 @@ inline constexpr std::size_t kBlockAttentionParallelFlops = std::size_t{1}
 /// capabilities (`__builtin_cpu_supports` on x86-64, architecture macros on
 /// aarch64). The tier names which fast-kernel variants a FastKernelScope
 /// opts into; kScalar means the scope is a no-op and every kernel runs the
-/// canonical portable path.
+/// canonical path. The tier says nothing about the canonical kernels: the
+/// canonical gemm is vectorized on every tier, bit for bit.
 enum class KernelTier {
-  kScalar = 0,   ///< canonical portable kernels only
+  kScalar = 0,   ///< canonical kernels only (no FastKernelScope variants)
   kNeon = 1,     ///< aarch64 NEON gemm/softmax/gelu/layernorm variants
   kAvx2Fma = 2,  ///< x86-64 AVX2+FMA variants
 };
@@ -83,17 +88,19 @@ void matmul_into(Tensor& dst, const Tensor& a, const Tensor& b,
 /// Thread-local opt-in for the fast AVX2/FMA kernel variants: the fused
 /// multiply-add gemm in matmul_into, the vectorized-exp softmax in
 /// softmax_rows_into, and the vectorized tanh-approximation gelu kernels.
-/// The fast gemm keeps the ascending-k accumulation per output element but
-/// fuses each multiply-add; the fast softmax/gelu replace scalar libm
-/// calls with polynomial vector math accurate to a few ulps. Results are
-/// therefore *not* bitwise identical to the canonical kernels — they are
-/// equally valid float evaluations. Only paths without a
-/// bitwise-reproducibility contract may opt in: the batched trainer at
-/// batch > 1 and the relaxed/quantized serve scoring paths (DESIGN.md
-/// §16) do; eval, strict-replay serving, residual statistics and the
-/// batch-1 trainer never do. The scope nests, applies to the constructing
-/// thread only, and is a no-op on CPUs without AVX2+FMA (on aarch64, NEON
-/// variants dispatch unconditionally under the scope). Each kernel
+/// Both gemms are vectorized; the fast one keeps the ascending-k
+/// accumulation per output element but fuses each multiply-add (one
+/// rounding instead of two). The fast softmax/gelu replace the scalar libm
+/// calls of the canonical kernels with polynomial vector math accurate to
+/// a few ulps. Results are therefore *not* bitwise identical to the
+/// canonical kernels — they are equally valid float evaluations. Only
+/// paths without a bitwise-reproducibility contract may opt in: the
+/// batched trainer at batch > 1 and the relaxed/quantized serve scoring
+/// paths (DESIGN.md §16) do; eval, strict-replay serving, residual
+/// statistics and the batch-1 trainer never do. The scope nests, applies
+/// to the constructing thread only, and is a no-op on CPUs without
+/// AVX2+FMA (on aarch64, NEON variants dispatch unconditionally under the
+/// scope). Each kernel
 /// samples the flag on the calling thread, so parallel row-blocks of one
 /// call always agree on the variant. Construction and destruction must
 /// happen on the same thread in LIFO order; the destructor aborts the

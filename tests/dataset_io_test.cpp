@@ -127,7 +127,7 @@ TEST_F(DatasetCorruption, SaveWritesManifestAndVersion) {
 }
 
 TEST_F(DatasetCorruption, BitFlipAnywhereRejected) {
-  for (const std::string file :
+  for (const std::string& file :
        {std::string("metrics.csv"), std::string("jobs.csv"),
         std::string("labels.csv"), std::string("meta.csv"),
         first_node_file()}) {

@@ -36,7 +36,7 @@ TEST(ExtendedFeatures, BasePrefixIdentical) {
 }
 
 TEST(ExtendedFeatures, AllFiniteOnEdgeCases) {
-  for (const std::vector<float> xs :
+  for (const std::vector<float>& xs :
        {std::vector<float>{}, std::vector<float>{1.0f},
         std::vector<float>(30, 5.0f), std::vector<float>{1e12f, -1e12f, 0.0f}}) {
     for (float v : extract_series_features(xs, true))

@@ -132,8 +132,9 @@ TEST(Features, DistinguishesSmoothFromNoisy) {
   // Noisy signal has much higher zero-crossing & turning-point rates.
   const auto& names = feature_names();
   for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == "zero_cross_rate" || names[i] == "turning_point_rate")
+    if (names[i] == "zero_cross_rate" || names[i] == "turning_point_rate") {
       EXPECT_GT(fn[i], fs[i] * 2.0f) << names[i];
+    }
   }
 }
 

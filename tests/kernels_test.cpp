@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -40,10 +41,34 @@ Tensor reference_matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+// Bit equality element by element, except that a NaN only has to be NaN in
+// the same position: which NaN payload survives depends on operand order.
+bool bitwise_equal_or_both_nan(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    const float x = a.data()[i], y = b.data()[i];
+    if (std::isnan(x) || std::isnan(y)) {
+      if (std::isnan(x) != std::isnan(y)) return false;
+    } else if (std::memcmp(&x, &y, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(MatmulInto, MatchesReferenceOnOddShapes) {
-  for (const auto& [m, k, n] :
-       std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
-           {1, 1, 1}, {5, 7, 3}, {33, 65, 17}, {4, 8, 8}, {65, 3, 9}}) {
+  // Covers every tile path of the canonical gemm: 16- and 8-column vector
+  // panels, the 4-wide tail and the scalar tail below 4 columns, each with
+  // 4-row tiles and remainder rows. This file is built without FMA, so the
+  // reference rounds every product and every sum; a kernel whose
+  // multiply-adds were contracted would differ in the last bits.
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes{
+      {1, 1, 1}, {5, 7, 3}, {33, 65, 17}, {4, 8, 8}, {65, 3, 9}};
+  for (std::size_t n :
+       {1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20, 24, 31, 32, 72, 96})
+    for (std::size_t m : {1, 3, 4, 5, 65})
+      for (std::size_t k : {1, 12, 24, 96}) shapes.emplace_back(m, k, n);
+  for (const auto& [m, k, n] : shapes) {
     const Tensor a = random_tensor(Shape{m, k}, 1);
     const Tensor b = random_tensor(Shape{k, n}, 2);
     Tensor c;
@@ -51,6 +76,30 @@ TEST(MatmulInto, MatchesReferenceOnOddShapes) {
     EXPECT_TRUE(bitwise_equal(c, reference_matmul(a, b)))
         << m << "x" << k << "x" << n;
   }
+
+  // Special values through every panel: NaN, +-Inf, -0.0, and a denormal
+  // that must survive (no flush-to-zero) into row 3 of C.
+  const std::size_t m = 5, k = 24, n = 31;
+  Tensor a = random_tensor(Shape{m, k}, 3);
+  Tensor b = random_tensor(Shape{k, n}, 4);
+  const float inf = std::numeric_limits<float>::infinity();
+  a.at(0, 3) = std::numeric_limits<float>::quiet_NaN();
+  a.at(1, 7) = -0.0f;
+  for (std::size_t kk = 0; kk < k; ++kk) a.at(3, kk) = 0.0f;
+  a.at(3, 0) = std::numeric_limits<float>::denorm_min() * 1000.0f;
+  a.at(4, 9) = -inf;
+  b.at(5, 2) = inf;
+  b.at(7, 20) = -inf;
+  b.at(1, 10) = -0.0f;
+  b.at(11, 30) = std::numeric_limits<float>::quiet_NaN();
+  b.at(0, 17) = std::numeric_limits<float>::denorm_min();
+  Tensor c;
+  matmul_into(c, a, b);
+  const Tensor ref = reference_matmul(a, b);
+  EXPECT_TRUE(bitwise_equal_or_both_nan(c, ref));
+  EXPECT_TRUE(std::isnan(c.at(0, 0)));
+  EXPECT_NE(c.at(3, 1), 0.0f);
+  EXPECT_LT(std::fabs(c.at(3, 1)), std::numeric_limits<float>::min());
 }
 
 TEST(MatmulInto, BitwiseIdenticalAcrossThreadCounts) {

@@ -112,8 +112,11 @@ TEST_P(PointAdjustPropertyTest, AdjustmentNeverRemovesPredictions) {
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_GE(adjusted[i], preds[i]) << "adjustment removed a prediction";
   // Expansion only happens on labeled points.
-  for (std::size_t i = 0; i < n; ++i)
-    if (adjusted[i] && !preds[i]) EXPECT_TRUE(labels[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (adjusted[i] && !preds[i]) {
+      EXPECT_TRUE(labels[i]);
+    }
+  }
 }
 
 TEST_P(PointAdjustPropertyTest, MetricsBoundedAndConsistent) {

@@ -496,7 +496,9 @@ TEST(StoreFiles, RingRetentionEvictsOldestSegments) {
   TimeSeriesStore::Cursor cursor = reopened.range(0, 0, 2000);
   StoreSample out;
   while (cursor.next(out)) {
-    if (any) EXPECT_EQ(out.t, prev + 1);
+    if (any) {
+      EXPECT_EQ(out.t, prev + 1);
+    }
     prev = out.t;
     any = true;
     ++count;

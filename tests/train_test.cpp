@@ -16,6 +16,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -333,41 +334,51 @@ TEST(Trainer, BlockAttentionMatchesComposedOpsBitwise) {
   // (slice / matmul / transpose / scale / softmax / matmul / concat) bit
   // for bit in both directions: same kernels in the same order forward,
   // and a backward that sums the same factor pairs in the same order.
-  const std::size_t T = 12, dh = 6;
-  const std::vector<std::size_t> block_lens{5, 3, 4};
-  const float scale = 0.5f;
-  Rng rng(21);
-  const Tensor qv = Tensor::randn(Shape{T, dh}, rng);
-  const Tensor kv = Tensor::randn(Shape{T, dh}, rng);
-  const Tensor vv = Tensor::randn(Shape{T, dh}, rng);
-  const Tensor target = Tensor::randn(Shape{T, dh}, rng);
+  // dh = 6 with short blocks stays in the gemm's narrow column tails;
+  // dh = 12 with long blocks also reaches its 16- and 8-column panels,
+  // 4-row tiles and remainder rows.
+  struct Case {
+    std::size_t dh;
+    std::vector<std::size_t> block_lens;
+  };
+  for (const Case& tc : {Case{6, {5, 3, 4}}, Case{12, {96, 83, 70}}}) {
+    SCOPED_TRACE("dh=" + std::to_string(tc.dh));
+    std::size_t T = 0;
+    for (std::size_t len : tc.block_lens) T += len;
+    const float scale = 0.5f;
+    Rng rng(21);
+    const Tensor qv = Tensor::randn(Shape{T, tc.dh}, rng);
+    const Tensor kv = Tensor::randn(Shape{T, tc.dh}, rng);
+    const Tensor vv = Tensor::randn(Shape{T, tc.dh}, rng);
+    const Tensor target = Tensor::randn(Shape{T, tc.dh}, rng);
 
-  Var q1 = Var::leaf(qv.clone(), true);
-  Var k1 = Var::leaf(kv.clone(), true);
-  Var v1 = Var::leaf(vv.clone(), true);
-  Var fused = vblock_attention(q1, k1, v1, block_lens, scale);
-  vmse_loss(fused, target).backward();
+    Var q1 = Var::leaf(qv.clone(), true);
+    Var k1 = Var::leaf(kv.clone(), true);
+    Var v1 = Var::leaf(vv.clone(), true);
+    Var fused = vblock_attention(q1, k1, v1, tc.block_lens, scale);
+    vmse_loss(fused, target).backward();
 
-  Var q2 = Var::leaf(qv.clone(), true);
-  Var k2 = Var::leaf(kv.clone(), true);
-  Var v2 = Var::leaf(vv.clone(), true);
-  std::vector<Var> blocks;
-  std::size_t base = 0;
-  for (std::size_t len : block_lens) {
-    Var qb = vslice_rows(q2, base, base + len);
-    Var kb = vslice_rows(k2, base, base + len);
-    Var vb = vslice_rows(v2, base, base + len);
-    Var scores = vscale(vmatmul(qb, vtranspose(kb)), scale);
-    blocks.push_back(vmatmul(vsoftmax_rows(scores), vb));
-    base += len;
+    Var q2 = Var::leaf(qv.clone(), true);
+    Var k2 = Var::leaf(kv.clone(), true);
+    Var v2 = Var::leaf(vv.clone(), true);
+    std::vector<Var> blocks;
+    std::size_t base = 0;
+    for (std::size_t len : tc.block_lens) {
+      Var qb = vslice_rows(q2, base, base + len);
+      Var kb = vslice_rows(k2, base, base + len);
+      Var vb = vslice_rows(v2, base, base + len);
+      Var scores = vscale(vmatmul(qb, vtranspose(kb)), scale);
+      blocks.push_back(vmatmul(vsoftmax_rows(scores), vb));
+      base += len;
+    }
+    Var composed = vconcat_rows(blocks);
+    vmse_loss(composed, target).backward();
+
+    expect_bitwise_equal(fused.value(), composed.value(), "fused forward");
+    expect_bitwise_equal(q1.grad(), q2.grad(), "dq");
+    expect_bitwise_equal(k1.grad(), k2.grad(), "dk");
+    expect_bitwise_equal(v1.grad(), v2.grad(), "dv");
   }
-  Var composed = vconcat_rows(blocks);
-  vmse_loss(composed, target).backward();
-
-  expect_bitwise_equal(fused.value(), composed.value(), "fused forward");
-  expect_bitwise_equal(q1.grad(), q2.grad(), "dq");
-  expect_bitwise_equal(k1.grad(), k2.grad(), "dk");
-  expect_bitwise_equal(v1.grad(), v2.grad(), "dv");
 }
 
 TEST(Trainer, GatherScatterRowsForwardAndGradients) {
