@@ -10,10 +10,17 @@
 // target). The sweep also cross-checks that every thread count and every
 // canonical model-shape gemm produces output bitwise identical to the
 // scalar baseline, which is the kernel's documented contract.
+//
+// `--canonical-math-sweep` compares the canonical kernels' exp and tanh
+// (canonical_exp / canonical_tanh) with std::exp / std::tanh on all 2^32
+// float inputs, on every core, and exits nonzero on any mismatch.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -142,17 +149,22 @@ void BM_TransformerForward(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformerForward)->Arg(32)->Arg(96);
 
-// One scoring batch at the fleet benches' model shape (d_model 24, 2
-// layers, 2 heads, ffn 32; 4 chunks of 96 rows): Arg(0) is the canonical
-// plan of the strict path, Arg(1) the relaxed plan on the same weights.
+// One scoring batch of 4 chunks of 96 rows. range(0) picks the plan: 0 is
+// the canonical plan of the strict path, 1 the relaxed plan on the same
+// weights. range(1) picks the model: 0 is the fleet benches' shape (d_model
+// 24, 2 layers, 2 heads, ffn 32), 1 the default TransformerConfig that
+// detect() and the offline pipeline train (d_model 36, 3 layers, 3 heads,
+// ffn 64).
 void BM_ScoringPlanForward(benchmark::State& state) {
   constexpr std::size_t kChunk = 96, kChunks = 4;
   Rng rng(7);
   TransformerConfig config;
-  config.d_model = 24;
-  config.num_layers = 2;
-  config.num_heads = 2;
-  config.ffn_hidden = 32;
+  if (state.range(1) == 0) {
+    config.d_model = 24;
+    config.num_layers = 2;
+    config.num_heads = 2;
+    config.ffn_hidden = 32;
+  }
   TransformerReconstructor model(config, rng);
   model.set_training(false);
   const ScoringPlan plan = state.range(0) == 0 ? ScoringPlan::canonical(model)
@@ -171,11 +183,52 @@ void BM_ScoringPlanForward(benchmark::State& state) {
     benchmark::DoNotOptimize(
         plan.forward(x, offsets, segment_ids, block_lens, ws));
   }
-  state.SetLabel(state.range(0) == 0 ? "canonical" : "relaxed");
+  state.SetLabel(std::string(state.range(0) == 0 ? "canonical" : "relaxed") +
+                 (state.range(1) == 0 ? "/fleet" : "/default"));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kChunk * kChunks);
 }
-BENCHMARK(BM_ScoringPlanForward)->Arg(0)->Arg(1);
+BENCHMARK(BM_ScoringPlanForward)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
+
+// Elementwise exp and tanh over 4096 values in the ranges the model feeds
+// them (softmax: [-12, 0]; GELU's tanh: [-4, 4]). range(0): 0 is a scalar
+// std::exp loop, 1 canonical_exp, 2 a scalar std::tanh loop, 3
+// canonical_tanh. Items are elements.
+void BM_CanonicalMath(benchmark::State& state) {
+  constexpr std::size_t kN = 4096;
+  const int variant = static_cast<int>(state.range(0));
+  const bool is_exp = variant < 2;
+  std::vector<float> in(kN), out(kN);
+  Rng rng(9);
+  for (float& v : in)
+    v = static_cast<float>(is_exp ? rng.uniform(-12.0, 0.0)
+                                  : rng.uniform(-4.0, 4.0));
+  for (auto _ : state) {
+    out = in;
+    switch (variant) {
+      case 0:
+        for (float& v : out) v = std::exp(v);
+        break;
+      case 1:
+        canonical_exp(out);
+        break;
+      case 2:
+        for (float& v : out) v = std::tanh(v);
+        break;
+      default:
+        canonical_tanh(out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(variant % 2 == 0 ? "libm" : "canonical");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
+}
+BENCHMARK(BM_CanonicalMath)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // --------------------------------------------------------- kernels JSON
 
@@ -315,6 +368,55 @@ int run_kernels_json(const std::string& path) {
   return all_bitwise ? 0 : 2;
 }
 
+// --------------------------------------------------- canonical math sweep
+
+// Runs canonical_exp and canonical_tanh over all 2^32 float bit patterns on
+// every core and compares each result bit for bit with std::exp / std::tanh
+// (so a NaN must match libm's NaN). Nonzero exit on any mismatch: the check
+// to run on a new host or libm before trusting that strict bits equal the
+// scalar libm loops.
+int run_canonical_math_sweep() {
+  constexpr std::uint64_t kTotal = std::uint64_t{1} << 32;
+  constexpr std::size_t kBlock = 1 << 16;
+  ThreadPool& pool = ThreadPool::global();
+  bool all_equal = true;
+  for (const bool is_exp : {true, false}) {
+    const char* name = is_exp ? "exp" : "tanh";
+    std::atomic<std::uint64_t> mismatches{0};
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.parallel_for(0, kTotal / kBlock, 1, [&](std::size_t blk) {
+      std::vector<float> in(kBlock);
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        const auto bits = static_cast<std::uint32_t>(blk * kBlock + i);
+        std::memcpy(&in[i], &bits, sizeof bits);
+      }
+      std::vector<float> out = in;
+      if (is_exp) {
+        canonical_exp(out);
+      } else {
+        canonical_tanh(out);
+      }
+      std::uint64_t bad = 0;
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        const float ref = is_exp ? std::exp(in[i]) : std::tanh(in[i]);
+        if (std::memcmp(&ref, &out[i], sizeof ref) != 0) ++bad;
+      }
+      mismatches += bad;
+    });
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    std::cout << "canonical " << name << " vs std::" << name << ": "
+              << mismatches.load() << " mismatches of " << kTotal
+              << " inputs (" << pool.size() << " pool workers, " << secs
+              << " s)\n";
+    if (mismatches.load() != 0) all_equal = false;
+  }
+  std::cout << "kernel tier: " << kernel_tier_name(kernel_dispatch_tier())
+            << "\n";
+  return all_equal ? 0 : 3;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -327,6 +429,8 @@ int main(int argc, char** argv) {
       json_path = argv[i] + 15;
     } else if (std::strcmp(argv[i], "--kernels-json-only") == 0) {
       json_only = true;
+    } else if (std::strcmp(argv[i], "--canonical-math-sweep") == 0) {
+      return run_canonical_math_sweep();
     } else {
       passthrough.push_back(argv[i]);
     }

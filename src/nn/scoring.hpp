@@ -10,9 +10,10 @@
 //
 // Arithmetic comes in three modes. A canonical plan (ScoringPlan::canonical)
 // runs the canonical kernels (a vectorized gemm whose lanes round like the
-// scalar loop, scalar libm softmax/gelu) in the model's operation order, so
-// its output is bitwise equal to eval-mode forward_blocked() — the strict
-// serve path. A relaxed plan lets every kernel use the FastKernelScope
+// scalar loop; softmax/gelu whose exp and tanh return glibc's expf/tanhf
+// bits, 8 lanes at a time on AVX2+FMA CPUs) in the model's operation
+// order, so its output is bitwise equal to eval-mode forward_blocked() —
+// the strict serve path. A relaxed plan lets every kernel use the FastKernelScope
 // dispatch tier, and a quantized plan additionally runs the encoder/MoE
 // weight matrices in int8 with per-channel calibration. Both compute the
 // same mathematical function (identical MoE top-k routing code, clamping

@@ -69,11 +69,12 @@ struct QuantCalibration;
 /// already within rounding distance of the threshold.
 enum class ScoringPath {
   /// Canonical ScoringPlan (ScoringPlan::canonical): the canonical
-  /// kernels (vectorized gemm, no fused multiply-add, libm softmax/gelu)
-  /// in the model's operation order, bitwise equal to the model's
-  /// own eval-mode forward, so serving is bitwise identical to batch
-  /// detect() — the default, and what serve_replay / compare_detections /
-  /// all bitwise tests use (the CLI's --strict-replay selects it).
+  /// kernels (vectorized gemm, no fused multiply-add; softmax/gelu with
+  /// libm's exp/tanh bits) in the model's operation order, bitwise equal
+  /// to the model's own eval-mode forward, so serving is bitwise identical
+  /// to batch detect() — the default, and what serve_replay /
+  /// compare_detections / all bitwise tests use (the CLI's --strict-replay
+  /// selects it).
   kStrict = 0,
   /// Relaxed fp32 ScoringPlan: the same compiled forward with
   /// FastKernelScope vector math on the dispatched tier.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -298,6 +299,8 @@ __attribute__((target("avx2,fma"))) float row_max_avx2(const float* x,
   return mx;
 }
 
+// y *= inv. A lone multiply per element rounds like the scalar loop, so
+// the canonical softmax shares this too.
 __attribute__((target("avx2,fma"))) void scale_inplace_avx2(float* y,
                                                             std::size_t cols,
                                                             float inv) {
@@ -735,8 +738,272 @@ void softmax_scaled_rows_fast(float* x, std::size_t rows, std::size_t cols,
 }
 #endif  // NS_AARCH64
 
-// The canonical softmax of one row: max-shifted libm exp, denominator
-// accumulated in double. `out` may alias `in`.
+#ifdef NS_X86_64
+// ---- Canonical exp and tanh, 8 lanes at a time, bit for bit libm.
+//
+// The canonical softmax and GELU evaluate std::exp and std::tanh per
+// element. On CPUs with AVX2 and FMA, glibc's ifunc resolves expf to the FMA
+// build of its double-precision expf (sysdeps/ieee754/flt-32/e_expf.c), and
+// tanhf is fdlibm's float tanhf over expm1f. The functions below transcribe
+// those instruction sequences lane by lane (glibc 2.36; the constants and
+// the table are read from its libm.so.6), so every lane returns libm's bits:
+// `bench_micro_kernels --canonical-math-sweep` checks all 2^32 inputs. Lanes
+// off glibc's main path call libm itself; that is exp at |x| >= 88 or NaN,
+// tanh at |x| >= 22, |x| < 2^-55 or non-finite.
+using i32x8 = std::int32_t __attribute__((vector_size(32)));
+using u32x8 = std::uint32_t __attribute__((vector_size(32)));
+
+// expf: 2^(k/32) from the table times a cubic in r, in double.
+constexpr double kExpInvLn2N = 0x1.71547652b82fep+5;  // 32 / ln 2
+constexpr double kExpShift = 0x1.8p+52;               // round-to-int shift
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+alignas(32) constexpr std::uint64_t kExpTable[32] = {  // 2^(i/32), biased
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540};
+
+// glibc's expf main path on 4 double lanes; every FMA here is one of its.
+__attribute__((target("avx2,fma"))) __m256d expf_lanes(__m256d xd) {
+  const __m256d inv_ln2n = _mm256_set1_pd(kExpInvLn2N);
+  const __m256d shift = _mm256_set1_pd(kExpShift);
+  __m256d kd = _mm256_fmadd_pd(inv_ln2n, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, kd);
+  __m256i s = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kExpTable),
+      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  s = _mm256_add_epi64(s, _mm256_slli_epi64(ki, 47));
+  const __m256d z =
+      _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r, _mm256_set1_pd(kExpC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r, _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  return _mm256_mul_pd(y, _mm256_castsi256_pd(s));
+}
+
+__attribute__((target("avx2,fma"))) void exp8_inplace(float* p) {
+  const __m256 x = _mm256_loadu_ps(p);
+  const __m256d lo = expf_lanes(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
+  const __m256d hi = expf_lanes(_mm256_cvtps_pd(_mm256_extractf128_ps(x, 1)));
+  _mm256_storeu_ps(p,
+                   _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo)));
+  const __m256i ax = _mm256_and_si256(_mm256_castps_si256(x),
+                                      _mm256_set1_epi32(0x7fffffff));
+  unsigned slow = static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(ax, _mm256_set1_epi32(0x42afffff)))));
+  if (slow == 0) return;
+  alignas(32) float xs[8];
+  _mm256_store_ps(xs, x);
+  for (; slow != 0; slow &= slow - 1) {
+    const int lane = __builtin_ctz(slow);
+    p[lane] = std::exp(xs[lane]);
+  }
+}
+
+// y[i] = std::exp(y[i]) for i < n; the tail runs on a zero-padded copy.
+__attribute__((target("avx2,fma"))) void exp_inplace_avx2(float* y,
+                                                         std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) exp8_inplace(y + i);
+  if (i == n) return;
+  alignas(32) float pad[8] = {};
+  std::memcpy(pad, y + i, (n - i) * sizeof(float));
+  exp8_inplace(pad);
+  std::memcpy(y + i, pad, (n - i) * sizeof(float));
+}
+
+__attribute__((target("avx2"), always_inline)) inline f32x8 load8(
+    const float* p) {
+  f32x8 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+__attribute__((target("avx2"), always_inline)) inline void store8(float* p,
+                                                                  f32x8 v) {
+  std::memcpy(p, &v, sizeof v);
+}
+// The w < 8 floats at p, padded with `pad`.
+__attribute__((target("avx2"), always_inline)) inline f32x8 load_tail(
+    const float* p, std::size_t w, float pad) {
+  f32x8 v = {pad, pad, pad, pad, pad, pad, pad, pad};
+  std::memcpy(&v, p, w * sizeof(float));
+  return v;
+}
+
+// tanhf over expm1f, all in float. This and every caller below are built
+// without FMA, so each product and sum rounds on its own as in fdlibm and in
+// the scalar GELU loops. Bit fields are edited in unsigned lanes, which wrap
+// like fdlibm's int arithmetic on the lanes that matter and harmlessly on
+// the rest (those lanes are libm's).
+__attribute__((target("avx2"), always_inline)) inline f32x8 tanh_lanes(
+    f32x8 x) {
+  const u32x8 ix = reinterpret_cast<u32x8>(x) & 0x7fffffffu;
+  const f32x8 ax = reinterpret_cast<f32x8>(ix);
+  const i32x8 big = ix >= 0x3f800000u;  // |x| >= 1
+  // expm1f(y) for y = 2|x| in [2, 44) or y = -2|x| in (-2, -2^-54].
+  const f32x8 y = big ? ax + ax : ax * -2.0f;
+  const u32x8 hy = reinterpret_cast<u32x8>(y) & 0x7fffffffu;
+  const f32x8 half = big ? f32x8{} + 0.5f : f32x8{} - 0.5f;
+  // C's truncating conversion; defined here even for the libm lanes.
+  i32x8 k = reinterpret_cast<i32x8>(_mm256_cvttps_epi32(
+      reinterpret_cast<__m256>(1.4426950216e+00f * y + half)));
+  k = hy < 0x3f851592u ? i32x8{} - 1 : k;  // |y| < 1.5 ln2: k = -1
+  k = hy <= 0x3eb17218u ? i32x8{} : k;     // |y| <= 0.5 ln2: k = 0
+  // k = -1 and k = 0 reduce exactly as fdlibm's special-cased forms do.
+  const f32x8 t = __builtin_convertvector(k, f32x8);
+  const f32x8 hi = y - t * 6.9313812256e-01f;  // ln2_hi
+  const f32x8 lo = t * 9.0580006145e-06f;      // ln2_lo
+  const f32x8 xr = hi - lo;
+  const f32x8 c = (hi - xr) - lo;
+  const f32x8 hfx = xr * 0.5f;
+  const f32x8 hxs = xr * hfx;
+  const f32x8 r1 =
+      1.0f + hxs * (-3.3333335072e-02f +
+                    hxs * (1.5873016091e-03f +
+                           hxs * (-7.9365076090e-05f +
+                                  hxs * (4.0082177293e-06f +
+                                         hxs * -2.0109921195e-07f))));
+  const f32x8 tt = 3.0f - r1 * hfx;
+  f32x8 e = hxs * ((r1 - tt) / (6.0f - xr * tt));
+  const f32x8 em_k0 = xr - (xr * e - hxs);
+  e = (xr * (e - c) - c) - hxs;
+  const f32x8 em_km1 = 0.5f * (xr - e) - 0.5f;
+  const u32x8 ku = reinterpret_cast<u32x8>(k);
+  const u32x8 kexp = ku << 23;  // 2^k, added to the exponent field
+  const f32x8 em_far =
+      reinterpret_cast<f32x8>(reinterpret_cast<u32x8>(1.0f - (e - xr)) +
+                              kexp) -
+      1.0f;
+  const f32x8 one_m = reinterpret_cast<f32x8>(
+      0x3f800000u - (0x1000000u >> (ku & 31u)));  // 1 - 2^-k
+  const f32x8 em_mid = reinterpret_cast<f32x8>(
+      reinterpret_cast<u32x8>(one_m - (e - xr)) + kexp);
+  const f32x8 two_mk = reinterpret_cast<f32x8>((0x7fu - ku) << 23);  // 2^-k
+  const f32x8 em_high = reinterpret_cast<f32x8>(
+      reinterpret_cast<u32x8>((xr - (e + two_mk)) + 1.0f) + kexp);
+  f32x8 em = k <= -2 || k > 56 ? em_far : k < 23 ? em_mid : em_high;
+  em = k == -1 ? em_km1 : em;
+  em = k == 0 ? em_k0 : em;
+  em = hy < 0x33000000u ? y : em;  // |y| < 2^-25: expm1f(y) = y
+  const f32x8 z = big ? 1.0f - 2.0f / (em + 2.0f) : -em / (em + 2.0f);
+  f32x8 out = reinterpret_cast<f32x8>(
+      reinterpret_cast<u32x8>(z) |
+      (reinterpret_cast<u32x8>(x) & 0x80000000u));
+  unsigned slow = static_cast<unsigned>(_mm256_movemask_ps(
+      reinterpret_cast<__m256>(ix >= 0x41b00000u || ix < 0x24000000u)));
+  for (; slow != 0; slow &= slow - 1) {
+    const int lane = __builtin_ctz(slow);
+    out[lane] = std::tanh(x[lane]);
+  }
+  return out;
+}
+
+__attribute__((target("avx2"))) void tanh_inplace_avx2(float* y,
+                                                      std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) store8(y + i, tanh_lanes(load8(y + i)));
+  if (i == n) return;
+  const f32x8 t = tanh_lanes(load_tail(y + i, n - i, 1.0f));
+  std::memcpy(y + i, &t, (n - i) * sizeof(float));
+}
+
+// The canonical GELU loops, expression for expression. Tails run padded
+// with 1.0f, which stays on tanh's main path.
+__attribute__((target("avx2"))) inline f32x8 gelu_lanes(f32x8 v) {
+  const f32x8 t = tanh_lanes(kGeluC * (v + kGeluA * v * v * v));
+  return 0.5f * v * (1.0f + t);
+}
+
+__attribute__((target("avx2"))) inline f32x8 gelu_backward_lanes(f32x8 v,
+                                                                 f32x8 dy) {
+  const f32x8 u = kGeluC * (v + kGeluA * v * v * v);
+  const f32x8 t = tanh_lanes(u);
+  const f32x8 du = kGeluC * (1.0f + 3.0f * kGeluA * v * v);
+  const f32x8 dgelu = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+  return dy * dgelu;
+}
+
+__attribute__((target("avx2"))) void gelu_avx2(float* o, const float* in,
+                                              std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) store8(o + i, gelu_lanes(load8(in + i)));
+  if (i == n) return;
+  const f32x8 g = gelu_lanes(load_tail(in + i, n - i, 1.0f));
+  std::memcpy(o + i, &g, (n - i) * sizeof(float));
+}
+
+__attribute__((target("avx2"))) void gelu_backward_avx2(float* dx,
+                                                       const float* in,
+                                                       const float* dy,
+                                                       std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    store8(dx + i, gelu_backward_lanes(load8(in + i), load8(dy + i)));
+  if (i == n) return;
+  const f32x8 g = gelu_backward_lanes(load_tail(in + i, n - i, 1.0f),
+                                      load_tail(dy + i, n - i, 0.0f));
+  std::memcpy(dx + i, &g, (n - i) * sizeof(float));
+}
+
+// The canonical softmax of `rows` rows (out may alias in), bit for bit
+// softmax_row. The max, subtract and scale loops are lane-wise, exp is
+// exp_inplace_avx2 over 4 rows at a time, and each row's double denominator
+// still adds in column order, the 4 rows side by side.
+__attribute__((target("avx2"))) void softmax_rows_avx2(const float* in,
+                                                      float* out,
+                                                      std::size_t rows,
+                                                      std::size_t cols) {
+  constexpr std::size_t kRows = 4;
+  for (std::size_t i0 = 0; i0 < rows; i0 += kRows) {
+    const std::size_t nr = std::min(kRows, rows - i0);
+    float* y0 = out + i0 * cols;
+    for (std::size_t r = 0; r < nr; ++r) {
+      const float* x = in + (i0 + r) * cols;
+      float* y = y0 + r * cols;
+      // Lane-wise std::max(mx, x[j]): a NaN in x[0] sticks, later NaNs are
+      // skipped, and the order can only pick the sign of a zero maximum,
+      // which exp(x - mx) cannot see.
+      f32x8 vm = f32x8{} + x[0];
+      std::size_t j = 0;
+      for (; j + 8 <= cols; j += 8) {
+        const f32x8 v = load8(x + j);
+        vm = vm < v ? v : vm;
+      }
+      float mx = vm[0];
+      for (int lane = 1; lane < 8; ++lane) mx = std::max(mx, vm[lane]);
+      for (; j < cols; ++j) mx = std::max(mx, x[j]);
+      for (j = 0; j + 8 <= cols; j += 8) store8(y + j, load8(x + j) - mx);
+      for (; j < cols; ++j) y[j] = x[j] - mx;
+    }
+    exp_inplace_avx2(y0, nr * cols);
+    double denom[kRows] = {};
+    if (nr == kRows) {
+      for (std::size_t j = 0; j < cols; ++j)
+        for (std::size_t r = 0; r < kRows; ++r) denom[r] += y0[r * cols + j];
+    } else {
+      for (std::size_t r = 0; r < nr; ++r)
+        for (std::size_t j = 0; j < cols; ++j) denom[r] += y0[r * cols + j];
+    }
+    for (std::size_t r = 0; r < nr; ++r)
+      scale_inplace_avx2(y0 + r * cols, cols,
+                         static_cast<float>(1.0 / denom[r]));
+  }
+}
+#endif  // NS_X86_64
+
+// The canonical softmax of one row on CPUs without AVX2 and FMA: max-shifted
+// libm exp, denominator accumulated in double. `out` may alias `in`.
 void softmax_row(const float* in, float* out, std::size_t cols) {
   float mx = in[0];
   for (std::size_t j = 1; j < cols; ++j) mx = std::max(mx, in[j]);
@@ -760,6 +1027,13 @@ void softmax_scaled_rows_inplace(float* x, std::size_t rows, std::size_t cols,
 #if defined(NS_X86_64) || defined(NS_AARCH64)
   if (fast_kernels_enabled()) {
     softmax_scaled_rows_fast(x, rows, cols, scale);
+    return;
+  }
+#endif
+#ifdef NS_X86_64
+  if (cpu_has_avx2_fma()) {
+    scale_inplace_avx2(x, rows * cols, scale);
+    softmax_rows_avx2(x, x, rows, cols);
     return;
   }
 #endif
@@ -815,6 +1089,26 @@ const char* kernel_tier_name(KernelTier tier) {
       break;
   }
   return "scalar";
+}
+
+void canonical_exp(std::span<float> y) {
+#ifdef NS_X86_64
+  if (cpu_has_avx2_fma()) {
+    exp_inplace_avx2(y.data(), y.size());
+    return;
+  }
+#endif
+  for (float& v : y) v = std::exp(v);
+}
+
+void canonical_tanh(std::span<float> y) {
+#ifdef NS_X86_64
+  if (cpu_has_avx2_fma()) {
+    tanh_inplace_avx2(y.data(), y.size());
+    return;
+  }
+#endif
+  for (float& v : y) v = std::tanh(v);
 }
 
 void ensure_shape(Tensor& dst, const Shape& shape) {
@@ -944,9 +1238,16 @@ void softmax_rows_into(Tensor& dst, const Tensor& x) {
   check_rank2(x, "softmax_rows");
   ensure_shape(dst, x.shape());
   const std::size_t rows = x.size(0), cols = x.size(1);
+  if (cols == 0) return;  // no row has an element to read
 #if defined(NS_X86_64) || defined(NS_AARCH64)
   if (fast_kernels_enabled()) {
     softmax_rows_fast(dst.data(), x.data(), rows, cols);
+    return;
+  }
+#endif
+#ifdef NS_X86_64
+  if (cpu_has_avx2_fma()) {
+    softmax_rows_avx2(x.data(), dst.data(), rows, cols);
     return;
   }
 #endif
@@ -960,6 +1261,12 @@ void gelu_into(Tensor& dst, const Tensor& x) {
 #if defined(NS_X86_64) || defined(NS_AARCH64)
   if (fast_kernels_enabled()) {
     gelu_fast(dst.data(), x.data(), n);
+    return;
+  }
+#endif
+#ifdef NS_X86_64
+  if (cpu_has_avx2_fma()) {
+    gelu_avx2(dst.data(), x.data(), n);
     return;
   }
 #endif
@@ -978,6 +1285,12 @@ void gelu_backward_into(Tensor& dx, const Tensor& x, const Tensor& dy) {
 #if defined(NS_X86_64) || defined(NS_AARCH64)
   if (fast_kernels_enabled()) {
     gelu_backward_fast(dx.data(), x.data(), dy.data(), n);
+    return;
+  }
+#endif
+#ifdef NS_X86_64
+  if (cpu_has_avx2_fma()) {
+    gelu_backward_avx2(dx.data(), x.data(), dy.data(), n);
     return;
   }
 #endif

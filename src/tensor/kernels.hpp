@@ -22,6 +22,14 @@
 // path, and on x86-64 with or without AVX2. Unlike the historic scalar
 // loop, the kernel never skips zero multiplicands, so NaN/Inf in either
 // operand propagates per IEEE semantics.
+//
+// The canonical softmax and GELU evaluate exp and tanh per element. On
+// x86-64 CPUs with AVX2 and FMA those are the kernels' own 8-lane
+// transcriptions of glibc 2.36's expf (its FMA build) and tanhf, equal to
+// that libm on all 2^32 float inputs, so strict bits there no longer depend
+// on the libm build; only lanes off glibc's main path (exp at |x| >= 88 or
+// NaN, tanh at |x| >= 22, |x| < 2^-55 or non-finite) call libm. Elsewhere
+// they are libm's std::exp / std::tanh.
 #pragma once
 
 #include <cstddef>
@@ -56,8 +64,10 @@ inline constexpr std::size_t kBlockAttentionParallelFlops = std::size_t{1}
 /// capabilities (`__builtin_cpu_supports` on x86-64, architecture macros on
 /// aarch64). The tier names which fast-kernel variants a FastKernelScope
 /// opts into; kScalar means the scope is a no-op and every kernel runs the
-/// canonical path. The tier says nothing about the canonical kernels: the
-/// canonical gemm is vectorized on every tier, bit for bit.
+/// canonical path. The tier says nothing about the canonical kernels' bits:
+/// the canonical gemm is vectorized on every tier, and the canonical
+/// softmax/GELU evaluate exp and tanh 8 lanes at a time on kAvx2Fma, all
+/// bit for bit.
 enum class KernelTier {
   kScalar = 0,   ///< canonical kernels only (no FastKernelScope variants)
   kNeon = 1,     ///< aarch64 NEON gemm/softmax/gelu/layernorm variants
@@ -90,10 +100,12 @@ void matmul_into(Tensor& dst, const Tensor& a, const Tensor& b,
 /// softmax_rows_into, and the vectorized tanh-approximation gelu kernels.
 /// Both gemms are vectorized; the fast one keeps the ascending-k
 /// accumulation per output element but fuses each multiply-add (one
-/// rounding instead of two). The fast softmax/gelu replace the scalar libm
-/// calls of the canonical kernels with polynomial vector math accurate to
-/// a few ulps. Results are therefore *not* bitwise identical to the
-/// canonical kernels — they are equally valid float evaluations. Only
+/// rounding instead of two). The canonical softmax/gelu evaluate exp and
+/// tanh with libm's bits (their own transcriptions of glibc's expf/tanhf on
+/// AVX2+FMA CPUs, libm elsewhere); the fast ones use short polynomials
+/// accurate to a few ulps and fold the attention scale into the exponent.
+/// Results are therefore *not* bitwise identical to the canonical kernels
+/// — they are equally valid float evaluations. Only
 /// paths without a bitwise-reproducibility contract may opt in: the
 /// batched trainer at batch > 1 and the relaxed/quantized serve scoring
 /// paths (DESIGN.md §16) do; eval, strict-replay serving, residual
@@ -121,8 +133,16 @@ void transpose2d_into(Tensor& dst, const Tensor& a);
 void add_rowvec_into(Tensor& dst, const Tensor& x, const Tensor& b);
 /// dst[T,D] = x[T,D] * s[T] broadcast over columns.
 void colwise_scale_into(Tensor& dst, const Tensor& x, const Tensor& s);
-/// Row-wise, max-subtracted softmax of a 2-D tensor.
+/// Row-wise, max-subtracted softmax of a 2-D tensor; rows of width 0 are
+/// left empty.
 void softmax_rows_into(Tensor& dst, const Tensor& x);
+/// y[i] = exp(y[i]) and y[i] = tanh(y[i]) as the canonical softmax and GELU
+/// kernels evaluate them: on x86-64 CPUs with AVX2 and FMA, their 8-lane
+/// transcriptions of glibc's expf and tanhf; std::exp / std::tanh
+/// elsewhere. Exposed for the kernel tests and the exhaustive libm check
+/// (`bench_micro_kernels --canonical-math-sweep`).
+void canonical_exp(std::span<float> y);
+void canonical_tanh(std::span<float> y);
 /// Elementwise tanh-approximation GELU: 0.5x(1 + tanh(c(x + a x^3))).
 /// The canonical path reproduces the historic autograd loop bit for bit;
 /// inside a FastKernelScope a vectorized variant is used instead.

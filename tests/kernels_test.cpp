@@ -1,10 +1,13 @@
 // Tests for the parallel `_into` kernel layer (tensor/kernels.hpp): the
 // bitwise-determinism contract of the tiled GEMM, NaN propagation, the
+// canonical softmax/GELU against the scalar libm loops they replaced, the
 // Workspace arena, structured ShapeErrors, and ThreadPool::parallel_for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <tuple>
@@ -232,6 +235,348 @@ TEST(ThreadPoolParallelFor, PropagatesTaskException) {
                                    if (i == 57) throw InvalidArgument("boom");
                                  }),
                InvalidArgument);
+}
+
+// ---- Canonical exp and tanh against the scalar libm loops they replaced.
+//
+// The loops below are the canonical softmax and GELU kernels as they were
+// before exp and tanh ran 8 lanes at a time, kept as the reference. This
+// file is built without FMA, so every product and sum rounds on its own, as
+// in those loops.
+
+void libm_softmax_row(const float* in, float* out, std::size_t cols) {
+  float mx = in[0];
+  for (std::size_t j = 1; j < cols; ++j) mx = std::max(mx, in[j]);
+  double denom = 0.0;
+  for (std::size_t j = 0; j < cols; ++j) {
+    out[j] = std::exp(in[j] - mx);
+    denom += out[j];
+  }
+  const float inv = static_cast<float>(1.0 / denom);
+  for (std::size_t j = 0; j < cols; ++j) out[j] *= inv;
+}
+
+constexpr float kGeluC = 0.7978845608028654f;
+constexpr float kGeluA = 0.044715f;
+
+float libm_gelu(float v) {
+  const float t = std::tanh(kGeluC * (v + kGeluA * v * v * v));
+  return 0.5f * v * (1.0f + t);
+}
+
+float libm_gelu_backward(float v, float dy) {
+  const float u = kGeluC * (v + kGeluA * v * v * v);
+  const float t = std::tanh(u);
+  const float du = kGeluC * (1.0f + 3.0f * kGeluA * v * v);
+  const float dgelu = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+  return dy * dgelu;
+}
+
+float float_from_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &f, sizeof bits);
+  return bits;
+}
+
+// Every stride-th float bit pattern: all signs and exponents, NaNs, Infs
+// and denormals.
+std::vector<float> strided_float_sweep(std::uint32_t stride) {
+  std::vector<float> out;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += stride)
+    out.push_back(float_from_bits(static_cast<std::uint32_t>(u)));
+  return out;
+}
+
+// The 2 * half consecutive floats centred on c (same sign as c).
+void append_window(std::vector<float>& out, float c, int half = 2048) {
+  const std::uint32_t mid = float_bits(c);
+  for (int d = -half; d < half; ++d)
+    out.push_back(float_from_bits(mid + static_cast<std::uint32_t>(d)));
+}
+
+// +-0, +-Inf, NaNs of both signs, denormals and the extremes of the range.
+std::vector<float> special_floats() {
+  using lim = std::numeric_limits<float>;
+  std::vector<float> out;
+  for (const float v : {0.0f, lim::infinity(), lim::quiet_NaN(),
+                        lim::denorm_min(), lim::denorm_min() * 1000.0f,
+                        lim::min() * 0.5f, lim::min(), lim::max(), 1.0f}) {
+    out.push_back(v);
+    out.push_back(-v);
+  }
+  return out;
+}
+
+// glibc expf's branch cuts: |x| = 88 leaves the main path, x > 88.72
+// overflows, x < -103.28 may underflow, x < -103.97 underflows.
+constexpr float kExpCuts[] = {88.0f, 0x1.62e42ep6f, 0x1.9d1d9ep6f,
+                              0x1.9fe368p6f};
+// The only two floats (of all 2^32) whose expf changes when its reduced
+// argument r = x * 32/ln2 - k is rounded after the multiply instead of
+// fused; the sweep and the cut windows miss both.
+constexpr float kExpFmaSensitive[] = {0x1.04845ep+5f, -0x1.f8cbb2p+5f};
+
+std::vector<float> exp_cut_windows() {
+  std::vector<float> out;
+  for (const float c : kExpCuts) {
+    append_window(out, c);
+    append_window(out, -c);
+  }
+  for (const float c : kExpFmaSensitive) append_window(out, c);
+  return out;
+}
+
+// tanhf/expm1f's branch cuts on |x|: 2^-55 (tiny), 2^-26 (expm1f returns
+// its argument), ln2/4 and 3ln2/4 (k = 0, -1, general), 1 (the two tanh
+// forms), expm1f's k = 23 and k = 57 cuts, and 22 (saturation).
+std::vector<float> tanh_cuts() {
+  const double ln2 = std::log(2.0);
+  return {0x1p-55f,
+          0x1p-26f,
+          static_cast<float>(ln2 / 4),
+          static_cast<float>(3 * ln2 / 4),
+          1.0f,
+          static_cast<float>(22.5 * ln2 / 2),
+          static_cast<float>(56.5 * ln2 / 2),
+          22.0f};
+}
+
+TEST(CanonicalMath, ExpAndTanhMatchLibmBitwise) {
+  std::vector<float> in = strided_float_sweep(4099);
+  const std::vector<float> windows = exp_cut_windows();
+  in.insert(in.end(), windows.begin(), windows.end());
+  for (const float c : tanh_cuts()) {
+    append_window(in, c);
+    append_window(in, -c);
+  }
+  const std::vector<float> specials = special_floats();
+  in.insert(in.end(), specials.begin(), specials.end());
+
+  auto check = [](const std::vector<float>& values) {
+    std::vector<float> e = values, t = values;
+    canonical_exp(e);
+    canonical_tanh(t);
+    std::size_t exp_bad = 0, tanh_bad = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (float_bits(e[i]) != float_bits(std::exp(values[i]))) ++exp_bad;
+      if (float_bits(t[i]) != float_bits(std::tanh(values[i]))) ++tanh_bad;
+    }
+    EXPECT_EQ(exp_bad, 0u) << "of " << values.size();
+    EXPECT_EQ(tanh_bad, 0u) << "of " << values.size();
+  };
+  check(in);
+  // Lengths 1-17 run the padded tail at every width.
+  for (std::size_t n = 1; n <= 17; ++n)
+    check(std::vector<float>(specials.begin(),
+                             specials.begin() + static_cast<std::ptrdiff_t>(n)));
+}
+
+// Rows of `cols` floats drawn in turn from `values`; with lead_zero, each
+// row starts with 0 and the rest are -|v|, so the row max is 0 and every
+// exp argument is exactly one of the values.
+Tensor softmax_rows_from(const std::vector<float>& values, std::size_t cols,
+                         bool lead_zero) {
+  const std::size_t per_row = lead_zero ? cols - 1 : cols;
+  const std::size_t rows =
+      per_row == 0 ? 1 : (values.size() + per_row - 1) / per_row;
+  Tensor x(Shape{rows, cols});
+  std::size_t next = 0;
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (lead_zero && c == 0) continue;  // Tensor(shape) is zero-filled
+      const float v = values[next++ % values.size()];
+      x.at(r, c) = lead_zero ? -std::fabs(v) : v;
+    }
+  return x;
+}
+
+Tensor libm_softmax_rows(const Tensor& x) {
+  Tensor out(x.shape());
+  const std::size_t rows = x.size(0), cols = x.size(1);
+  for (std::size_t r = 0; r < rows; ++r)
+    libm_softmax_row(x.data() + r * cols, out.data() + r * cols, cols);
+  return out;
+}
+
+TEST(SoftmaxRowsInto, MatchesLibmLoopBitwise) {
+  // Softmax arguments are never positive: only the negative side applies.
+  std::vector<float> cut_values;
+  for (const float c : kExpCuts) append_window(cut_values, -c);
+  append_window(cut_values, kExpFmaSensitive[1]);
+  const std::vector<float> specials = special_floats();
+  cut_values.insert(cut_values.end(), specials.begin(), specials.end());
+  std::vector<float> coarse = strided_float_sweep(65537);
+  coarse.insert(coarse.end(), cut_values.begin(), cut_values.end());
+  const std::vector<float> sweep = strided_float_sweep(4099);
+
+  auto check = [](const std::vector<float>& values, std::size_t cols,
+                  bool lead_zero) {
+    const Tensor x = softmax_rows_from(values, cols, lead_zero);
+    Tensor y;
+    softmax_rows_into(y, x);
+    EXPECT_TRUE(bitwise_equal_or_both_nan(y, libm_softmax_rows(x)))
+        << "cols " << cols << (lead_zero ? ", leading zero" : "");
+    // In place, as the attention softmax runs.
+    Tensor z = x.clone();
+    softmax_rows_into(z, z);
+    EXPECT_TRUE(bitwise_equal_or_both_nan(z, y)) << "in place, cols " << cols;
+  };
+  // Widths 1-17 run every tail: the 8-lane loops, the padded exp tail and
+  // groups of fewer than 4 rows.
+  for (std::size_t cols = 1; cols <= 17; ++cols) {
+    check(coarse, cols, false);
+    if (cols > 1) check(coarse, cols, true);
+  }
+  check(sweep, 13, true);
+  check(sweep, 96, false);
+}
+
+// The attention chain the canonical block_attention_into must equal: q kᵀ
+// as the i-k-j gemm, times scale, the libm softmax, then times v.
+Tensor libm_block_attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                            const std::vector<std::size_t>& lens,
+                            float scale) {
+  const std::size_t dh = q.size(1);
+  Tensor out(q.shape());
+  std::size_t base = 0;
+  for (const std::size_t len : lens) {
+    std::vector<float> row(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      for (std::size_t j = 0; j < len; ++j) {
+        float acc = 0.0f;
+        for (std::size_t c = 0; c < dh; ++c)
+          acc += q.at(base + i, c) * k.at(base + j, c);
+        row[j] = acc * scale;
+      }
+      libm_softmax_row(row.data(), row.data(), len);
+      for (std::size_t c = 0; c < dh; ++c) {
+        float acc = 0.0f;
+        for (std::size_t j = 0; j < len; ++j)
+          acc += row[j] * v.at(base + j, c);
+        out.at(base + i, c) = acc;
+      }
+    }
+    base += len;
+  }
+  return out;
+}
+
+TEST(BlockAttentionInto, ScaledSoftmaxMatchesLibmLoopBitwise) {
+  // Blocks of 1-17 rows with dh = 17. q rows are e0 and k rows carry one
+  // value in column 0, so each score row is the block's values times
+  // scale; v is the identity per block, so out holds the probabilities.
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 1; len <= 17; ++len) lens.push_back(len);
+  std::size_t tokens = 0;
+  for (const std::size_t len : lens) tokens += len;
+  constexpr std::size_t dh = 17;
+
+  // scale 0.25 is exact, so k = 4 * v puts each exp argument exactly on v;
+  // the coarse sweep runs at an inexact 1/sqrt(12).
+  std::vector<float> cut_values;
+  for (const float c : kExpCuts) append_window(cut_values, -4.0f * c, 512);
+  append_window(cut_values, 4.0f * kExpFmaSensitive[1], 512);
+  std::vector<float> coarse = strided_float_sweep(65537);
+  const std::vector<float> specials = special_floats();
+  coarse.insert(coarse.end(), specials.begin(), specials.end());
+
+  Workspace ws;
+  auto check = [&](const std::vector<float>& values, float scale,
+                   bool lead_zero) {
+    std::size_t next = 0;
+    while (next < values.size()) {
+      Tensor q(Shape{tokens, dh}), k(Shape{tokens, dh}), v(Shape{tokens, dh});
+      std::size_t base = 0;
+      for (const std::size_t len : lens) {
+        for (std::size_t j = 0; j < len; ++j) {
+          q.at(base + j, 0) = 1.0f;
+          v.at(base + j, j) = 1.0f;
+          k.at(base + j, 0) = lead_zero && j == 0
+                                  ? 0.0f
+                                  : values[next++ % values.size()];
+        }
+        base += len;
+      }
+      Tensor out;
+      block_attention_into(out, q, k, v, lens, scale, ws);
+      EXPECT_TRUE(bitwise_equal_or_both_nan(
+          out, libm_block_attention(q, k, v, lens, scale)))
+          << "values from " << next;
+    }
+  };
+  check(cut_values, 0.25f, true);
+  check(coarse, 1.0f / std::sqrt(12.0f), false);
+}
+
+// Inputs whose GELU tanh argument kGeluC * (x + kGeluA x^3) lands in dense
+// windows around each tanhf/expm1f cut, found by bisection on x.
+std::vector<float> gelu_cut_windows() {
+  auto u_of = [](float x) { return kGeluC * (x + kGeluA * x * x * x); };
+  std::vector<float> out;
+  for (const float cut : tanh_cuts()) {
+    float lo = 0.0f, hi = 32.0f;
+    for (int it = 0; it < 200; ++it) {
+      const float mid = 0.5f * (lo + hi);
+      (u_of(mid) < cut ? lo : hi) = mid;
+    }
+    append_window(out, hi);
+    append_window(out, -hi);
+  }
+  return out;
+}
+
+TEST(GeluInto, ForwardAndBackwardMatchLibmLoopsBitwise) {
+  std::vector<float> values = strided_float_sweep(4099);
+  const std::vector<float> windows = gelu_cut_windows();
+  values.insert(values.end(), windows.begin(), windows.end());
+  const std::vector<float> specials = special_floats();
+  values.insert(values.end(), specials.begin(), specials.end());
+
+  auto check = [](const std::vector<float>& in) {
+    const std::size_t n = in.size();
+    Tensor x(Shape{1, n}), dy(Shape{1, n});
+    std::memcpy(x.data(), in.data(), n * sizeof(float));
+    Rng rng(11);
+    for (std::size_t i = 0; i < n; ++i)
+      dy.data()[i] = static_cast<float>(rng.gaussian());
+    Tensor y, dx;
+    gelu_into(y, x);
+    gelu_backward_into(dx, x, dy);
+    Tensor y_ref(x.shape()), dx_ref(x.shape());
+    for (std::size_t i = 0; i < n; ++i) {
+      y_ref.data()[i] = libm_gelu(in[i]);
+      dx_ref.data()[i] = libm_gelu_backward(in[i], dy.data()[i]);
+    }
+    EXPECT_TRUE(bitwise_equal_or_both_nan(y, y_ref)) << "n " << n;
+    EXPECT_TRUE(bitwise_equal_or_both_nan(dx, dx_ref)) << "n " << n;
+  };
+  check(values);
+  // Lengths 1-17 run the padded tail at every width.
+  for (std::size_t n = 1; n <= 17; ++n)
+    check(std::vector<float>(windows.end() - static_cast<std::ptrdiff_t>(n),
+                             windows.end()));
+  check(specials);
+}
+
+TEST(SoftmaxRowsInto, ZeroWidthRowsAreANoOp) {
+  // A [rows, 0] tensor has no storage to read; both tiers must return
+  // without touching it.
+  const Tensor x(Shape{3, 0});
+  Tensor y;
+  softmax_rows_into(y, x);
+  EXPECT_EQ(y.shape(), (Shape{3, 0}));
+  {
+    FastKernelScope fast;
+    Tensor z;
+    softmax_rows_into(z, x);
+    EXPECT_EQ(z.shape(), (Shape{3, 0}));
+  }
 }
 
 TEST(ThreadPoolParallelFor, ParallelGemmFromWorkerThreadsStaysBitwise) {
