@@ -112,10 +112,6 @@ struct NodeSentryConfig {
   /// Spawn a new cluster + model (trained on the matching window) for test
   /// patterns that match no existing cluster.
   bool incremental_updates = true;
-  /// Also fine-tune the matched cluster's shared model on every matched
-  /// window. Faithful to §3.5 but costly online; off by default in benches
-  /// (targeted fine-tuning below covers the cases that matter).
-  bool finetune_matched = false;
   /// Targeted incremental fine-tuning: when a *matched* segment's matching
   /// window reconstructs worse than this multiple of the cluster baseline,
   /// the shared model is fine-tuned on that window before scoring the rest

@@ -335,20 +335,11 @@ void NodeSentry::train_cluster(ClusterEntry& entry, std::size_t epochs,
                                std::uint64_t seed) {
   // Pre-build token chunks: (tokens, offsets, segment id).
   std::vector<TrainChunk> chunks;
-  const std::size_t W = std::max<std::size_t>(config_.train_window, 4);
   for (std::size_t s = 0; s < entry.members.size(); ++s) {
     const Tensor tokens =
         model_tokens(entry.members[s], config_.max_tokens_per_segment);
-    const std::size_t len = tokens.size(0);
-    for (std::size_t start = 0; start < len; start += W) {
-      const std::size_t stop = std::min(len, start + W);
-      if (stop - start < 4) break;
-      TrainChunk chunk;
-      chunk.tokens = slice_rows(tokens, start, stop);
-      chunk.offsets.resize(stop - start);
-      std::iota(chunk.offsets.begin(), chunk.offsets.end(), start);
-      chunk.segment_id = s;
-      entry.training_tokens += stop - start;
+    for (TrainChunk& chunk : train_chunks(tokens, config_.train_window, s)) {
+      entry.training_tokens += chunk.offsets.size();
       chunks.push_back(std::move(chunk));
     }
   }
@@ -806,14 +797,14 @@ NodeSentry::DetectReport NodeSentry::detect() {
         if (errs[t] > cut) token_weight[t] = 0.0f;
     }
     entry.model->set_training(true);
-    const std::size_t W = std::max<std::size_t>(config_.train_window, 4);
+    const std::vector<TrainChunk> pieces =
+        train_chunks(tokens, config_.train_window, route.member);
     for (std::size_t epoch = 0; epoch < config_.finetune_epochs; ++epoch) {
-      for (std::size_t start = 0; start < tokens.size(0); start += W) {
-        const std::size_t stop =
-            std::min<std::size_t>(tokens.size(0), start + W);
-        if (stop - start < 4) break;
-        Tensor chunk = slice_rows(tokens, start, stop);
-        for (std::size_t t = 0; t < chunk.size(0); ++t) {
+      for (const TrainChunk& piece : pieces) {
+        const std::size_t start = piece.offsets.front();
+        const std::size_t rows = piece.offsets.size();
+        Tensor chunk = piece.tokens.clone();
+        for (std::size_t t = 0; t < rows; ++t) {
           if (config_.denoise_token_drop > 0.0f &&
               tune_rng.bernoulli(config_.denoise_token_drop)) {
             for (std::size_t m = 0; m < M; ++m) chunk.at(t, m) = 0.0f;
@@ -823,16 +814,14 @@ NodeSentry::DetectReport NodeSentry::detect() {
             chunk.at(t, m) += static_cast<float>(
                 tune_rng.gaussian(0.0, config_.denoise_noise));
         }
-        std::vector<std::size_t> offsets(stop - start);
-        std::iota(offsets.begin(), offsets.end(), start);
-        const std::vector<std::size_t> seg_ids(stop - start, route.member);
+        const std::vector<std::size_t> seg_ids(rows, piece.segment_id);
         optimizer.zero_grad();
-        Var out = entry.model->forward(Var::constant(chunk), offsets, seg_ids,
-                                       tune_rng);
+        Var out = entry.model->forward(Var::constant(chunk), piece.offsets,
+                                       seg_ids, tune_rng);
         // Row-masked WMSE: rows with token weight 0 drop out of the loss
         // (sqrt(w_m) folded into a constant [T, M] mask).
-        Tensor weight_mask(Shape{stop - start, M});
-        for (std::size_t t = 0; t < stop - start; ++t)
+        Tensor weight_mask(Shape{rows, M});
+        for (std::size_t t = 0; t < rows; ++t)
           for (std::size_t m = 0; m < M; ++m) {
             const bool cell_valid =
                 !have_mask ||
@@ -842,8 +831,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
                                  std::sqrt(entry.metric_weights.at(m))
                            : 0.0f;
           }
-        Var diff =
-            vsub(out, Var::constant(slice_rows(tokens, start, stop)));
+        Var diff = vsub(out, Var::constant(piece.tokens));
         Var masked = vmask(diff, weight_mask);
         Var loss = vmean(vmul(masked, masked));
         loss.backward();
@@ -916,8 +904,8 @@ NodeSentry::DetectReport NodeSentry::detect() {
       const CoreSegment& seg = segments[i];
       const Route& route = routes[i];
       if (route.matched && config_.incremental_updates) {
-        bool tune = config_.finetune_matched;
-        if (!tune && config_.finetune_trigger > 0.0) {
+        bool tune = false;
+        if (config_.finetune_trigger > 0.0) {
           // Targeted adaptation: only when the shared model visibly misfits
           // this segment's matching window — but not when the window looks
           // outright anomalous (learning it would mask the fault).

@@ -12,6 +12,25 @@
 
 namespace ns {
 
+std::vector<TrainChunk> train_chunks(const Tensor& tokens,
+                                     std::size_t train_window,
+                                     std::size_t segment_id) {
+  constexpr std::size_t kMinRows = 4;
+  const std::size_t W = std::max(train_window, kMinRows);
+  const std::size_t rows = tokens.size(0);
+  std::vector<TrainChunk> chunks;
+  for (std::size_t start = 0; start + kMinRows <= rows; start += W) {
+    const std::size_t stop = std::min(rows, start + W);
+    TrainChunk chunk;
+    chunk.tokens = slice_rows(tokens, start, stop);
+    chunk.offsets.resize(stop - start);
+    std::iota(chunk.offsets.begin(), chunk.offsets.end(), start);
+    chunk.segment_id = segment_id;
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
 TrainStats train_reconstructor(TransformerReconstructor& model,
                                std::span<const TrainChunk> chunks,
                                const Tensor& metric_weights,

@@ -34,6 +34,15 @@ struct TrainChunk {
   std::size_t segment_id = 0;
 };
 
+/// Splits one segment's tokens [rows, M] into training chunks of
+/// max(train_window, 4) consecutive rows: offsets count rows from the
+/// segment start, and every chunk carries `segment_id`. A trailing
+/// remainder shorter than 4 rows is dropped. The fit path, detect()'s
+/// fine-tune and the serve-side retrainer all chunk through this.
+std::vector<TrainChunk> train_chunks(const Tensor& tokens,
+                                     std::size_t train_window,
+                                     std::size_t segment_id);
+
 struct TrainOptions {
   std::size_t epochs = 1;
   float learning_rate = 1e-3f;

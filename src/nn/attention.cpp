@@ -1,28 +1,11 @@
 #include "nn/attention.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 #include "tensor/shape_check.hpp"
 
 namespace ns {
-
-Tensor block_diagonal_attention_bias(std::span<const std::size_t> block_lens) {
-  std::size_t total = 0;
-  for (std::size_t len : block_lens) total += len;
-  NS_REQUIRE(total > 0, "attention bias needs at least one token");
-  const float neg_inf = -std::numeric_limits<float>::infinity();
-  Tensor bias(Shape{total, total});
-  for (std::size_t i = 0; i < total * total; ++i) bias.data()[i] = neg_inf;
-  std::size_t base = 0;
-  for (std::size_t len : block_lens) {
-    for (std::size_t i = base; i < base + len; ++i)
-      for (std::size_t j = base; j < base + len; ++j) bias.at(i, j) = 0.0f;
-    base += len;
-  }
-  return bias;
-}
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t dim,
                                                std::size_t heads, Rng& rng)
@@ -43,15 +26,13 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::size_t dim,
   register_child(&out_proj_);
 }
 
-Var MultiHeadSelfAttention::forward_blocked(
+Var MultiHeadSelfAttention::forward(
     const Var& x, std::span<const std::size_t> block_lens) const {
-  if (block_lens.size() <= 1) return forward(x);
-  check_cols(x.value(), dim_, "MultiHeadSelfAttention::forward_blocked");
-  std::size_t total = 0;
-  for (std::size_t len : block_lens) total += len;
-  NS_REQUIRE(total == x.shape()[0],
-             "attention block lengths sum to "
-                 << total << " but input has " << x.shape()[0] << " rows");
+  check_cols(x.value(), dim_, "MultiHeadSelfAttention::forward");
+  const std::size_t one_block[1] = {x.shape()[0]};
+  const std::span<const std::size_t> blocks =
+      block_lens.size() <= 1 ? std::span<const std::size_t>(one_block)
+                             : block_lens;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   std::vector<Var> head_outputs;
   head_outputs.reserve(heads_);
@@ -64,34 +45,7 @@ Var MultiHeadSelfAttention::forward_blocked(
     Var k = vmatmul(x, wk_[h]);                       // [T, dh]
     Var v = vmatmul(x, wv_[h]);                       // [T, dh]
     head_outputs.push_back(
-        vblock_attention(q, k, v, block_lens, inv_sqrt_dh));  // [T, dh]
-  }
-  Var merged = vconcat_cols(head_outputs);            // [T, dim]
-  return out_proj_.forward(merged);
-}
-
-Var MultiHeadSelfAttention::forward(const Var& x,
-                                    const Tensor* attn_bias) const {
-  check_cols(x.value(), dim_, "MultiHeadSelfAttention::forward");
-  const std::size_t tokens = x.shape()[0];
-  if (attn_bias != nullptr)
-    NS_REQUIRE(attn_bias->rank() == 2 && attn_bias->size(0) == tokens &&
-                   attn_bias->size(1) == tokens,
-               "attention bias must be [" << tokens << "," << tokens << "]");
-  const float inv_sqrt_dh =
-      1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // The dense forward is the one-block case of the fused attention node:
-  // the bias (if any) folds into its pre-softmax scores, so there is no
-  // separate composed vscale/vadd/vsoftmax chain to maintain.
-  const std::size_t one_block[1] = {tokens};
-  std::vector<Var> head_outputs;
-  head_outputs.reserve(heads_);
-  for (std::size_t h = 0; h < heads_; ++h) {
-    Var q = vmatmul(x, wq_[h]);                       // [T, dh]
-    Var k = vmatmul(x, wk_[h]);                       // [T, dh]
-    Var v = vmatmul(x, wv_[h]);                       // [T, dh]
-    head_outputs.push_back(
-        vblock_attention(q, k, v, one_block, inv_sqrt_dh, attn_bias));
+        vblock_attention(q, k, v, blocks, inv_sqrt_dh));  // [T, dh]
   }
   Var merged = vconcat_cols(head_outputs);            // [T, dim]
   return out_proj_.forward(merged);

@@ -12,35 +12,19 @@
 
 namespace ns {
 
-/// Additive attention bias restricting attention to consecutive blocks of
-/// the given row counts: 0 within each block, -inf across blocks. Because
-/// softmax subtracts the row max and exp(-inf) == 0 exactly, a forward over
-/// concatenated blocks with this bias is bit-identical to independent
-/// per-block forwards — the basis of the serve engine's cross-node batching.
-Tensor block_diagonal_attention_bias(std::span<const std::size_t> block_lens);
-
 class MultiHeadSelfAttention : public Module {
  public:
   /// dim must be divisible by heads.
   MultiHeadSelfAttention(std::size_t dim, std::size_t heads, Rng& rng);
 
-  /// x: [T, dim] -> [T, dim]. `attn_bias`, when given, is an additive
-  /// [T, T] term applied to the pre-softmax scores (see
-  /// block_diagonal_attention_bias).
-  Var forward(const Var& x, const Tensor* attn_bias = nullptr) const;
-
-  /// Block-diagonal attention: x stacks independent blocks of
+  /// x: [T, dim] -> [T, dim]. x stacks independent blocks of
   /// `block_lens[i]` rows (summing to T) and attention is computed per
   /// block — scores, softmax and the value mix never cross a block
-  /// boundary. Bitwise identical to forward() with a
-  /// block_diagonal_attention_bias (exp(-inf) == 0 exactly, and the GEMM
-  /// accumulates each element in fixed ascending-k order, so the masked
-  /// cross terms contribute exactly nothing) while costing
-  /// sum(len_i^2) instead of T^2 score work — the difference between
-  /// batched training being faster or slower than sequential. One or zero
-  /// blocks degrade to the dense forward().
-  Var forward_blocked(const Var& x,
-                      std::span<const std::size_t> block_lens) const;
+  /// boundary — at sum(len_i^2) instead of T^2 score work, the difference
+  /// between batched training being faster or slower than sequential.
+  /// Zero or one entry is the dense case: one block of all T rows. Each
+  /// block's output is bitwise equal to a forward over that block alone.
+  Var forward(const Var& x, std::span<const std::size_t> block_lens = {}) const;
 
   std::size_t heads() const { return heads_; }
   std::size_t head_dim() const { return head_dim_; }

@@ -166,6 +166,21 @@ ScoringPlan ScoringPlan::canonical(const TransformerReconstructor& model) {
   return plan;
 }
 
+ScoringPlan ScoringPlan::compile(const TransformerReconstructor& model,
+                                 ScoringPath path) {
+  switch (path) {
+    case ScoringPath::kStrict:
+      return canonical(model);
+    case ScoringPath::kRelaxed:
+      return ScoringPlan(model);
+    case ScoringPath::kQuantized: {
+      const QuantCalibration calibration = calibrate_quantization(model);
+      return ScoringPlan(model, &calibration);
+    }
+  }
+  throw InvalidArgument("ScoringPlan::compile: unknown scoring path");
+}
+
 void ScoringPlan::PlanLinear::apply(Tensor& dst, const Tensor& x,
                                     ThreadPool* pool) const {
   if (!qw.empty())

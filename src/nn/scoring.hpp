@@ -8,17 +8,24 @@
 // three per-head q/k/v projections packed into one [d, 3d] gemm, and
 // attention evaluated by the fused block_attention_into kernel.
 //
-// Arithmetic comes in three modes. A canonical plan (ScoringPlan::canonical)
-// runs the canonical kernels (a vectorized gemm whose lanes round like the
-// scalar loop; softmax/gelu whose exp and tanh return glibc's expf/tanhf
-// bits, 8 lanes at a time on AVX2+FMA CPUs) in the model's operation
-// order, so its output is bitwise equal to eval-mode forward_blocked() —
-// the strict serve path. A relaxed plan lets every kernel use the FastKernelScope
-// dispatch tier, and a quantized plan additionally runs the encoder/MoE
-// weight matrices in int8 with per-channel calibration. Both compute the
-// same mathematical function (identical MoE top-k routing code, clamping
-// and residual structure) but agree with the canonical plan only to
-// vector-math (or int8) accuracy, never bitwise.
+// Arithmetic comes in three modes, one per ScoringPath. A canonical plan
+// (ScoringPlan::canonical) runs the canonical kernels (a vectorized gemm
+// whose lanes round like the scalar loop; softmax/gelu whose exp and tanh
+// return glibc's expf/tanhf bits, 8 lanes at a time on AVX2+FMA CPUs) in
+// the model's operation order, so its output is bitwise equal to eval-mode
+// forward_blocked() — the strict serve path. A relaxed plan lets every
+// kernel use the FastKernelScope dispatch tier, and a quantized plan
+// additionally runs the encoder/MoE weight matrices in int8 with
+// per-channel scales calibrated from the weights as it compiles. Both
+// compute the same mathematical function (identical MoE top-k routing
+// code, clamping and residual structure) but agree with the canonical plan
+// only to vector-math (or int8) accuracy, never bitwise. Every mode is a
+// pure function of the model's weights, so compiling the same model twice
+// gives plans with bitwise equal forwards.
+//
+// The serve stack compiles each model generation once, when the
+// GenerationRegistry publishes it (serve/model_registry.hpp); every shard
+// and scoring task then shares that plan.
 //
 // Thread safety: a built plan is immutable and may be shared across
 // threads; forward() only mutates the caller's workspace and its output,
@@ -37,13 +44,35 @@ namespace ns {
 
 class ThreadPool;
 
+/// How serve-time forwards are evaluated (DESIGN.md §16).
+///
+/// Detection compares scores to k-sigma thresholds, so exact float
+/// reproducibility is a replay/testing concern, not a correctness one —
+/// the relaxed and quantized paths compute the same mathematical function
+/// with different rounding, and flag flips can only happen for scores
+/// already within rounding distance of the threshold.
+enum class ScoringPath {
+  /// Canonical ScoringPlan (ScoringPlan::canonical): the canonical
+  /// kernels (vectorized gemm, no fused multiply-add; softmax/gelu with
+  /// libm's exp/tanh bits) in the model's operation order, bitwise equal
+  /// to the model's own eval-mode forward, so serving is bitwise identical
+  /// to batch detect() — the default, and what serve_replay /
+  /// compare_detections / all bitwise tests use (the CLI's --strict-replay
+  /// selects it).
+  kStrict = 0,
+  /// Relaxed fp32 ScoringPlan: the same compiled forward with
+  /// FastKernelScope vector math on the dispatched tier.
+  kRelaxed = 1,
+  /// kRelaxed plus int8 per-channel quantized encoder/MoE weights, with
+  /// scales calibrated from the weights when the plan compiles.
+  kQuantized = 2,
+};
+
 /// Per-channel int8 calibration for one model: the quantization scales of
 /// every quantizable weight matrix, in ScoringPlan traversal order —
 /// input_proj, then per layer the packed q|k|v matrix, out_proj, and each
 /// expert's (or the dense FFN's) fc1/fc2. The routing gate and the decoder
-/// stay fp32 and have no entry. Computed at fit/retrain time from the
-/// trained weights and stored alongside the generation checkpoint, so a
-/// serving replica quantizes exactly like the trainer did.
+/// stay fp32 and have no entry. A pure function of the weights.
 struct QuantCalibration {
   std::vector<std::vector<float>> channel_scales;
 };
@@ -66,6 +95,12 @@ class ScoringPlan {
   /// FastKernelScope, so forward() is bitwise equal to the model's
   /// eval-mode forward_blocked() on the same inputs.
   static ScoringPlan canonical(const TransformerReconstructor& model);
+
+  /// Compiles `model` in the arithmetic of `path`: canonical for kStrict,
+  /// fp32 for kRelaxed, and for kQuantized int8 with the scales of
+  /// calibrate_quantization(model).
+  static ScoringPlan compile(const TransformerReconstructor& model,
+                             ScoringPath path);
 
   bool quantized() const { return quantized_; }
   std::size_t input_dim() const { return input_dim_; }

@@ -29,9 +29,7 @@ Var TransformerReconstructor::EncoderLayer::forward(
     const Var& x, float dropout, Rng& rng, bool is_training,
     std::span<const std::size_t> attn_blocks) const {
   // Pre-LN residual blocks.
-  Var attn_out = attn_blocks.size() > 1
-                     ? attention.forward_blocked(ln1.forward(x), attn_blocks)
-                     : attention.forward(ln1.forward(x));
+  Var attn_out = attention.forward(ln1.forward(x), attn_blocks);
   attn_out = vdropout(attn_out, dropout, rng, is_training);
   Var h = vadd(x, attn_out);
   Var block_in = ln2.forward(h);
@@ -63,27 +61,21 @@ TransformerReconstructor::TransformerReconstructor(
 Var TransformerReconstructor::forward(
     const Var& x, std::span<const std::size_t> offsets,
     std::span<const std::size_t> segment_ids, Rng& rng) const {
-  check_cols(x.value(), config_.input_dim, "TransformerReconstructor::forward");
-  Var h = input_proj_.forward(x);
-  h = posenc_.forward(h, offsets, segment_ids);
-  for (const auto& layer : layers_)
-    h = layer->forward(h, config_.dropout, rng, training());
-  h = final_norm_.forward(h);
-  return decoder_.forward(h);
+  return forward_blocked(x, offsets, segment_ids, rng, {});
 }
 
 Var TransformerReconstructor::forward_blocked(
     const Var& x, std::span<const std::size_t> offsets,
     std::span<const std::size_t> segment_ids, Rng& rng,
     std::span<const std::size_t> block_lens) const {
-  if (block_lens.size() <= 1) return forward(x, offsets, segment_ids, rng);
-  check_cols(x.value(), config_.input_dim,
-             "TransformerReconstructor::forward_blocked");
-  std::size_t total = 0;
-  for (std::size_t len : block_lens) total += len;
-  NS_REQUIRE(total == x.shape()[0],
-             "block lengths sum to " << total << " but input has "
-                                     << x.shape()[0] << " rows");
+  check_cols(x.value(), config_.input_dim, "TransformerReconstructor::forward");
+  if (block_lens.size() > 1) {
+    std::size_t total = 0;
+    for (std::size_t len : block_lens) total += len;
+    NS_REQUIRE(total == x.shape()[0],
+               "block lengths sum to " << total << " but input has "
+                                       << x.shape()[0] << " rows");
+  }
   Var h = input_proj_.forward(x);
   h = posenc_.forward(h, offsets, segment_ids);
   for (const auto& layer : layers_)

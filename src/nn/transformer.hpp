@@ -48,7 +48,7 @@ class TransformerReconstructor : public Module {
 
   /// Batched variant: x stacks several independent chunks row-wise
   /// (block_lens[i] rows each, summing to T). Attention is computed per
-  /// block (MultiHeadSelfAttention::forward_blocked), and every other stage
+  /// block (MultiHeadSelfAttention::forward), and every other stage
   /// is per-token, so the result is bitwise equal to running forward() on
   /// each chunk separately and concatenating — one pass serves many nodes
   /// (the serve engine's cross-node batching) or trains on many chunks (the

@@ -137,20 +137,31 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
                                         << " out of [1," << G << "]");
   if (config_.generation_registry != nullptr) {
     gen_registry_ = config_.generation_registry;
-    NS_REQUIRE(gen_registry_->num_clusters() == sentry.library().size(),
-               "serve: registry has " << gen_registry_->num_clusters()
-                                      << " clusters, library has "
+    const std::size_t clusters = gen_registry_->num_clusters();
+    NS_REQUIRE(clusters == sentry.library().size(),
+               "serve: registry has " << clusters << " clusters, library has "
                                       << sentry.library().size());
     NS_REQUIRE(gen_registry_->max_generations() == G,
                "serve: registry cap " << gen_registry_->max_generations()
                                       << " != generations " << G);
-    // Convenience: an external registry handed over empty gets the seed
-    // generation, same as the engine-owned path.
-    if (gen_registry_->snapshot(0)->generations.empty())
-      gen_registry_->seed_from_library(sentry.library());
+    NS_REQUIRE(gen_registry_->scoring_path() == config_.scoring_path,
+               "serve: registry compiles plans for scoring path "
+                   << static_cast<int>(gen_registry_->scoring_path())
+                   << ", engine scores on path "
+                   << static_cast<int>(config_.scoring_path));
+    // An external registry handed over empty gets the seed generations,
+    // same as the engine-owned path; one seeded only in part would leave
+    // clusters with nothing to score.
+    std::size_t empty = 0;
+    for (std::size_t c = 0; c < clusters; ++c)
+      if (gen_registry_->snapshot(c)->generations.empty()) ++empty;
+    NS_REQUIRE(empty == 0 || empty == clusters,
+               "serve: registry has " << empty << " of " << clusters
+                                      << " clusters without generations");
+    if (empty == clusters) gen_registry_->seed_from_library(sentry.library());
   } else {
     owned_gen_registry_ = std::make_unique<GenerationRegistry>(
-        sentry.library().size(), G, registry_);
+        sentry.library().size(), G, registry_, config_.scoring_path);
     owned_gen_registry_->seed_from_library(sentry.library());
     gen_registry_ = owned_gen_registry_.get();
   }
@@ -509,71 +520,17 @@ std::size_t ServeEngine::pump() {
   return dispatched;
 }
 
-std::shared_ptr<const ScoringPlan> ServeEngine::plan_for(
-    const std::shared_ptr<TransformerReconstructor>& model,
-    const QuantCalibration* calibration) {
-  {
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    auto it = plans_.find(model.get());
-    if (it != plans_.end()) {
-      if (!it->second.alive.expired()) return it->second.plan;
-      plans_.erase(it);  // the old model at this address is gone
-    }
-  }
-  // Compile outside the lock: plan construction (and lazy calibration) is
-  // the expensive part, and concurrent compiles of the same model are
-  // idempotent — last writer wins, both plans are correct.
-  std::shared_ptr<const ScoringPlan> plan;
-  switch (config_.scoring_path) {
-    case ScoringPath::kStrict:
-      plan =
-          std::make_shared<const ScoringPlan>(ScoringPlan::canonical(*model));
-      break;
-    case ScoringPath::kRelaxed:
-      plan = std::make_shared<const ScoringPlan>(*model);
-      break;
-    case ScoringPath::kQuantized:
-      if (calibration != nullptr) {
-        plan = std::make_shared<const ScoringPlan>(*model, calibration);
-      } else {
-        const QuantCalibration local = calibrate_quantization(*model);
-        plan = std::make_shared<const ScoringPlan>(*model, &local);
-      }
-      break;
-  }
-  std::lock_guard<std::mutex> lock(plans_mutex_);
-  plans_[model.get()] = PlanCacheEntry{model, plan};
-  return plan;
-}
-
 void ServeEngine::score_cluster_units(std::size_t cluster,
                                       std::vector<PendingUnit> units) {
   const ClusterEntry& entry = sentry_->library().clusters()[cluster];
   // One snapshot for the whole batch: every unit in it is scored by the
-  // same generation set, and the snapshot keeps retired generations alive
-  // through our forwards (the RCU grace period).
+  // same generation set, and the snapshot keeps retired generations and
+  // their plans alive through our forwards (the RCU grace period). The
+  // engine only serves a registry whose every cluster has a generation.
   const std::shared_ptr<const GenerationSet> snap =
       gen_registry_->snapshot(cluster);
-  std::vector<const ModelGeneration*> gens;
-  gens.reserve(snap->generations.size());
-  for (const ModelGeneration& gen : snap->generations)
-    if (!gen.quarantined && gen.model) gens.push_back(&gen);
-  // Graceful degradation: an all-quarantined (or unseeded) cluster falls
-  // back to the fitted library entry as a stand-in lane-0 generation.
-  ModelGeneration fallback;
-  if (gens.empty()) {
-    fallback.model = entry.model;
-    fallback.residual_scale = entry.residual_scale.clone();
-    fallback.baseline_error = entry.baseline_error;
-    gens.push_back(&fallback);
-  }
+  const std::vector<ModelGeneration>& gens = snap->generations;
   const std::size_t G = config_.generations;
-  // One compiled plan per live generation; quantized plans use the
-  // calibration checkpointed alongside that generation.
-  std::vector<std::shared_ptr<const ScoringPlan>> plans;
-  plans.reserve(gens.size());
-  for (const ModelGeneration* gen : gens)
-    plans.push_back(plan_for(gen->model, gen->quant_calibration.get()));
   const std::size_t M = num_metrics_;
   std::size_t i = 0;
   while (i < units.size()) {
@@ -627,9 +584,9 @@ void ServeEngine::score_cluster_units(std::size_t cluster,
     std::vector<ScoredUnit> results(j - i);
     std::size_t points = 0;
     for (std::size_t gi = 0; gi < gens.size(); ++gi) {
-      const ModelGeneration& gen = *gens[gi];
+      const ModelGeneration& gen = gens[gi];
       const bool newest = gi + 1 == gens.size();
-      const Tensor rec_all = plans[gi]->forward(
+      const Tensor rec_all = gen.plan->forward(
           x, offsets, seg_ids, block_lens, scoring_workspace(), pool_);
       base = 0;
       for (std::size_t k = i; k < j; ++k) {
@@ -914,8 +871,8 @@ void ServeEngine::consensus_node_predictions(
       ++active_lanes;
       if (!lane_flags[lane].empty() && lane_flags[lane][t]) ++votes;
     }
-    // Bootstrap/quarantine degradation: with fewer than Q live lanes, the
-    // ones that exist decide.
+    // Bootstrap degradation: with fewer than Q live lanes, the ones that
+    // exist decide.
     const std::size_t need = std::min(config_.consensus_quorum, active_lanes);
     det.predictions[t] = (active_lanes > 0 && votes >= need) ? 1 : 0;
     if (voted) {

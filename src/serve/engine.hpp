@@ -9,14 +9,16 @@
 // thread-pool task per cluster; each task snapshots the cluster's model
 // generations from the GenerationRegistry (DESIGN.md §12 — by default one
 // seed generation: the fitted library model) and runs batched forwards
-// through each generation's compiled ScoringPlan (block-diagonal
-// attention), so one model pass serves many nodes while staying
-// bit-identical to scoring each chunk alone. finalize() closes open
-// segments, drains the pool, and applies the shared thresholding path
-// (score_reference_levels / detection_flags) per generation lane, then the
-// >= Q vote — on clean data the default G = Q = 1 result reproduces batch
-// detect() (with incremental updates off) within float round-off (in
-// practice: bit-identical).
+// through the ScoringPlan each generation was published with
+// (block-diagonal attention), so one model pass serves many nodes while
+// staying bit-identical to scoring each chunk alone. The engine never
+// compiles a plan: the registry compiles each generation once, in the
+// engine's ScoringPath, and every shard of a fleet shares it. finalize()
+// closes open segments, drains the pool, and applies the shared
+// thresholding path (score_reference_levels / detection_flags) per
+// generation lane, then the >= Q vote — on clean data the default
+// G = Q = 1 result reproduces batch detect() (with incremental updates
+// off) within float round-off (in practice: bit-identical).
 //
 // ServeEngine is one implementation of the ServeBackend contract
 // (serve/backend.hpp); FleetEngine (serve/fleet.hpp) shards a node
@@ -30,9 +32,10 @@
 // autograd module and never mutates a model: plans are immutable, so any
 // number of forwards through one cluster model — from this engine's tasks
 // or from other fleet shards — run at the same time, with no lock between
-// them. Ingest never blocks on scoring: the pending-unit queue is bounded
-// and drops its *oldest* unit past the cap (counted in
-// stats.units_dropped) rather than stalling the collector.
+// them, and a task finds its plans in the snapshot it already holds.
+// Ingest never blocks on scoring: the pending-unit queue is bounded and
+// drops its *oldest* unit past the cap (counted in stats.units_dropped)
+// rather than stalling the collector.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "core/nodesentry.hpp"
+#include "nn/scoring.hpp"
 #include "obs/registry.hpp"
 #include "serve/backend.hpp"
 #include "store/codec.hpp"
@@ -57,32 +61,6 @@ class ThreadPool;
 class GenerationRegistry;
 class Retrainer;
 class StoreWriter;
-class ScoringPlan;
-struct QuantCalibration;
-
-/// How serve-time forwards are evaluated (DESIGN.md §16).
-///
-/// Detection compares scores to k-sigma thresholds, so exact float
-/// reproducibility is a replay/testing concern, not a correctness one —
-/// the relaxed and quantized paths compute the same mathematical function
-/// with different rounding, and flag flips can only happen for scores
-/// already within rounding distance of the threshold.
-enum class ScoringPath {
-  /// Canonical ScoringPlan (ScoringPlan::canonical): the canonical
-  /// kernels (vectorized gemm, no fused multiply-add; softmax/gelu with
-  /// libm's exp/tanh bits) in the model's operation order, bitwise equal
-  /// to the model's own eval-mode forward, so serving is bitwise identical
-  /// to batch detect() — the default, and what serve_replay /
-  /// compare_detections / all bitwise tests use (the CLI's --strict-replay
-  /// selects it).
-  kStrict = 0,
-  /// Relaxed fp32 ScoringPlan: the same compiled forward with
-  /// FastKernelScope vector math on the dispatched tier.
-  kRelaxed = 1,
-  /// kRelaxed plus int8 per-channel quantized encoder/MoE weights (the
-  /// calibration travels with each model generation).
-  kQuantized = 2,
-};
 
 struct ServeConfig {
   /// Worker threads for batched scoring; 0 = share the process-global pool.
@@ -116,7 +94,9 @@ struct ServeConfig {
   /// Forward-evaluation strategy (see ScoringPath). Strict by default:
   /// opting into relaxed/quantized arithmetic is a deployment decision
   /// (the serve CLI defaults to kQuantized with --strict-replay opting
-  /// back; replay/compare tooling always stays strict).
+  /// back; replay/compare tooling always stays strict). The generation
+  /// registry compiles every plan in this path, so an external registry
+  /// must have been constructed with it.
   ScoringPath scoring_path = ScoringPath::kStrict;
 
   // ---- fleet-scale serving (DESIGN.md §14)
@@ -137,12 +117,14 @@ struct ServeConfig {
   /// registry's seed generation — bitwise batch detect().
   std::size_t generations = 1;
   /// Q: a point is flagged when >= min(Q, lanes active at that point)
-  /// generations flag it — the bootstrap/quarantine fallback: with fewer
-  /// than Q generations alive, the ones that exist decide.
+  /// generations flag it — the bootstrap fallback: with fewer than Q
+  /// generations published yet, the ones that exist decide.
   std::size_t consensus_quorum = 1;
   /// External generation registry shared with a Retrainer (or across fleet
   /// shards); null makes the engine own one, seeded from the fitted
-  /// library. Its cap must equal `generations`.
+  /// library. Its cap must equal `generations` and its path
+  /// `scoring_path`. The engine seeds it from the library when every
+  /// cluster is empty and rejects one that is only partly seeded.
   GenerationRegistry* generation_registry = nullptr;
   /// When set, every matched closed segment's centered tokens are offered
   /// to this retrainer (bounded ring, never blocks ingest). It must publish
@@ -165,9 +147,10 @@ struct ServeConfig {
 class ServeEngine final : public ServeBackend {
  public:
   /// The engine serves the library `sentry` holds after fit()/restore();
-  /// `sentry` must outlive the engine, which only reads it (scoring
-  /// compiles each model into a ScoringPlan). The serving timeline starts
-  /// at sentry.train_end().
+  /// `sentry` must outlive the engine, which only reads it (scoring runs
+  /// the registry's compiled plans; a seed plan shares its library model's
+  /// weights, so the library must not be retrained or fine-tuned while
+  /// the engine serves). The serving timeline starts at sentry.train_end().
   explicit ServeEngine(NodeSentry& sentry, ServeConfig config = {});
 
   ~ServeEngine() override;
@@ -284,20 +267,10 @@ class ServeEngine final : public ServeBackend {
   void match_segment(std::size_t node);
   void emit_ready_chunks(std::size_t node, bool closing, std::size_t len);
   void enqueue_unit(PendingUnit unit);
-  /// Scores one cluster's units through every live generation of its
-  /// registry snapshot, in batched forwards.
+  /// Scores one cluster's units through every generation of its registry
+  /// snapshot, in batched forwards.
   void score_cluster_units(std::size_t cluster,
                            std::vector<PendingUnit> units);
-  /// Cached compiled ScoringPlan for one model, in the arithmetic of
-  /// config_.scoring_path. Plans are keyed by model identity; an entry
-  /// whose model died (its generation was retired and freed) is rebuilt,
-  /// so address reuse can never serve a stale plan. `calibration` is used
-  /// only on the quantized path; null there means "calibrate from the
-  /// weights now" (identical scales to fit-time calibration — they are a
-  /// pure function of the weights).
-  std::shared_ptr<const ScoringPlan> plan_for(
-      const std::shared_ptr<TransformerReconstructor>& model,
-      const QuantCalibration* calibration);
   void drain_scored();
   /// One node's detection record (called from finalize's parallel_for):
   /// per-lane reference levels + flags, the >= Q vote, and the reported
@@ -351,15 +324,6 @@ class ServeEngine final : public ServeBackend {
 
   mutable std::mutex results_mutex_;
   std::vector<ScoredUnit> scored_ready_;
-
-  /// Compiled-plan cache. `alive` detects model-address reuse after a
-  /// generation dies.
-  struct PlanCacheEntry {
-    std::weak_ptr<const TransformerReconstructor> alive;
-    std::shared_ptr<const ScoringPlan> plan;
-  };
-  mutable std::mutex plans_mutex_;
-  std::map<const TransformerReconstructor*, PlanCacheEntry> plans_;
 
   /// Guards stats_ and units_batched_total_. stats_.queue_depth is the
   /// published queue depth: pending_ itself is only ever touched by the

@@ -16,6 +16,12 @@ namespace {
 /// 50 us sleeps until a slot frees.
 constexpr std::size_t kStallSpinWaits = 64;
 constexpr std::size_t kStallYieldWaits = 1024;
+/// Consecutive empty ring polls before a worker pumps its engine and naps
+/// (~100 us) instead of spinning.
+constexpr std::size_t kWorkerIdlePolls = 64;
+/// Ring points per shard: more points balance nodes more evenly and build
+/// the ring more slowly.
+constexpr std::size_t kVnodesPerShard = 64;
 
 /// splitmix64 finalizer: a cheap, well-distributed 64-bit mix.
 std::uint64_t mix64(std::uint64_t x) {
@@ -73,14 +79,12 @@ ServeStats merge_shard_stats(const std::vector<ServeStats>& per_shard,
 
 }  // namespace
 
-ConsistentHashRing::ConsistentHashRing(std::size_t shards,
-                                       std::size_t vnodes_per_shard)
+ConsistentHashRing::ConsistentHashRing(std::size_t shards)
     : shards_(shards) {
   NS_REQUIRE(shards >= 1, "fleet: ring needs >= 1 shard");
-  NS_REQUIRE(vnodes_per_shard >= 1, "fleet: ring needs >= 1 vnode per shard");
-  points_.reserve(shards * vnodes_per_shard);
+  points_.reserve(shards * kVnodesPerShard);
   for (std::size_t s = 0; s < shards; ++s)
-    for (std::size_t v = 0; v < vnodes_per_shard; ++v)
+    for (std::size_t v = 0; v < kVnodesPerShard; ++v)
       points_.push_back(
           {mix64((static_cast<std::uint64_t>(s) << 32) | v),
            static_cast<std::uint32_t>(s)});
@@ -98,8 +102,7 @@ std::size_t ConsistentHashRing::shard_for(std::size_t node) const {
 }
 
 FleetEngine::FleetEngine(NodeSentry& sentry, FleetConfig config)
-    : config_(std::move(config)),
-      ring_(config_.shards, config_.vnodes_per_shard) {
+    : config_(std::move(config)), ring_(config_.shards) {
   NS_REQUIRE(config_.shards >= 1, "fleet: shards must be >= 1");
   NS_REQUIRE(config_.ring_capacity >= 2,
              "fleet: ring_capacity " << config_.ring_capacity << " < 2");
@@ -113,7 +116,8 @@ FleetEngine::FleetEngine(NodeSentry& sentry, FleetConfig config)
     // fleet-owned registry instead of letting each engine own a private
     // copy.
     owned_gen_registry_ = std::make_unique<GenerationRegistry>(
-        sentry.library().size(), config_.engine.generations, registry);
+        sentry.library().size(), config_.engine.generations, registry,
+        config_.engine.scoring_path);
     owned_gen_registry_->seed_from_library(sentry.library());
     gen_registry_ = owned_gen_registry_.get();
   }
@@ -192,7 +196,7 @@ void FleetEngine::worker_loop(Shard& shard) {
       return;
     }
     ++idle_polls;
-    if (idle_polls >= config_.worker_idle_polls) {
+    if (idle_polls >= kWorkerIdlePolls) {
       idle_polls = 0;
       if (!shard.failed.load(std::memory_order_relaxed)) {
         try {

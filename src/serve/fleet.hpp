@@ -12,8 +12,9 @@
 // everything per-node (stashes, segments, score timelines), which is what
 // makes the split embarrassingly parallel: every node's samples land on
 // exactly one shard, in order. Scoring reads the shared models only
-// through immutable ScoringPlans, so shards score the same cluster model
-// at the same time without any fleet-wide lock.
+// through the immutable ScoringPlans that registry compiled once per
+// generation, so every shard runs the same plan of a cluster model at the
+// same time without any fleet-wide lock.
 //
 // finalize() closes the rings, joins the workers, finalizes each shard,
 // and merges: detections come from each node's owner shard (the others
@@ -44,16 +45,15 @@
 
 namespace ns {
 
-/// Consistent-hash node→shard placement. Each shard projects
-/// `vnodes_per_shard` points onto a 64-bit ring; a node belongs to the
-/// first point clockwise of its own hash. Growing the fleet by one shard
-/// moves ~1/(S+1) of the nodes, every one of them TO the new shard —
-/// nodes never shuffle between surviving shards, so their reorder stashes
-/// and score history stay put on resharding.
+/// Consistent-hash node→shard placement. Each shard projects 64 virtual
+/// points onto a 64-bit ring; a node belongs to the first point clockwise
+/// of its own hash. Growing the fleet by one shard moves ~1/(S+1) of the
+/// nodes, every one of them TO the new shard — nodes never shuffle between
+/// surviving shards, so their reorder stashes and score history stay put
+/// on resharding.
 class ConsistentHashRing {
  public:
-  explicit ConsistentHashRing(std::size_t shards,
-                              std::size_t vnodes_per_shard = 64);
+  explicit ConsistentHashRing(std::size_t shards);
 
   std::size_t shard_for(std::size_t node) const;
   std::size_t num_shards() const { return shards_; }
@@ -74,17 +74,12 @@ struct FleetConfig {
   /// Capacity of each shard's SPSC ingest ring (rounded up to a power of
   /// two). Sized in samples; a full ring stalls the producer.
   std::size_t ring_capacity = 4096;
-  /// Placement granularity; more vnodes = smoother balance, slower build.
-  std::size_t vnodes_per_shard = 64;
-  /// Consecutive empty ring polls before a worker pumps its engine and
-  /// naps (~100us) instead of spinning.
-  std::size_t worker_idle_polls = 64;
   /// Template for every shard engine. `num_nodes` is the FLEET population
   /// (0 = the fitted dataset's). Every shard scores through
   /// `generation_registry` when it is set, else through one registry the
-  /// fleet owns; everything else passes through verbatim (registry/
-  /// store_writer/retrainer are already safe to share — see the file
-  /// comment).
+  /// fleet owns, compiled in `scoring_path`; everything else passes
+  /// through verbatim (registry/store_writer/retrainer are already safe to
+  /// share — see the file comment).
   ServeConfig engine;
 };
 

@@ -45,12 +45,17 @@ std::string gens_file(std::size_t c) {
   return "gens_" + std::to_string(c) + ".bin";
 }
 
+/// Layout version of gens_index.bin and the gens_<c>.bin files it commits;
+/// load() reads no other.
+constexpr std::uint32_t kCheckpointVersion = 2;
+
 }  // namespace
 
 GenerationRegistry::GenerationRegistry(std::size_t num_clusters,
                                        std::size_t max_generations,
-                                       obs::Registry* obs_registry)
-    : max_generations_(max_generations) {
+                                       obs::Registry* obs_registry,
+                                       ScoringPath path)
+    : max_generations_(max_generations), path_(path) {
   NS_REQUIRE(num_clusters > 0, "generation registry: no clusters");
   NS_REQUIRE(max_generations_ >= 1 && max_generations_ <= 8,
              "generation registry: max_generations " << max_generations_
@@ -67,7 +72,7 @@ GenerationRegistry::GenerationRegistry(std::size_t num_clusters,
     const obs::LabelSet labels{{"cluster", std::to_string(c)}};
     active_gauges_.push_back(
         &obs_->gauge("ns_generations_active",
-                     "Scoring-eligible model generations in the set", labels));
+                     "Model generations in the set", labels));
     newest_gen_gauges_.push_back(&obs_->gauge(
         "ns_generation_newest_id",
         "gen_id of the newest published generation", labels));
@@ -77,8 +82,6 @@ GenerationRegistry::GenerationRegistry(std::size_t num_clusters,
   retired_counter_ = &obs_->counter(
       "ns_generations_retired_total",
       "Generations retired past the cap (grace-period protected)");
-  quarantined_counter_ = &obs_->counter("ns_generations_quarantined_total",
-                                        "Generations quarantined");
 }
 
 void GenerationRegistry::seed_from_library(const ClusterLibrary& library) {
@@ -94,8 +97,6 @@ void GenerationRegistry::seed_from_library(const ClusterLibrary& library) {
     gen.model = entry.model;
     gen.residual_scale = entry.residual_scale.clone();
     gen.baseline_error = entry.baseline_error;
-    gen.quant_calibration = std::make_shared<const QuantCalibration>(
-        calibrate_quantization(*entry.model));
     publish(c, std::move(gen));
   }
 }
@@ -124,6 +125,7 @@ std::uint64_t GenerationRegistry::publish(std::size_t cluster,
   NS_REQUIRE(cluster < slots_.size(),
              "generation registry: cluster " << cluster << " out of range");
   NS_REQUIRE(gen.model != nullptr, "generation registry: publish without model");
+  gen.plan = compile(*gen.model);
   ClusterSlot& slot = *slots_[cluster];
   std::lock_guard<std::mutex> lock(slot.writer_mutex);
   gen.gen_id = slot.next_gen_id++;
@@ -146,35 +148,18 @@ std::uint64_t GenerationRegistry::publish(std::size_t cluster,
   return id;
 }
 
-bool GenerationRegistry::quarantine(std::size_t cluster,
-                                    std::uint64_t gen_id) {
-  NS_REQUIRE(cluster < slots_.size(),
-             "generation registry: cluster " << cluster << " out of range");
-  ClusterSlot& slot = *slots_[cluster];
-  std::lock_guard<std::mutex> lock(slot.writer_mutex);
-  auto next = std::make_shared<GenerationSet>(*snapshot(cluster));
-  bool found = false;
-  for (ModelGeneration& gen : next->generations)
-    if (gen.gen_id == gen_id && !gen.quarantined) {
-      gen.quarantined = true;
-      found = true;
-    }
-  if (!found) return false;
-  update_gauges(cluster, *next);
-  swap_current(slot, std::move(next));
-  quarantined_counter_->inc();
-  return true;
+std::shared_ptr<const ScoringPlan> GenerationRegistry::compile(
+    const TransformerReconstructor& model) const {
+  return std::make_shared<const ScoringPlan>(
+      ScoringPlan::compile(model, path_));
 }
 
 void GenerationRegistry::update_gauges(std::size_t cluster,
                                        const GenerationSet& set) {
-  std::size_t active = 0;
   std::uint64_t newest = 0;
-  for (const ModelGeneration& gen : set.generations) {
-    if (!gen.quarantined) ++active;
+  for (const ModelGeneration& gen : set.generations)
     newest = std::max(newest, gen.gen_id);
-  }
-  active_gauges_[cluster]->set(static_cast<double>(active));
+  active_gauges_[cluster]->set(static_cast<double>(set.generations.size()));
   newest_gen_gauges_[cluster]->set(static_cast<double>(newest));
 }
 
@@ -194,23 +179,7 @@ void GenerationRegistry::save(const std::string& directory) const {
                sizeof(gen.trained_cycle));
       os.write(reinterpret_cast<const char*>(&gen.baseline_error),
                sizeof(gen.baseline_error));
-      const std::uint8_t quarantined = gen.quarantined ? 1 : 0;
-      os.write(reinterpret_cast<const char*>(&quarantined),
-               sizeof(quarantined));
       write_floats(os, gen.residual_scale.flat());
-      // Quantization calibration travels with the generation (present
-      // flag + per-matrix channel scales in ScoringPlan traversal order).
-      const std::uint8_t has_calib = gen.quant_calibration != nullptr ? 1 : 0;
-      os.write(reinterpret_cast<const char*>(&has_calib), sizeof(has_calib));
-      if (has_calib) {
-        const std::uint32_t matrices = static_cast<std::uint32_t>(
-            gen.quant_calibration->channel_scales.size());
-        os.write(reinterpret_cast<const char*>(&matrices), sizeof(matrices));
-        for (const std::vector<float>& scales :
-             gen.quant_calibration->channel_scales)
-          write_floats(os, scales);
-      }
-      NS_REQUIRE(gen.model != nullptr, "generation without model");
       save_parameters(*gen.model, os);
     }
     write_framed_file((fs::path(directory) / gens_file(c)).string(),
@@ -221,6 +190,8 @@ void GenerationRegistry::save(const std::string& directory) const {
   std::ostringstream os(std::ios::binary);
   const std::uint32_t clusters = static_cast<std::uint32_t>(slots_.size());
   const std::uint32_t cap = static_cast<std::uint32_t>(max_generations_);
+  os.write(reinterpret_cast<const char*>(&kCheckpointVersion),
+           sizeof(kCheckpointVersion));
   os.write(reinterpret_cast<const char*>(&clusters), sizeof(clusters));
   os.write(reinterpret_cast<const char*>(&cap), sizeof(cap));
   write_framed_file((fs::path(directory) / "gens_index.bin").string(),
@@ -231,12 +202,18 @@ void GenerationRegistry::load(const std::string& directory,
                               const TransformerConfig& model_config,
                               std::uint64_t seed) {
   namespace fs = std::filesystem;
+  std::uint32_t version = 0;
   std::uint32_t clusters = 0;
   std::uint32_t cap = 0;
   {
     std::istringstream is(
         read_framed_file((fs::path(directory) / "gens_index.bin").string()),
         std::ios::binary);
+    read_pod(is, version, "index version");
+    if (version != kCheckpointVersion)
+      throw ParseError("generation registry: checkpoint format version " +
+                       std::to_string(version) + ", expected " +
+                       std::to_string(kCheckpointVersion));
     read_pod(is, clusters, "index");
     read_pod(is, cap, "index cap");
   }
@@ -251,6 +228,9 @@ void GenerationRegistry::load(const std::string& directory,
         std::ios::binary);
     std::uint32_t count = 0;
     read_pod(is, count, "generation count");
+    if (count == 0)
+      throw ParseError("generation registry: cluster " + std::to_string(c) +
+                       " has no generations");
     auto set = std::make_shared<GenerationSet>();
     set->generations.reserve(count);
     std::uint64_t max_id = 0;
@@ -259,34 +239,19 @@ void GenerationRegistry::load(const std::string& directory,
       read_pod(is, gen.gen_id, "gen id");
       read_pod(is, gen.trained_cycle, "trained cycle");
       read_pod(is, gen.baseline_error, "baseline error");
-      std::uint8_t quarantined = 0;
-      read_pod(is, quarantined, "quarantine flag");
-      gen.quarantined = quarantined != 0;
       gen.residual_scale =
           Tensor::from_vector(read_floats(is, "residual scale"));
-      std::uint8_t has_calib = 0;
-      read_pod(is, has_calib, "calibration flag");
-      if (has_calib != 0) {
-        std::uint32_t matrices = 0;
-        read_pod(is, matrices, "calibration matrix count");
-        QuantCalibration calib;
-        calib.channel_scales.reserve(matrices);
-        for (std::uint32_t m = 0; m < matrices; ++m)
-          calib.channel_scales.push_back(
-              read_floats(is, "calibration scales"));
-        gen.quant_calibration =
-            std::make_shared<const QuantCalibration>(std::move(calib));
-      }
       gen.model =
           std::make_shared<TransformerReconstructor>(model_config, rng);
       gen.model->set_training(false);
       load_parameters(*gen.model, is);
+      gen.plan = compile(*gen.model);
       max_id = std::max(max_id, gen.gen_id);
       set->generations.push_back(std::move(gen));
     }
     ClusterSlot& slot = *slots_[c];
     std::lock_guard<std::mutex> lock(slot.writer_mutex);
-    slot.next_gen_id = count > 0 ? max_id + 1 : 0;
+    slot.next_gen_id = max_id + 1;
     update_gauges(c, *set);
     swap_current(slot, std::move(set));
   }

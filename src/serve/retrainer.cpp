@@ -132,23 +132,13 @@ bool Retrainer::retrain_cluster(std::size_t cluster,
                                 std::vector<FreshSegment> segments,
                                 RetrainCycleReport& report) {
   const std::uint64_t cycle = cycle_.load(std::memory_order_relaxed);
-  // Base generation: the newest scoring-eligible one; the seeded library
-  // model when the set is somehow empty.
-  auto snap = registry_->snapshot(cluster);
-  std::shared_ptr<const TransformerReconstructor> base_model;
-  double base_baseline = 1.0;
-  for (auto it = snap->generations.rbegin(); it != snap->generations.rend();
-       ++it)
-    if (!it->quarantined) {
-      base_model = it->model;
-      base_baseline = it->baseline_error;
-      break;
-    }
+  // Base generation: the newest one. Segments only arrive from an engine
+  // scoring through this registry, and the engine seeds every cluster.
+  const auto snap = registry_->snapshot(cluster);
+  NS_REQUIRE(!snap->generations.empty(),
+             "retrainer: cluster " << cluster << " has no generations");
+  const ModelGeneration& base = snap->generations.back();
   const ClusterEntry& entry = library_->clusters()[cluster];
-  if (!base_model) {
-    base_model = entry.model;
-    base_baseline = entry.baseline_error;
-  }
 
   // Chaos seam: poisoned-training-segment faults corrupt the gathered
   // tokens before chunking, exactly where a sick collector would.
@@ -158,25 +148,14 @@ bool Retrainer::retrain_cluster(std::size_t cluster,
       faults_->poison(cluster, seg.tokens, poison_rng);
   }
 
-  // Chunking mirrors the fit path: train_window-row windows, positional
-  // offsets within the segment, the member segment id for segment-aware
-  // positional encoding.
-  const std::size_t W = std::max<std::size_t>(config_.train_window, 4);
+  // The fit path's chunking: train_window-row windows, positional offsets
+  // within the segment, the segment id for segment-aware positional
+  // encoding.
   std::vector<TrainChunk> chunks;
-  for (const FreshSegment& seg : segments) {
-    const std::size_t rows = seg.tokens.size(0);
-    for (std::size_t start = 0; start < rows; start += W) {
-      const std::size_t stop = std::min(rows, start + W);
-      if (stop - start < 2) break;
-      TrainChunk chunk;
-      chunk.tokens = slice_rows(seg.tokens, start, stop);
-      chunk.offsets.resize(stop - start);
-      for (std::size_t r = 0; r < chunk.offsets.size(); ++r)
-        chunk.offsets[r] = start + r;
-      chunk.segment_id = seg.segment_id;
+  for (const FreshSegment& seg : segments)
+    for (TrainChunk& chunk :
+         train_chunks(seg.tokens, config_.train_window, seg.segment_id))
       chunks.push_back(std::move(chunk));
-    }
-  }
   if (chunks.empty()) return false;
 
   TrainOptions options;
@@ -202,12 +181,12 @@ bool Retrainer::retrain_cluster(std::size_t cluster,
       {
         std::stringstream buffer(std::ios::in | std::ios::out |
                                  std::ios::binary);
-        save_parameters(*base_model, buffer);
+        save_parameters(*base.model, buffer);
         load_parameters(*clone, buffer);
       }
       const TrainStats stats = train_reconstructor(
           *clone, chunks, entry.metric_weights, options, train_seed);
-      if (!validate_clone(*clone, stats, base_baseline)) {
+      if (!validate_clone(*clone, stats, base.baseline_error)) {
         // Bad data trains a bad clone deterministically — retrying the
         // same segments cannot help, so reject without retries. The
         // serving set is untouched.
@@ -226,11 +205,6 @@ bool Retrainer::retrain_cluster(std::size_t cluster,
       gen.residual_scale = stats.residual_scale;
       gen.baseline_error = stats.baseline_error;
       gen.trained_cycle = cycle;
-      // Fresh weights need fresh int8 scales; computing them at publish
-      // time (not lazily at first score) keeps the quantized serve path
-      // allocation-free and puts the scales in the checkpoint.
-      gen.quant_calibration = std::make_shared<const QuantCalibration>(
-          calibrate_quantization(*gen.model));
       registry_->publish(cluster, std::move(gen));
       if (!config_.checkpoint_dir.empty())
         registry_->save(config_.checkpoint_dir);

@@ -16,8 +16,6 @@ void ServeSessionConfig::validate() const {
   NS_REQUIRE(fleet.shards >= 1, "session: fleet.shards must be >= 1");
   NS_REQUIRE(fleet.ring_capacity >= 2,
              "session: fleet.ring_capacity " << fleet.ring_capacity << " < 2");
-  NS_REQUIRE(fleet.vnodes_per_shard >= 1,
-             "session: fleet.vnodes_per_shard must be >= 1");
   NS_REQUIRE(engine.generations >= 1 && engine.generations <= 8,
              "session: engine.generations " << engine.generations
                                             << " out of [1,8]");
@@ -52,7 +50,7 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
 
   registry_ = std::make_unique<GenerationRegistry>(
       sentry.library().size(), engine_config.generations,
-      engine_config.registry);
+      engine_config.registry, engine_config.scoring_path);
   if (!config_.generations.restore_dir.empty())
     registry_->load(config_.generations.restore_dir, sentry.model_config(),
                     config_.generations.seed);
@@ -67,8 +65,7 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
   if (!config_.store.dir.empty()) {
     TimeSeriesStore store = TimeSeriesStore::create(
         config_.store.dir, store_meta_from_dataset(dataset), StoreConfig{});
-    if (config_.store.import_train)
-      store_append_dataset(store, dataset, 0, train_end);
+    store_append_dataset(store, dataset, 0, train_end);
     // finalize() hands over one batch per node in one burst: a smaller
     // nonzero bound would drop whole node histories.
     StoreWriterConfig writer_config = config_.store.writer;
@@ -84,7 +81,6 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
     FleetConfig fleet_config;
     fleet_config.shards = config_.fleet.shards;
     fleet_config.ring_capacity = config_.fleet.ring_capacity;
-    fleet_config.vnodes_per_shard = config_.fleet.vnodes_per_shard;
     fleet_config.engine = engine_config;
     fleet_ = std::make_unique<FleetEngine>(sentry, fleet_config);
     backend_ = fleet_.get();

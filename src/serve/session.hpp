@@ -30,9 +30,10 @@ namespace ns {
 
 struct ServeSessionConfig {
   /// Template for the (shard) engine(s): threads, reorder slack, batching,
-  /// metrics registry, and G/Q (`generations`, `consensus_quorum`). The
-  /// session wires its own generation registry, retrainer and store
-  /// writer, so those three pointers are ignored here.
+  /// metrics registry, scoring path and G/Q (`generations`,
+  /// `consensus_quorum`). The session wires its own generation registry
+  /// (compiled in `scoring_path`), retrainer and store writer, so those
+  /// three pointers are ignored here.
   ServeConfig engine;
 
   /// Fleet shape. shards == 1 serves through a lone ServeEngine (the
@@ -41,7 +42,6 @@ struct ServeSessionConfig {
   struct Fleet {
     std::size_t shards = 1;
     std::size_t ring_capacity = 4096;
-    std::size_t vnodes_per_shard = 64;
   } fleet;
 
   /// Rolling generations (DESIGN.md §12): the session's registry has
@@ -57,11 +57,10 @@ struct ServeSessionConfig {
   } generations;
 
   /// Embedded time-series store (DESIGN.md §13). Disabled when dir empty.
+  /// The store is created with the train region [0, train_end) already
+  /// imported, so a later --from-store run has the full timeline.
   struct Store {
     std::string dir;
-    /// Bulk-import the train region [0, train_end) at creation so a later
-    /// --from-store run has the full timeline.
-    bool import_train = true;
     StoreWriterConfig writer;
   } store;
 

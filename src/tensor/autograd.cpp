@@ -275,8 +275,7 @@ Var vsoftmax_rows(const Var& x) {
 }
 
 Var vblock_attention(const Var& q, const Var& k, const Var& v,
-                     std::span<const std::size_t> block_lens, float scale,
-                     const Tensor* attn_bias) {
+                     std::span<const std::size_t> block_lens, float scale) {
   const Tensor& qv = q.value();
   const Tensor& kv = k.value();
   const Tensor& vv = v.value();
@@ -293,10 +292,6 @@ Var vblock_attention(const Var& q, const Var& k, const Var& v,
   }
   NS_REQUIRE(total == T, "vblock_attention block lengths sum to "
                              << total << " but q has " << T << " rows");
-  if (attn_bias != nullptr)
-    NS_REQUIRE(attn_bias->rank() == 2 && attn_bias->size(0) == T &&
-                   attn_bias->size(1) == T,
-               "vblock_attention bias must be [" << T << "," << T << "]");
 
   // Forward: per block, the exact kernel sequence of the composed op chain
   // (matmul / scale / softmax_rows / matmul on row-slices), so the output
@@ -343,18 +338,6 @@ Var vblock_attention(const Var& q, const Var& k, const Var& v,
     Tensor raw = ws.acquire(Shape{len, len});
     matmul_into(raw, qb, kt);
     scale_into(raw, raw, scale);
-    if (attn_bias != nullptr) {
-      // Constant additive bias on the pre-softmax scores, reading the
-      // block's diagonal sub-square. Same elementwise add (post-scale) as
-      // the composed vadd, so values stay bitwise identical; no gradient
-      // flows to the bias, and the softmax backward only needs the cached
-      // attn weights, so the backward pass is unchanged.
-      for (std::size_t i = 0; i < len; ++i) {
-        const float* brow = attn_bias->data() + (base + i) * T + base;
-        float* rrow = raw.data() + i * len;
-        for (std::size_t j = 0; j < len; ++j) rrow[j] += brow[j];
-      }
-    }
     Tensor attn(Shape{len, len});  // owned: cached for backward
     softmax_rows_into(attn, raw);
     Tensor ob = ws.acquire(Shape{len, dh});

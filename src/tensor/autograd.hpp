@@ -111,20 +111,17 @@ Var vconcat_rows(std::span<const Var> parts);
 /// Fused block-diagonal attention for one head. q/k/v are [T, dh]; rows
 /// split into consecutive blocks whose lengths (summing to T) are given in
 /// `block_lens`, and each block attends only within itself:
-///   out_b = softmax(q_b @ k_b^T * scale + bias_b) @ v_b,
-///   out = concat_rows(out_b),
-/// where `attn_bias`, when non-null, is a constant additive [T, T] term on
-/// the pre-softmax scores (each block reads its own diagonal sub-square;
-/// no gradient flows to it). Forward values are bitwise identical to the
-/// composed per-block chain (vslice_rows / vmatmul / vtranspose / vscale /
-/// vadd / vsoftmax_rows / vconcat_rows) — the same kernels run in the same
-/// order — but the whole stage is a single graph node, which removes ~8
-/// node allocations per (head, block) from the batched trainer's hot loop.
+///   out_b = softmax(q_b @ k_b^T * scale) @ v_b,
+///   out = concat_rows(out_b).
+/// Forward values are bitwise identical to the composed per-block chain
+/// (vslice_rows / vmatmul / vtranspose / vscale / vsoftmax_rows /
+/// vconcat_rows) — the same kernels run in the same order — but the whole
+/// stage is a single graph node, which removes ~8 node allocations per
+/// (head, block) from the batched trainer's hot loop.
 /// Gradients are also bitwise identical to the composed chain (see the
 /// impl notes).
 Var vblock_attention(const Var& q, const Var& k, const Var& v,
-                     std::span<const std::size_t> block_lens, float scale,
-                     const Tensor* attn_bias = nullptr);
+                     std::span<const std::size_t> block_lens, float scale);
 
 /// Elementwise multiply by a constant mask tensor (no gradient to the mask).
 Var vmask(const Var& x, const Tensor& mask);

@@ -546,33 +546,38 @@ TEST_F(DispatchServeFixture, ScoreTimelineReallocationsBounded) {
   EXPECT_GT(stats.score_reallocs, 0u);  // the counter is actually wired
 }
 
-// Calibration round-trips through the generation checkpoint unchanged.
-TEST_F(DispatchServeFixture, QuantCalibrationSurvivesCheckpoint) {
+// Plans are not checkpointed: a quantized registry restored from a
+// checkpoint recompiles (and recalibrates) every plan from the restored
+// weights, and serves bit for bit like the registry that wrote it.
+TEST_F(DispatchServeFixture,
+       QuantizedRegistryRestoredFromCheckpointScoresBitwise) {
   const std::size_t clusters = sentry_->library().size();
   obs::Registry obs;
-  GenerationRegistry registry(clusters, 2, &obs);
+  GenerationRegistry registry(clusters, 2, &obs, ScoringPath::kQuantized);
   registry.seed_from_library(sentry_->library());
   const std::string dir =
       (fs::temp_directory_path() / "ns_dispatch_gen_ckpt").string();
   registry.save(dir);
   obs::Registry obs2;
-  GenerationRegistry restored(clusters, 2, &obs2);
+  GenerationRegistry restored(clusters, 2, &obs2, ScoringPath::kQuantized);
   restored.load(dir, sentry_->model_config(), sentry_->config().seed);
-  for (std::size_t c = 0; c < clusters; ++c) {
-    const auto orig = registry.snapshot(c);
-    const auto back = restored.snapshot(c);
-    ASSERT_EQ(orig->generations.size(), back->generations.size());
-    for (std::size_t g = 0; g < orig->generations.size(); ++g) {
-      const auto& a = orig->generations[g].quant_calibration;
-      const auto& b = back->generations[g].quant_calibration;
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      ASSERT_EQ(a->channel_scales.size(), b->channel_scales.size());
-      for (std::size_t m = 0; m < a->channel_scales.size(); ++m)
-        EXPECT_EQ(a->channel_scales[m], b->channel_scales[m]);
-    }
-  }
   fs::remove_all(dir);
+
+  const auto serve = [](GenerationRegistry& gens, obs::Registry& metrics) {
+    ServeEngine engine(*sentry_, ServeConfig{.registry = &metrics,
+                                             .scoring_path =
+                                                 ScoringPath::kQuantized,
+                                             .generations = 2,
+                                             .generation_registry = &gens});
+    return serve_replay(engine, sim_->data, sim_->train_end).result;
+  };
+  const ServeResult written = serve(registry, obs);
+  const ServeResult reloaded = serve(restored, obs2);
+  const DetectionDelta delta =
+      compare_detections(reloaded.detections, written.detections);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);  // bitwise, not just close
+  EXPECT_EQ(delta.prediction_mismatches, 0u);
+  EXPECT_GT(written.stats.points_scored, 0u);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // through the registry bitwise equal to batch detect(), the retrainer-to-
 // served-registry wiring check, the self-healing retrainer's failure
 // semantics (crash-mid-train, crash-mid-publish, poisoned segments, circuit
-// breaker), CRC-framed checkpoint round-trips, and a concurrent
-// score/hot-swap race test (run under TSan via the race label).
+// breaker), CRC-framed checkpoint round-trips, plans compiled at publish,
+// rejection of empty, partly seeded or foreign generation sets, and a
+// concurrent score/hot-swap race test (run under TSan via the race label).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fileio.hpp"
 #include "core/nodesentry.hpp"
 #include "nn/module.hpp"
 #include "obs/export.hpp"
@@ -422,8 +425,7 @@ TEST_F(GenerationsFixture, CheckpointRoundTripPreservesEverything) {
   obs::Registry obs;
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
   registry.seed_from_library(sentry_->library());
-  // A second generation for cluster 0 with distinctive metadata, then
-  // quarantine the seed so the flag round-trips too.
+  // A second generation for cluster 0 with distinctive metadata.
   const ClusterEntry& entry = sentry_->library().clusters()[0];
   {
     ModelGeneration gen;
@@ -433,7 +435,6 @@ TEST_F(GenerationsFixture, CheckpointRoundTripPreservesEverything) {
     gen.trained_cycle = 7;
     registry.publish(0, std::move(gen));
   }
-  ASSERT_TRUE(registry.quarantine(0, 0));
   registry.save(dir);
 
   obs::Registry obs2;
@@ -449,7 +450,6 @@ TEST_F(GenerationsFixture, CheckpointRoundTripPreservesEverything) {
       EXPECT_EQ(ga.gen_id, gb.gen_id);
       EXPECT_EQ(ga.trained_cycle, gb.trained_cycle);
       EXPECT_EQ(ga.baseline_error, gb.baseline_error);
-      EXPECT_EQ(ga.quarantined, gb.quarantined);
       ASSERT_EQ(ga.residual_scale.numel(), gb.residual_scale.numel());
       const auto fa = ga.residual_scale.flat();
       const auto fb = gb.residual_scale.flat();
@@ -467,6 +467,97 @@ TEST_F(GenerationsFixture, CheckpointRoundTripPreservesEverything) {
   EXPECT_THROW(corrupt.load(dir, sentry_->model_config(), fast_config().seed),
                Error);
   fs::remove_all(dir);
+}
+
+// Every published generation carries the plan the registry compiled for
+// it, in the registry's scoring path: snapshots share it, and a canonical
+// plan forwards bitwise like the model it was compiled from.
+TEST_F(GenerationsFixture, PublishedGenerationsCarryTheirCompiledPlan) {
+  obs::Registry obs;
+  GenerationRegistry registry(sentry_->library().size(), 2, &obs);
+  EXPECT_EQ(registry.scoring_path(), ScoringPath::kStrict);
+  registry.seed_from_library(sentry_->library());
+  const ClusterEntry& entry = sentry_->library().clusters()[0];
+  const auto first = registry.snapshot(0);
+  ASSERT_EQ(first->generations.size(), 1u);
+  const ModelGeneration& seed = first->generations.front();
+  ASSERT_NE(seed.plan, nullptr);
+  EXPECT_EQ(registry.snapshot(0)->generations.front().plan, seed.plan);
+
+  const std::size_t T = 12;
+  Rng data_rng(5);
+  const Tensor x =
+      Tensor::randn(Shape{T, entry.model->config().input_dim}, data_rng);
+  std::vector<std::size_t> offsets(T), seg_ids(T, 0);
+  for (std::size_t t = 0; t < T; ++t) offsets[t] = t;
+  Workspace ws;
+  const Tensor planned = seed.plan->forward(x, offsets, seg_ids, {}, ws);
+  Rng rng(0);
+  const Var direct =
+      entry.model->forward(Var::constant(x.clone()), offsets, seg_ids, rng);
+  ASSERT_EQ(planned.numel(), direct.value().numel());
+  EXPECT_EQ(std::memcmp(planned.data(), direct.value().data(),
+                        planned.numel() * sizeof(float)),
+            0);
+
+  // A caller's plan never reaches the set: publish compiles its own.
+  ModelGeneration gen;
+  gen.model = entry.model;
+  gen.residual_scale = entry.residual_scale.clone();
+  gen.plan = seed.plan;
+  registry.publish(0, std::move(gen));
+  const auto second = registry.snapshot(0);
+  ASSERT_EQ(second->generations.size(), 2u);
+  ASSERT_NE(second->generations.back().plan, nullptr);
+  EXPECT_NE(second->generations.back().plan, seed.plan);
+}
+
+// An empty generation set cannot be restored, a checkpoint of another
+// format version is not read, and an engine refuses a registry that is
+// seeded only in part or compiled for another scoring path.
+TEST_F(GenerationsFixture, EmptyOrForeignGenerationSetsAreRejected) {
+  const std::size_t clusters = sentry_->library().size();
+  const std::string dir = temp_dir("rejects");
+  obs::Registry obs;
+  GenerationRegistry unseeded(clusters, 1, &obs);
+  unseeded.save(dir);
+  GenerationRegistry restored(clusters, 1, &obs);
+  EXPECT_THROW(restored.load(dir, sentry_->model_config(), 1), ParseError);
+
+  GenerationRegistry seeded(clusters, 1, &obs);
+  seeded.seed_from_library(sentry_->library());
+  seeded.save(dir);
+  ASSERT_NO_THROW(restored.load(dir, sentry_->model_config(), 1));
+  {
+    // The index this build writes starts with its format version (2); a
+    // version-1 index is refused before any cluster file is read.
+    const std::string index = (fs::path(dir) / "gens_index.bin").string();
+    std::string payload = read_framed_file(index);
+    const std::uint32_t old_version = 1;
+    std::memcpy(payload.data(), &old_version, sizeof(old_version));
+    write_framed_file(index, payload);
+  }
+  EXPECT_THROW(restored.load(dir, sentry_->model_config(), 1), ParseError);
+  fs::remove_all(dir);
+
+  ServeConfig config;
+  config.registry = &obs;
+  GenerationRegistry quantized(clusters, 1, &obs, ScoringPath::kQuantized);
+  config.generation_registry = &quantized;
+  EXPECT_THROW({ ServeEngine engine(*sentry_, config); }, Error);
+  config.scoring_path = ScoringPath::kQuantized;
+  EXPECT_NO_THROW({ ServeEngine engine(*sentry_, config); });  // seeds it
+
+  if (clusters < 2) GTEST_SKIP() << "one cluster cannot be partly seeded";
+  GenerationRegistry partial(clusters, 1, &obs);
+  const ClusterEntry& entry = sentry_->library().clusters()[0];
+  ModelGeneration gen;
+  gen.model = entry.model;
+  gen.residual_scale = entry.residual_scale.clone();
+  partial.publish(0, std::move(gen));
+  config.scoring_path = ScoringPath::kStrict;
+  config.generation_registry = &partial;
+  EXPECT_THROW({ ServeEngine engine(*sentry_, config); }, Error);
 }
 
 TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {

@@ -44,6 +44,21 @@ Tensor reference_matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+// Reference for the relaxed gemm: every element is one ascending-k chain of
+// fused multiply-adds from 0, c = fmaf(a_ik, b_kj, c).
+Tensor reference_fma_matmul(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.size(0), k = a.size(1), n = b.size(1);
+  Tensor c(Shape{m, n});
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk)
+        acc = std::fmaf(a.data()[i * k + kk], b.data()[kk * n + j], acc);
+      c.data()[i * n + j] = acc;
+    }
+  return c;
+}
+
 // Bit equality element by element, except that a NaN only has to be NaN in
 // the same position: which NaN payload survives depends on operand order.
 bool bitwise_equal_or_both_nan(const Tensor& a, const Tensor& b) {
@@ -71,38 +86,49 @@ TEST(MatmulInto, MatchesReferenceOnOddShapes) {
        {1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20, 24, 31, 32, 72, 96})
     for (std::size_t m : {1, 3, 4, 5, 65})
       for (std::size_t k : {1, 12, 24, 96}) shapes.emplace_back(m, k, n);
-  for (const auto& [m, k, n] : shapes) {
-    const Tensor a = random_tensor(Shape{m, k}, 1);
-    const Tensor b = random_tensor(Shape{k, n}, 2);
-    Tensor c;
-    matmul_into(c, a, b);
-    EXPECT_TRUE(bitwise_equal(c, reference_matmul(a, b)))
-        << m << "x" << k << "x" << n;
-  }
 
   // Special values through every panel: NaN, +-Inf, -0.0, and a denormal
   // that must survive (no flush-to-zero) into row 3 of C.
   const std::size_t m = 5, k = 24, n = 31;
-  Tensor a = random_tensor(Shape{m, k}, 3);
-  Tensor b = random_tensor(Shape{k, n}, 4);
+  Tensor special_a = random_tensor(Shape{m, k}, 3);
+  Tensor special_b = random_tensor(Shape{k, n}, 4);
   const float inf = std::numeric_limits<float>::infinity();
-  a.at(0, 3) = std::numeric_limits<float>::quiet_NaN();
-  a.at(1, 7) = -0.0f;
-  for (std::size_t kk = 0; kk < k; ++kk) a.at(3, kk) = 0.0f;
-  a.at(3, 0) = std::numeric_limits<float>::denorm_min() * 1000.0f;
-  a.at(4, 9) = -inf;
-  b.at(5, 2) = inf;
-  b.at(7, 20) = -inf;
-  b.at(1, 10) = -0.0f;
-  b.at(11, 30) = std::numeric_limits<float>::quiet_NaN();
-  b.at(0, 17) = std::numeric_limits<float>::denorm_min();
-  Tensor c;
-  matmul_into(c, a, b);
-  const Tensor ref = reference_matmul(a, b);
-  EXPECT_TRUE(bitwise_equal_or_both_nan(c, ref));
-  EXPECT_TRUE(std::isnan(c.at(0, 0)));
-  EXPECT_NE(c.at(3, 1), 0.0f);
-  EXPECT_LT(std::fabs(c.at(3, 1)), std::numeric_limits<float>::min());
+  special_a.at(0, 3) = std::numeric_limits<float>::quiet_NaN();
+  special_a.at(1, 7) = -0.0f;
+  for (std::size_t kk = 0; kk < k; ++kk) special_a.at(3, kk) = 0.0f;
+  special_a.at(3, 0) = std::numeric_limits<float>::denorm_min() * 1000.0f;
+  special_a.at(4, 9) = -inf;
+  special_b.at(5, 2) = inf;
+  special_b.at(7, 20) = -inf;
+  special_b.at(1, 10) = -0.0f;
+  special_b.at(11, 30) = std::numeric_limits<float>::quiet_NaN();
+  special_b.at(0, 17) = std::numeric_limits<float>::denorm_min();
+
+  const auto check = [&](Tensor (*reference)(const Tensor&, const Tensor&)) {
+    for (const auto& [rows, depth, cols] : shapes) {
+      const Tensor a = random_tensor(Shape{rows, depth}, 1);
+      const Tensor b = random_tensor(Shape{depth, cols}, 2);
+      Tensor c;
+      matmul_into(c, a, b);
+      EXPECT_TRUE(bitwise_equal(c, reference(a, b)))
+          << rows << "x" << depth << "x" << cols;
+    }
+    Tensor c;
+    matmul_into(c, special_a, special_b);
+    EXPECT_TRUE(bitwise_equal_or_both_nan(c, reference(special_a, special_b)));
+    EXPECT_TRUE(std::isnan(c.at(0, 0)));
+    EXPECT_NE(c.at(3, 1), 0.0f);
+    EXPECT_LT(std::fabs(c.at(3, 1)), std::numeric_limits<float>::min());
+  };
+  check(reference_matmul);
+
+  // The relaxed gemm (FastKernelScope) pins its own bits: one fused
+  // multiply-add per k, in ascending k, in every panel and tail. Where the
+  // scope cannot enable the fast tier, matmul_into stays canonical and the
+  // pass is skipped.
+  const FastKernelScope fast;
+  if (!fast_kernels_enabled()) return;
+  check(reference_fma_matmul);
 }
 
 TEST(MatmulInto, BitwiseIdenticalAcrossThreadCounts) {

@@ -3,6 +3,7 @@
 //  - batch == 1 reproduces the classic one-step-per-chunk trainer bit for
 //    bit (parameters, residual scale, baseline error);
 //  - the residual-statistics pass is batch-size- and thread-count-invariant;
+//  - train_chunks drops a segment's trailing remainder below 4 rows;
 //  - block-diagonal forwards match per-chunk forwards bitwise in training
 //    mode (MoE routing and segment-aware positions intact);
 //  - ksigma_flags warms up after min(window, 8) samples, so small-window
@@ -287,6 +288,26 @@ TEST(Trainer, EmptyChunkListYieldsNeutralStats) {
   for (std::size_t m = 0; m < M; ++m)
     EXPECT_EQ(stats.residual_scale.at(m), 1.0f);
   EXPECT_EQ(stats.baseline_error, 1.0);
+}
+
+// One chunking rule for fit, fine-tune and retrain: windows of W rows, and
+// a trailing remainder shorter than 4 rows is dropped.
+TEST(Trainer, TrainChunksDropTailsShorterThanFourRows) {
+  const std::size_t W = 16, M = 3;
+  const Tensor short_tail(Shape{W + 3, M});
+  const std::vector<TrainChunk> one = train_chunks(short_tail, W, 7);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].tokens.size(0), W);
+  EXPECT_EQ(one[0].segment_id, 7u);
+
+  const Tensor long_tail(Shape{W + 4, M});
+  const std::vector<TrainChunk> two = train_chunks(long_tail, W, 7);
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[1].tokens.size(0), 4u);
+  const std::vector<std::size_t> tail_offsets = {W, W + 1, W + 2, W + 3};
+  EXPECT_EQ(two[1].offsets, tail_offsets);
+  // A window below 4 rows is widened to 4.
+  EXPECT_EQ(train_chunks(long_tail, 2, 0).size(), 5u);
 }
 
 TEST(Trainer, BlockedForwardMatchesPerChunkInTrainingMode) {
