@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
 
   // ---- Fit on the clean prefix, then serve the test region with the
   // per-metric WMSE split recorded (detections are bitwise identical with
-  // or without it — attribution is a separate pass over the residuals).
+  // or without it — the terms are written after each score and never
+  // feed it).
   NodeSentryConfig config;
   config.train_epochs = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--epochs", "4")));

@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
       std::atoi(arg_value(argc, argv, "--metrics-every", "0")));
   const char* incidents_out = arg_value(argc, argv, "--incidents-out", "");
   // Incident metric ranking needs the per-metric WMSE split recorded
-  // during scoring; attribution is a separate pass, detections stay
+  // during scoring; the terms never feed the scores, so detections stay
   // bitwise identical.
   if (incidents_out[0] != '\0') session_config.engine.attribution = true;
 

@@ -125,20 +125,18 @@ NodeSentry::FitReport NodeSentry::fit(const MtsDataset& raw,
   std::vector<CoreSegment> segments =
       training_segments(processed_, train_end, config_);
   NS_REQUIRE(!segments.empty(), "fit: no training segments");
-  if (!mask_.empty()) {
-    // Quality gate: a segment that is mostly masked would teach the shared
-    // model filler values; drop it from training.
-    std::vector<CoreSegment> usable;
-    usable.reserve(segments.size());
-    for (const CoreSegment& seg : segments)
-      if (mask_.segment_valid_fraction(seg.node, seg.begin, seg.end) >=
-          config_.quality.min_segment_valid_fraction)
-        usable.push_back(seg);
-    report.segments_dropped_quality = segments.size() - usable.size();
-    NS_REQUIRE(!usable.empty(),
-               "fit: no training segments with sufficient data quality");
-    segments = std::move(usable);
-  }
+  // Quality gate: a segment that is mostly masked would teach the shared
+  // model filler values; drop it from training.
+  std::vector<CoreSegment> usable;
+  usable.reserve(segments.size());
+  for (const CoreSegment& seg : segments)
+    if (mask_.segment_valid_fraction(seg.node, seg.begin, seg.end) >=
+        config_.quality.min_segment_valid_fraction)
+      usable.push_back(seg);
+  report.segments_dropped_quality = segments.size() - usable.size();
+  NS_REQUIRE(!usable.empty(),
+             "fit: no training segments with sufficient data quality");
+  segments = std::move(usable);
   Rng rng(config_.seed);
   if (config_.training_subsample < 1.0) {
     // Uniform random subset (Fig. 6a training-size sweep).
@@ -434,10 +432,10 @@ std::vector<float> causal_median_filter(const std::vector<float>& scores,
 std::size_t chunk_point_scores(const ClusterEntry& entry, const Tensor& out,
                                const Tensor& chunk, const ValidityMask* mask,
                                std::size_t mask_node, std::size_t mask_begin,
-                               float* out_scores) {
+                               float* out_scores, float* out_contrib) {
   return chunk_point_scores(entry.metric_weights, entry.residual_scale,
                             entry.baseline_error, out, chunk, mask, mask_node,
-                            mask_begin, out_scores);
+                            mask_begin, out_scores, out_contrib);
 }
 
 std::size_t chunk_point_scores(const Tensor& metric_weights,
@@ -445,82 +443,43 @@ std::size_t chunk_point_scores(const Tensor& metric_weights,
                                double baseline_error, const Tensor& out,
                                const Tensor& chunk, const ValidityMask* mask,
                                std::size_t mask_node, std::size_t mask_begin,
-                               float* out_scores) {
+                               float* out_scores, float* out_contrib) {
   const std::size_t len = chunk.size(0);
   const std::size_t M = chunk.size(1);
   NS_REQUIRE(out.size(0) == len && out.size(1) == M,
              "chunk_point_scores: reconstruction shape mismatch");
-  const bool have_mask = mask != nullptr && !mask->empty();
+  const auto valid = [&](std::size_t m, std::size_t t) {
+    return mask == nullptr || mask->valid(mask_node, m, mask_begin + t);
+  };
   std::size_t scored = 0;
   for (std::size_t t = 0; t < len; ++t) {
-    double err = 0.0;
-    if (!have_mask) {
-      for (std::size_t m = 0; m < M; ++m) {
-        const double d = out.at(t, m) - chunk.at(t, m);
-        err += metric_weights.at(m) * d * d / residual_scale.at(m);
-      }
-      out_scores[t] = static_cast<float>(
-          err / static_cast<double>(M) / baseline_error);
-      ++scored;
-      continue;
-    }
-    // Degraded mode: the weighted error renormalizes over the metrics
-    // alive at this timestamp, so a masked sensor shrinks the evidence
-    // base instead of injecting filler residuals into the score.
-    double weight = 0.0;
+    // The weighted error renormalizes over the metrics alive at this
+    // timestamp, so a masked sensor shrinks the evidence base instead of
+    // injecting filler residuals into the score.
+    double err = 0.0, weight = 0.0;
     for (std::size_t m = 0; m < M; ++m) {
-      if (!mask->valid(mask_node, m, mask_begin + t)) continue;
+      if (!valid(m, t)) continue;
       const double d = out.at(t, m) - chunk.at(t, m);
       err += metric_weights.at(m) * d * d / residual_scale.at(m);
       weight += metric_weights.at(m);
     }
+    float* row = out_contrib != nullptr ? out_contrib + t * M : nullptr;
+    if (row != nullptr) std::fill(row, row + M, 0.0f);
     if (weight <= 0.0) continue;  // fully-dead timestamp: score untouched
     out_scores[t] = static_cast<float>(err / weight / baseline_error);
     ++scored;
-  }
-  return scored;
-}
-
-void chunk_point_metric_contributions(
-    const Tensor& metric_weights, const Tensor& residual_scale,
-    double baseline_error, const Tensor& out, const Tensor& chunk,
-    const ValidityMask* mask, std::size_t mask_node, std::size_t mask_begin,
-    float* out_contrib) {
-  const std::size_t len = chunk.size(0);
-  const std::size_t M = chunk.size(1);
-  NS_REQUIRE(out.size(0) == len && out.size(1) == M,
-             "chunk_point_metric_contributions: reconstruction shape mismatch");
-  const bool have_mask = mask != nullptr && !mask->empty();
-  for (std::size_t t = 0; t < len; ++t) {
-    float* row = out_contrib + t * M;
-    if (!have_mask) {
-      for (std::size_t m = 0; m < M; ++m) {
-        const double d = out.at(t, m) - chunk.at(t, m);
-        row[m] = static_cast<float>(metric_weights.at(m) * d * d /
-                                    residual_scale.at(m) /
-                                    static_cast<double>(M) / baseline_error);
-      }
-      continue;
-    }
-    // Degraded mode mirrors chunk_point_scores: the divisor is the valid
-    // weight mass of this timestamp, invalid cells contribute nothing, and
-    // a fully-dead timestamp keeps its all-zero row (its score was never
-    // written either).
-    double weight = 0.0;
+    if (row == nullptr) continue;
+    // Per-metric terms of the score just written, with its divisor: they
+    // read the score's inputs and never feed back into it.
     for (std::size_t m = 0; m < M; ++m) {
-      if (!mask->valid(mask_node, m, mask_begin + t)) continue;
-      weight += metric_weights.at(m);
-    }
-    std::fill(row, row + M, 0.0f);
-    if (weight <= 0.0) continue;
-    for (std::size_t m = 0; m < M; ++m) {
-      if (!mask->valid(mask_node, m, mask_begin + t)) continue;
+      if (!valid(m, t)) continue;
       const double d = out.at(t, m) - chunk.at(t, m);
       row[m] = static_cast<float>(metric_weights.at(m) * d * d /
                                   residual_scale.at(m) / weight /
                                   baseline_error);
     }
   }
+  return scored;
 }
 
 std::vector<float> score_reference_levels(
@@ -594,7 +553,6 @@ NodeSentry::DetectReport NodeSentry::detect() {
   obs::Histogram& detect_score_hist = metrics.histogram(
       "ns_detect_stage_seconds", kDetectHelp, obs::default_latency_buckets(),
       {{"stage", "score"}}, 4096);
-  const bool have_mask = !mask_.empty();
   ThreadPool& pool = ThreadPool::global();
 
   // What the first two passes learn about one test segment.
@@ -615,15 +573,13 @@ NodeSentry::DetectReport NodeSentry::detect() {
   pool.parallel_for(0, segments.size(), 1, [&](std::size_t i) {
     const CoreSegment& seg = segments[i];
     Route& route = routes[i];
-    if (have_mask) {
-      // A mostly-masked segment cannot be scored honestly: it is reported
-      // kInsufficientData (scores stay 0) instead of matched.
-      route.valid_fraction =
-          mask_.segment_valid_fraction(seg.node, seg.begin, seg.end);
-      if (route.valid_fraction < config_.quality.min_segment_valid_fraction) {
-        route.status = SegmentStatus::kInsufficientData;
-        return;
-      }
+    // A mostly-masked segment cannot be scored honestly: it is reported
+    // kInsufficientData (scores stay 0) instead of matched.
+    route.valid_fraction =
+        mask_.segment_valid_fraction(seg.node, seg.begin, seg.end);
+    if (route.valid_fraction < config_.quality.min_segment_valid_fraction) {
+      route.status = SegmentStatus::kInsufficientData;
+      return;
     }
     Stopwatch extract_sw;
     route.window = seg;
@@ -632,21 +588,17 @@ NodeSentry::DetectReport NodeSentry::detect() {
     // feature distance (their feature blocks are mean-imputed), so a
     // dying sensor degrades the match instead of dominating it.
     std::vector<std::uint8_t> feature_valid;
-    if (have_mask) {
-      const std::size_t fpm = features_per_metric();
-      for (std::size_t m = 0; m < M; ++m) {
-        const bool alive = mask_.valid_fraction(seg.node, m, route.window.begin,
-                                                route.window.end) >=
-                           config_.quality.min_metric_valid_fraction;
-        if (!alive && feature_valid.empty())
-          feature_valid.assign(M * fpm, 1);
-        if (!alive)
-          std::fill(feature_valid.begin() +
-                        static_cast<std::ptrdiff_t>(m * fpm),
-                    feature_valid.begin() +
-                        static_cast<std::ptrdiff_t>((m + 1) * fpm),
-                    static_cast<std::uint8_t>(0));
-      }
+    const std::size_t fpm = features_per_metric();
+    for (std::size_t m = 0; m < M; ++m) {
+      const bool alive = mask_.valid_fraction(seg.node, m, route.window.begin,
+                                              route.window.end) >=
+                         config_.quality.min_metric_valid_fraction;
+      if (!alive && feature_valid.empty()) feature_valid.assign(M * fpm, 1);
+      if (!alive)
+        std::fill(
+            feature_valid.begin() + static_cast<std::ptrdiff_t>(m * fpm),
+            feature_valid.begin() + static_cast<std::ptrdiff_t>((m + 1) * fpm),
+            static_cast<std::uint8_t>(0));
     }
     route.features = library_.scale_masked(segment_features(route.window),
                                            feature_valid);
@@ -662,9 +614,8 @@ NodeSentry::DetectReport NodeSentry::detect() {
   double match_seconds = 0.0;
   for (std::size_t i = 0; i < segments.size(); ++i) {
     Route& route = routes[i];
-    if (have_mask)
-      report.outcomes.push_back(
-          SegmentOutcome{segments[i], route.status, route.valid_fraction});
+    report.outcomes.push_back(
+        SegmentOutcome{segments[i], route.status, route.valid_fraction});
     if (route.status == SegmentStatus::kInsufficientData) {
       ++report.segments_insufficient;
       continue;
@@ -739,7 +690,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
   // Normalized mean reconstruction error of a matching window (capped at
   // one detection chunk) — the trigger for targeted incremental
   // fine-tuning. Masked (invalid) cells carry no weight; the error
-  // renormalizes over the alive metrics.
+  // renormalizes over the valid cells' weight mass.
   const auto window_error = [&](const ClusterEntry& entry,
                                 const ScoringPlan& plan, const Route& route,
                                 Workspace& ws) {
@@ -748,8 +699,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
     double err = 0.0, weight = 0.0;
     for (std::size_t t = 0; t < tokens.size(0); ++t)
       for (std::size_t m = 0; m < M; ++m) {
-        if (have_mask &&
-            !mask_.valid(route.window.node, m, route.window.begin + t))
+        if (!mask_.valid(route.window.node, m, route.window.begin + t))
           continue;
         const double d = out.at(t, m) - tokens.at(t, m);
         err += entry.metric_weights.at(m) * d * d /
@@ -757,10 +707,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
         weight += entry.metric_weights.at(m);
       }
     if (weight <= 0.0) return 0.0;
-    return have_mask
-               ? err / weight / entry.baseline_error
-               : err / static_cast<double>(tokens.size(0)) /
-                     static_cast<double>(M) / entry.baseline_error;
+    return err / weight / entry.baseline_error;
   };
 
   // Light fine-tune of a cluster's shared model on one matching window
@@ -784,8 +731,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
       for (std::size_t t = 0; t < tokens.size(0); ++t) {
         double e = 0.0;
         for (std::size_t m = 0; m < M; ++m) {
-          if (have_mask && !mask_.valid(window.node, m, window.begin + t))
-            continue;
+          if (!mask_.valid(window.node, m, window.begin + t)) continue;
           const double d = probe.at(t, m) - tokens.at(t, m);
           e += entry.metric_weights.at(m) * d * d /
                entry.residual_scale.at(m);
@@ -824,7 +770,6 @@ NodeSentry::DetectReport NodeSentry::detect() {
         for (std::size_t t = 0; t < rows; ++t)
           for (std::size_t m = 0; m < M; ++m) {
             const bool cell_valid =
-                !have_mask ||
                 mask_.valid(window.node, m, window.begin + start + t);
             weight_mask.at(t, m) =
                 cell_valid ? token_weight[start + t] *
@@ -867,8 +812,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
       const std::size_t stop = start + block;
       points += chunk_point_scores(
           entry, slice_rows(out, start, stop), slice_rows(tokens, start, stop),
-          have_mask ? &mask_ : nullptr, seg.node, seg.begin + start,
-          scores + start);
+          &mask_, seg.node, seg.begin + start, scores + start);
       start = stop;
     }
     return points;

@@ -92,8 +92,7 @@ class NodeSentry {
     std::size_t segments_insufficient = 0;
     std::size_t incremental_new_clusters = 0;
     std::size_t incremental_finetunes = 0;
-    /// Per-segment status, in test-segment order (only populated when the
-    /// quality guard produced a mask).
+    /// Per-segment status, one per test segment, in test-segment order.
     std::vector<SegmentOutcome> outcomes;
   };
 
@@ -109,8 +108,8 @@ class NodeSentry {
   const ClusterLibrary& library() const { return library_; }
   ClusterLibrary& mutable_library() { return library_; }
   const MtsDataset& processed() const { return processed_; }
-  /// Validity mask over the processed dataset (empty when the quality
-  /// guard is disabled — treat as all-valid).
+  /// Validity mask over the processed dataset: one bit per processed cell,
+  /// never empty after fit() or restore() (the quality guard always runs).
   const ValidityMask& mask() const { return mask_; }
   std::size_t train_end() const { return train_end_; }
   const NodeSentryConfig& config() const { return config_; }
@@ -187,14 +186,22 @@ void center_tokens_leading(Tensor& tokens, std::size_t match_period);
 /// Per-point scores of one scored chunk: `out` is the model reconstruction
 /// and `chunk` the clean tokens, both [len, M]. Writes out_scores[0..len)
 /// (cells it skips are left untouched) and returns the number of scored
-/// points. With a non-empty mask, the weighted error renormalizes over the
-/// metrics valid at (mask_node, m, mask_begin + t) — exactly the degraded
-/// mode of batch detect(); with mask == nullptr (or empty) the clean
-/// err / M / baseline form is used.
+/// points. The weighted error divides by the weight mass of the metrics
+/// valid at (mask_node, m, mask_begin + t); a timestamp with no valid
+/// metric is skipped. A null `mask` marks every cell valid.
+///
+/// Attribution (DESIGN.md §15): with a non-null `out_contrib` the same pass
+/// also writes out_contrib[t * M + m] = the m-th metric's term of point t's
+/// score, with the score's divisor, so that sum_m out_contrib[t * M + m]
+/// equals out_scores[t] up to float rounding. Invalid cells and skipped
+/// timestamps get 0. The terms are computed after the score is written and
+/// never feed back into it, so the score bits do not depend on
+/// `out_contrib`.
 std::size_t chunk_point_scores(const ClusterEntry& entry, const Tensor& out,
                                const Tensor& chunk, const ValidityMask* mask,
                                std::size_t mask_node, std::size_t mask_begin,
-                               float* out_scores);
+                               float* out_scores,
+                               float* out_contrib = nullptr);
 
 /// Statistics-based overload: identical arithmetic, but the whitening
 /// divisor and baseline come from the caller instead of the ClusterEntry —
@@ -206,21 +213,8 @@ std::size_t chunk_point_scores(const Tensor& metric_weights,
                                double baseline_error, const Tensor& out,
                                const Tensor& chunk, const ValidityMask* mask,
                                std::size_t mask_node, std::size_t mask_begin,
-                               float* out_scores);
-
-/// Per-metric split of chunk_point_scores (DESIGN.md §15): writes
-/// out_contrib[t * M + m] = the m-th metric's term of point t's WMSE score,
-/// so that sum_m out_contrib[t * M + m] equals out_scores[t] up to float
-/// rounding. Runs as a separate pass with the exact same arithmetic and
-/// skip rules — clean mode divides by M * baseline, degraded mode
-/// renormalizes by the valid weight mass and leaves fully-dead timestamps
-/// untouched — so enabling attribution can never perturb the score bits.
-/// Cells the score pass skips (invalid metrics, dead timestamps) get 0.
-void chunk_point_metric_contributions(
-    const Tensor& metric_weights, const Tensor& residual_scale,
-    double baseline_error, const Tensor& out, const Tensor& chunk,
-    const ValidityMask* mask, std::size_t mask_node, std::size_t mask_begin,
-    float* out_contrib);
+                               float* out_scores,
+                               float* out_contrib = nullptr);
 
 /// Per-timestamp reference level for thresholding: each [begin, end) range
 /// gets its own 25th-percentile score (floored at 1e-6), 1.0 elsewhere. A

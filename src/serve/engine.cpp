@@ -63,7 +63,8 @@ LatencySummary summarize_histogram(const obs::Histogram& histogram) {
 
 }  // namespace
 
-ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
+ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config,
+                         ThreadPool* pool)
     : sentry_(&sentry),
       config_(config),
       preproc_(sentry.raw_metrics(), sentry.aggregation_sources(),
@@ -72,7 +73,6 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
       start_t_(sentry.train_end()) {
   NS_REQUIRE(!sentry.library().empty(), "serve: library has no clusters");
   num_metrics_ = sentry.processed().num_metrics();
-  masked_mode_ = !sentry.mask().empty();
   fitted_nodes_ = sentry.processed().num_nodes();
   // Guards the ingest-time profile mapping (sample.node % fitted_nodes_):
   // a zero-node fitted library would divide by zero on the first sample.
@@ -88,7 +88,9 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config)
   }
   if (config_.attribution) contrib_.assign(N, {});
   ranges_.assign(N, {});
-  if (config_.threads > 0) {
+  if (pool != nullptr) {
+    pool_ = pool;
+  } else if (config_.threads > 0) {
     owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
     pool_ = owned_pool_.get();
   } else {
@@ -363,45 +365,40 @@ void ServeEngine::match_segment(std::size_t node) {
   const NodeSentryConfig& cfg = sentry_->config();
   const std::size_t win = std::min(seg.rows.size(), cfg.match_period);
   const std::size_t M = num_metrics_;
-  if (masked_mode_) {
-    // Streaming counterpart of detect()'s data-quality gate, evaluated on
-    // the matching window (the future of the segment is not visible yet).
-    std::size_t valid_cells = 0;
-    for (std::size_t r = 0; r < win; ++r)
-      for (std::size_t m = 0; m < M; ++m) valid_cells += seg.valid[r][m];
-    const double vf = static_cast<double>(valid_cells) /
-                      static_cast<double>(win * M);
-    if (vf < cfg.quality.min_segment_valid_fraction) {
-      seg.insufficient = true;
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.segments_insufficient;
-      return;
-    }
+  // Streaming counterpart of detect()'s data-quality gate, evaluated on the
+  // matching window (the future of the segment is not visible yet).
+  std::size_t valid_cells = 0;
+  for (std::size_t r = 0; r < win; ++r)
+    for (std::size_t m = 0; m < M; ++m) valid_cells += seg.valid[r][m];
+  const double vf =
+      static_cast<double>(valid_cells) / static_cast<double>(win * M);
+  if (vf < cfg.quality.min_segment_valid_fraction) {
+    seg.insufficient = true;
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.segments_insufficient;
+    return;
   }
   std::vector<std::vector<float>> values(M, std::vector<float>(win));
   for (std::size_t r = 0; r < win; ++r)
     for (std::size_t m = 0; m < M; ++m) values[m][r] = seg.rows[r][m];
   const std::vector<float> raw_feats = extract_segment_features(values);
   std::vector<std::uint8_t> feature_valid;
-  if (masked_mode_) {
-    const std::size_t fpm = features_per_metric();
-    for (std::size_t m = 0; m < M; ++m) {
-      std::size_t ok = 0;
-      for (std::size_t r = 0; r < win; ++r) ok += seg.valid[r][m];
-      const bool alive = static_cast<double>(ok) / static_cast<double>(win) >=
-                         cfg.quality.min_metric_valid_fraction;
-      if (!alive && feature_valid.empty()) feature_valid.assign(M * fpm, 1);
-      if (!alive)
-        std::fill(
-            feature_valid.begin() + static_cast<std::ptrdiff_t>(m * fpm),
-            feature_valid.begin() + static_cast<std::ptrdiff_t>((m + 1) * fpm),
-            static_cast<std::uint8_t>(0));
-    }
+  const std::size_t fpm = features_per_metric();
+  for (std::size_t m = 0; m < M; ++m) {
+    std::size_t ok = 0;
+    for (std::size_t r = 0; r < win; ++r) ok += seg.valid[r][m];
+    const bool alive = static_cast<double>(ok) / static_cast<double>(win) >=
+                       cfg.quality.min_metric_valid_fraction;
+    if (!alive && feature_valid.empty()) feature_valid.assign(M * fpm, 1);
+    if (!alive)
+      std::fill(
+          feature_valid.begin() + static_cast<std::ptrdiff_t>(m * fpm),
+          feature_valid.begin() + static_cast<std::ptrdiff_t>((m + 1) * fpm),
+          static_cast<std::uint8_t>(0));
   }
   const ClusterLibrary& library = sentry_->library();
   const std::vector<float> feats =
-      feature_valid.empty() ? library.scale(raw_feats)
-                            : library.scale_masked(raw_feats, feature_valid);
+      library.scale_masked(raw_feats, feature_valid);
   const MatchResult match =
       library.match(feats, cfg.match_threshold_factor);
   // Unmatched patterns fall back to the nearest cluster — the serve engine
@@ -453,15 +450,12 @@ void ServeEngine::emit_ready_chunks(std::size_t node, bool closing,
     unit.offset = start;
     unit.segment_id = seg.segment_id;
     unit.tokens = Tensor(Shape{stop - start, M});
+    unit.valid = ValidityMask(1, M, stop - start);
     for (std::size_t r = start; r < stop; ++r)
-      for (std::size_t m = 0; m < M; ++m)
+      for (std::size_t m = 0; m < M; ++m) {
         unit.tokens.at(r - start, m) = seg.rows[r][m] - seg.center_mu[m];
-    if (masked_mode_) {
-      unit.valid.resize((stop - start) * M);
-      for (std::size_t r = start; r < stop; ++r)
-        for (std::size_t m = 0; m < M; ++m)
-          unit.valid[(r - start) * M + m] = seg.valid[r][m];
-    }
+        unit.valid.at(0, m, r - start) = seg.valid[r][m];
+      }
     seg.next_chunk_start = stop;
     enqueue_unit(std::move(unit));
   }
@@ -567,20 +561,6 @@ void ServeEngine::score_cluster_units(std::size_t cluster,
       block_lens.push_back(len);
       base += len;
     }
-    // Per-unit validity masks are generation-independent: build them once.
-    std::vector<ValidityMask> masks;
-    if (masked_mode_) {
-      masks.reserve(j - i);
-      for (std::size_t k = i; k < j; ++k) {
-        const PendingUnit& unit = units[k];
-        const std::size_t len = unit.tokens.size(0);
-        ValidityMask mask(1, M, len, 1);
-        for (std::size_t r = 0; r < len; ++r)
-          for (std::size_t m = 0; m < M; ++m)
-            mask.at(0, m, r) = unit.valid[r * M + m];
-        masks.push_back(std::move(mask));
-      }
-    }
     std::vector<ScoredUnit> results(j - i);
     std::size_t points = 0;
     for (std::size_t gi = 0; gi < gens.size(); ++gi) {
@@ -596,26 +576,20 @@ void ServeEngine::score_cluster_units(std::size_t cluster,
         base += len;
         ScoredUnit& scored = results[k - i];
         std::vector<float> lane(len, 0.0f);
+        // The newest generation is the primary lane: its scores are the
+        // reported ones (with the seed generation alone, exactly batch
+        // detect()'s), and attribution takes its per-metric terms from the
+        // same pass.
+        const bool attribute = newest && config_.attribution;
+        if (attribute) scored.contrib.resize(len * M);
         const std::size_t scored_points = chunk_point_scores(
             entry.metric_weights, gen.residual_scale, gen.baseline_error, rec,
-            unit.tokens, masked_mode_ ? &masks[k - i] : nullptr, 0, 0,
-            lane.data());
+            unit.tokens, &unit.valid, 0, 0, lane.data(),
+            attribute ? scored.contrib.data() : nullptr);
         scored.lanes.push_back(static_cast<std::uint8_t>(gen.gen_id % G));
         if (newest) {
-          // The newest generation is the primary lane: its scores are the
-          // reported ones (with the seed generation alone, exactly batch
-          // detect()'s).
           scored.node = unit.node;
           scored.abs_begin = unit.abs_begin;
-          if (config_.attribution) {
-            // Attribution follows the primary lane: the same generation
-            // statistics that produced the reported scores.
-            scored.contrib.assign(len * M, 0.0f);
-            chunk_point_metric_contributions(
-                entry.metric_weights, gen.residual_scale, gen.baseline_error,
-                rec, unit.tokens, masked_mode_ ? &masks[k - i] : nullptr, 0, 0,
-                scored.contrib.data());
-          }
           points += scored_points;
         }
         scored.lane_scores.push_back(std::move(lane));

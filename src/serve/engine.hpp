@@ -2,9 +2,14 @@
 //
 // Samples arrive one (node, tick) at a time (ingest), are preprocessed with
 // the artifacts retained from fit()/restore(), buffered per node with
-// out-of-order tolerance, and segmented on job transitions. Once a
-// segment's matching window settles, it is matched against the cluster
-// library (§3.5) and its token chunks are queued as scoring units. pump()
+// out-of-order tolerance, and segmented on job transitions. Every committed
+// cell carries a validity bit: a non-finite value (replaced by the last
+// good one) and a gap-filled row past max_interpolation_gap are invalid.
+// Once a segment's matching window settles, the data-quality gate and
+// masked matching run on it against the cluster library (§3.5), and its
+// token chunks are queued as scoring units, each with its cells' validity,
+// which the WMSE score renormalizes over (the one validity path of batch
+// detect()). pump()
 // packs queued units *across nodes* by matched cluster and submits one
 // thread-pool task per cluster; each task snapshots the cluster's model
 // generations from the GenerationRegistry (DESIGN.md §12 — by default one
@@ -63,7 +68,9 @@ class Retrainer;
 class StoreWriter;
 
 struct ServeConfig {
-  /// Worker threads for batched scoring; 0 = share the process-global pool.
+  /// Worker threads for batched scoring and thresholding; 0 = share the
+  /// process-global pool. A FleetEngine builds one pool of this many
+  /// workers and every shard runs on it.
   std::size_t threads = 0;
   /// How many ticks a sample may lag behind the newest sample of its node
   /// before the gap is filled with hold-last placeholders and later
@@ -86,10 +93,10 @@ struct ServeConfig {
   obs::Registry* registry = nullptr;
   /// Record per-metric WMSE attribution alongside the scores
   /// (ServeResult::attribution, DESIGN.md §15): each scored point also
-  /// keeps its M per-metric error terms, computed in a separate pass with
-  /// identical arithmetic — detections are bitwise unchanged whether this
-  /// is on or off. Costs one extra [t, M] float plane per node; off by
-  /// default, the incident correlator turns it on.
+  /// keeps its M per-metric error terms, written by the scoring pass of the
+  /// primary lane after each score — detections are bitwise unchanged
+  /// whether this is on or off. Costs one extra [t, M] float plane per
+  /// node; off by default, the incident correlator turns it on.
   bool attribution = false;
   /// Forward-evaluation strategy (see ScoringPath). Strict by default:
   /// opting into relaxed/quantized arithmetic is a deployment decision
@@ -151,7 +158,10 @@ class ServeEngine final : public ServeBackend {
   /// the registry's compiled plans; a seed plan shares its library model's
   /// weights, so the library must not be retrained or fine-tuned while
   /// the engine serves). The serving timeline starts at sentry.train_end().
-  explicit ServeEngine(NodeSentry& sentry, ServeConfig config = {});
+  /// A non-null `pool` (a fleet's shared pool, which must outlive the
+  /// engine) replaces the one config.threads would pick.
+  explicit ServeEngine(NodeSentry& sentry, ServeConfig config = {},
+                       ThreadPool* pool = nullptr);
 
   ~ServeEngine() override;
 
@@ -223,7 +233,7 @@ class ServeEngine final : public ServeBackend {
     std::size_t offset = 0;     ///< row offset within the segment
     std::size_t segment_id = 0;
     Tensor tokens;              ///< [len, M], centered
-    std::vector<std::uint8_t> valid;  ///< [len * M]; empty = all valid
+    ValidityMask valid;         ///< (1 node, M, len): the rows' cell bits
   };
 
   /// A scored unit ready to fold into the per-node lane timelines.
@@ -289,7 +299,6 @@ class ServeEngine final : public ServeBackend {
   /// Fitted node population: node ids at or past it borrow the profile of
   /// (id mod fitted_nodes_) for standardization (see ServeConfig::num_nodes).
   std::size_t fitted_nodes_ = 0;
-  bool masked_mode_ = false;
   bool finalized_ = false;
 
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "serve/model_registry.hpp"
 
 namespace ns {
@@ -123,10 +124,15 @@ FleetEngine::FleetEngine(NodeSentry& sentry, FleetConfig config)
   }
   ServeConfig engine_config = config_.engine;
   engine_config.generation_registry = gen_registry_;
+  // One scoring pool for the whole fleet: `threads` workers beside the
+  // shard workers, not `threads` per shard (0 keeps the global pool).
+  if (engine_config.threads > 0)
+    pool_ = std::make_unique<ThreadPool>(engine_config.threads);
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>(config_.ring_capacity);
-    shard->engine = std::make_unique<ServeEngine>(sentry, engine_config);
+    shard->engine =
+        std::make_unique<ServeEngine>(sentry, engine_config, pool_.get());
     shards_.push_back(std::move(shard));
   }
   num_nodes_ = shards_.front()->engine->num_nodes();
@@ -224,7 +230,7 @@ ServeResult FleetEngine::finalize() {
     if (shard->failed.load(std::memory_order_acquire))
       std::rethrow_exception(shard->error);
   // Shard finalizes run sequentially on this thread; each one fans its
-  // per-node thresholding out over the process-global pool internally.
+  // per-node thresholding out over the fleet's scoring pool internally.
   std::vector<ServeResult> results;
   results.reserve(shards_.size());
   for (auto& shard : shards_) results.push_back(shard->engine->finalize());

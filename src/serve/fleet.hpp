@@ -7,14 +7,14 @@
 // that owns that shard's engine (reorder stash, pending queue, scoring
 // dispatch). The shards SHARE everything that must stay fleet-wide
 // consistent — the fitted cluster library (read-only), one
-// GenerationRegistry, one obs::Registry (so the latency instruments are
-// fleet-wide automatically), and optionally one StoreWriter — and own
-// everything per-node (stashes, segments, score timelines), which is what
-// makes the split embarrassingly parallel: every node's samples land on
-// exactly one shard, in order. Scoring reads the shared models only
-// through the immutable ScoringPlans that registry compiled once per
-// generation, so every shard runs the same plan of a cluster model at the
-// same time without any fleet-wide lock.
+// GenerationRegistry, one scoring thread pool, one obs::Registry (so the
+// latency instruments are fleet-wide automatically), and optionally one
+// StoreWriter — and own everything per-node (stashes, segments, score
+// timelines), which is what makes the split embarrassingly parallel: every
+// node's samples land on exactly one shard, in order. Scoring reads the
+// shared models only through the immutable ScoringPlans that registry
+// compiled once per generation, so every shard runs the same plan of a
+// cluster model at the same time without any fleet-wide lock.
 //
 // finalize() closes the rings, joins the workers, finalizes each shard,
 // and merges: detections come from each node's owner shard (the others
@@ -77,9 +77,11 @@ struct FleetConfig {
   /// Template for every shard engine. `num_nodes` is the FLEET population
   /// (0 = the fitted dataset's). Every shard scores through
   /// `generation_registry` when it is set, else through one registry the
-  /// fleet owns, compiled in `scoring_path`; everything else passes
-  /// through verbatim (registry/store_writer/retrainer are already safe to
-  /// share — see the file comment).
+  /// fleet owns, compiled in `scoring_path`. `threads` sizes ONE scoring
+  /// pool the fleet builds and every shard scores and thresholds on (0 =
+  /// the process-global pool); everything else passes through verbatim
+  /// (registry/store_writer/retrainer are already safe to share — see the
+  /// file comment).
   ServeConfig engine;
 };
 
@@ -147,6 +149,10 @@ class FleetEngine final : public ServeBackend {
   std::unique_ptr<GenerationRegistry> owned_gen_registry_;
   GenerationRegistry* gen_registry_ = nullptr;
 
+  /// The scoring pool every shard shares (config.engine.threads workers);
+  /// null = the process-global pool. Declared before shards_ so it
+  /// outlives the engines that submit to it.
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> closed_{false};
   std::atomic<std::uint64_t> ring_stalls_{0};

@@ -91,29 +91,18 @@ AggregationResult aggregate_semantics(const MtsDataset& dataset,
   }
 
   const std::size_t t = dataset.num_timestamps();
-  const bool masked = mask != nullptr && !mask->empty();
   out.dataset.nodes.resize(dataset.nodes.size());
   parallel_for(0, dataset.nodes.size(), [&](std::size_t n) {
     NodeSeries& dst = out.dataset.nodes[n];
     dst.node_name = dataset.nodes[n].node_name;
     dst.values.assign(groups.size(), std::vector<float>(t, 0.0f));
     for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (!masked) {
-        const float inv = 1.0f / static_cast<float>(groups[g].size());
-        for (std::size_t src : groups[g]) {
-          const auto& series = dataset.nodes[n].values[src];
-          for (std::size_t i = 0; i < t; ++i) dst.values[g][i] += series[i];
-        }
-        for (std::size_t i = 0; i < t; ++i) dst.values[g][i] *= inv;
-        continue;
-      }
       // Average only the valid sources per timestamp so one stuck core
       // counter does not poison the whole semantic group. When no source
       // is valid, fall back to the filler average (the reduced mask marks
       // the point invalid, so it carries no scoring weight anyway). The
-      // all-valid case must reproduce the unmasked arithmetic bit-for-bit
-      // (sum * 1/size), or clean data would prune differently with the
-      // guard on.
+      // all-valid case is sum * 1/size in source order, the arithmetic
+      // StreamPreprocessor replays per sample.
       const float inv = 1.0f / static_cast<float>(groups[g].size());
       for (std::size_t i = 0; i < t; ++i) {
         float valid_sum = 0.0f, all_sum = 0.0f;
@@ -121,7 +110,7 @@ AggregationResult aggregate_semantics(const MtsDataset& dataset,
         for (std::size_t src : groups[g]) {
           const float v = dataset.nodes[n].values[src][i];
           all_sum += v;
-          if (mask->valid(n, src, i)) {
+          if (mask == nullptr || mask->valid(n, src, i)) {
             valid_sum += v;
             ++valid_count;
           }
@@ -188,7 +177,6 @@ void Standardizer::fit(const MtsDataset& dataset, std::size_t fit_until,
   const std::size_t t_max =
       std::min(fit_until, dataset.num_timestamps());
   NS_REQUIRE(t_max > 0, "Standardizer::fit on empty window");
-  const bool masked = mask != nullptr && !mask->empty();
   mean_.assign(dataset.nodes.size(), {});
   stddev_.assign(dataset.nodes.size(), {});
   parallel_for(0, dataset.nodes.size(), [&](std::size_t n) {
@@ -198,7 +186,7 @@ void Standardizer::fit(const MtsDataset& dataset, std::size_t fit_until,
       std::vector<float> window;
       window.reserve(t_max);
       for (std::size_t i = 0; i < t_max; ++i)
-        if (!masked || mask->valid(n, m, i))
+        if (mask == nullptr || mask->valid(n, m, i))
           window.push_back(dataset.nodes[n].values[m][i]);
       if (window.size() < 2) {
         // Dead-in-training metric: neutral moments keep the filler at 0.

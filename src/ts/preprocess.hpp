@@ -32,11 +32,11 @@ struct AggregationResult {
   std::vector<std::vector<std::size_t>> sources;
 };
 
-/// With a non-empty `mask`, each output point averages only the *valid*
-/// source metrics at that timestamp (a dying per-core sensor no longer
-/// poisons its semantic group); points with no valid source fall back to
-/// averaging the filler values and are themselves invalid in the reduced
-/// mask (see ValidityMask::aggregate).
+/// Each output point averages only the *valid* source metrics at that
+/// timestamp (a dying per-core sensor no longer poisons its semantic
+/// group); points with no valid source fall back to averaging the filler
+/// values and are themselves invalid in the reduced mask (see
+/// ValidityMask::aggregate). A null `mask` means every cell is valid.
 AggregationResult aggregate_semantics(const MtsDataset& dataset,
                                       const ValidityMask* mask = nullptr);
 
@@ -62,9 +62,10 @@ class Standardizer {
  public:
   /// Fits per-(node, metric) trimmed mean/std on `dataset`, considering
   /// only timestamps in [0, fit_until) — pass num_timestamps() to use all.
-  /// With a non-empty `mask`, invalid points are excluded from the moments
-  /// (filler values must not drag the z-scale); a series with fewer than
-  /// two valid fit points gets neutral moments (mean 0, std 1).
+  /// Invalid points of `mask` are excluded from the moments (filler values
+  /// must not drag the z-scale); a series with fewer than two valid fit
+  /// points gets neutral moments (mean 0, std 1). A null `mask` means every
+  /// point is valid.
   void fit(const MtsDataset& dataset, std::size_t fit_until,
            double trim = 0.05, const ValidityMask* mask = nullptr);
 
@@ -103,7 +104,7 @@ struct PreprocessOutput {
   std::vector<std::vector<std::size_t>> aggregation_sources;
   std::vector<std::size_t> kept_metrics;
   Standardizer standardizer;
-  ValidityMask mask;       ///< processed-space; empty = everything valid
+  ValidityMask mask;       ///< processed-space, one bit per processed cell
   QualityReport quality;   ///< events indexed in *raw* metric space
 };
 

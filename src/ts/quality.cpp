@@ -228,7 +228,6 @@ void scan_dead(SeriesGuard& g, double dead_metric_min_valid) {
 QualityResult apply_quality_guard(MtsDataset& dataset,
                                   const QualityConfig& config) {
   QualityResult result;
-  if (!config.enabled) return result;
   const std::size_t N = dataset.num_nodes();
   const std::size_t M = dataset.num_metrics();
   const std::size_t T = dataset.num_timestamps();

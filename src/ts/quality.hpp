@@ -8,7 +8,10 @@
 // filled by the existing linear interpolation; long gaps, non-finite
 // values, stuck runs, non-physical spikes and dead metrics are *masked*
 // instead of fabricated — downstream scoring renormalizes over the
-// currently-alive metrics rather than trusting filler values.
+// currently-alive metrics rather than trusting filler values. The guard has
+// no off switch: preprocess() always runs it, so every processed cell of
+// every fit, detect and serve run carries a validity bit, and the
+// pipeline has one validity path (the clean case is an all-ones mask).
 #pragma once
 
 #include <array>
@@ -22,8 +25,8 @@ namespace ns {
 
 // ------------------------------------------------------------ ValidityMask
 
-/// Per-(node, metric, timestamp) validity bits. An empty mask (default
-/// state) means "everything valid" — callers treat it as all-ones.
+/// Per-(node, metric, timestamp) validity bits. A default-constructed
+/// (empty) mask reads as all-valid; the pipeline's masks are never empty.
 class ValidityMask {
  public:
   ValidityMask() = default;
@@ -96,7 +99,6 @@ struct QualityEvent {
 };
 
 struct QualityConfig {
-  bool enabled = true;
   /// NaN gaps up to this length are trusted to linear interpolation; longer
   /// gaps are masked (the filler values exist but carry no weight).
   std::size_t max_interpolation_gap = 16;
@@ -141,8 +143,8 @@ struct QualityResult {
 
 /// Scans and sanitizes `dataset` in place: every invalid cell is set to NaN
 /// (the later interpolation pass turns it into finite filler) and marked 0
-/// in the mask. Short NaN gaps remain valid. With config.enabled == false,
-/// returns an empty (all-valid) mask and an empty report.
+/// in the mask. Short NaN gaps remain valid. The mask always has the
+/// dataset's shape: every cell of every pipeline run carries a validity bit.
 QualityResult apply_quality_guard(MtsDataset& dataset,
                                   const QualityConfig& config = {});
 

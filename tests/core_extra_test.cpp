@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "common/rng.hpp"
 #include "core/cluster_library.hpp"
 #include "core/nodesentry.hpp"
 #include "sim/dataset_builder.hpp"
@@ -247,6 +249,93 @@ TEST(MedianFilterEdge, AllNonFiniteWindowPassesInputThrough) {
   const std::vector<float> scores{kNaNf, kNaNf, kNaNf};
   const auto out = causal_median_filter(scores, 2);
   for (float v : out) EXPECT_TRUE(std::isnan(v));
+}
+
+/// Random reconstruction/chunk pair plus WMSE statistics for one chunk.
+struct ScoringInputs {
+  static constexpr std::size_t kLen = 12;
+  static constexpr std::size_t kMetrics = 5;
+  Tensor weights{Shape{kMetrics}};
+  Tensor scale;
+  Tensor out;
+  Tensor chunk;
+  double baseline = 0.8;
+
+  ScoringInputs() {
+    Rng rng(7);
+    for (std::size_t m = 0; m < kMetrics; ++m)
+      weights.at(m) = 0.7f + 0.13f * static_cast<float>(m);
+    scale = Tensor::rand_uniform(Shape{kMetrics}, rng, 0.5f, 2.0f);
+    out = Tensor::randn(Shape{kLen, kMetrics}, rng);
+    chunk = Tensor::randn(Shape{kLen, kMetrics}, rng);
+  }
+};
+
+TEST(ChunkPointScores, NullMaskEqualsAllOnesMaskBytewise) {
+  const ScoringInputs in;
+  constexpr std::size_t kLen = ScoringInputs::kLen;
+  constexpr std::size_t M = ScoringInputs::kMetrics;
+  // The weights' float sum is not exactly M, so a divide-by-M form and the
+  // valid-weight-mass form give different bits.
+  double weight_sum = 0.0;
+  for (std::size_t m = 0; m < M; ++m) weight_sum += in.weights.at(m);
+  ASSERT_NE(weight_sum, static_cast<double>(M));
+
+  const ValidityMask all_ones(1, M, kLen);
+  std::vector<float> scores_null(kLen, -1.0f), scores_ones(kLen, -1.0f);
+  std::vector<float> terms_null(kLen * M, -1.0f), terms_ones(kLen * M, -1.0f);
+  EXPECT_EQ(chunk_point_scores(in.weights, in.scale, in.baseline, in.out,
+                               in.chunk, nullptr, 0, 0, scores_null.data(),
+                               terms_null.data()),
+            kLen);
+  EXPECT_EQ(chunk_point_scores(in.weights, in.scale, in.baseline, in.out,
+                               in.chunk, &all_ones, 0, 0, scores_ones.data(),
+                               terms_ones.data()),
+            kLen);
+  EXPECT_EQ(std::memcmp(scores_null.data(), scores_ones.data(),
+                        kLen * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(terms_null.data(), terms_ones.data(),
+                        kLen * M * sizeof(float)),
+            0);
+  for (std::size_t t = 0; t < kLen; ++t) {
+    double sum = 0.0;
+    for (std::size_t m = 0; m < M; ++m) sum += terms_null[t * M + m];
+    EXPECT_NEAR(sum, scores_null[t], 1e-5 * std::abs(scores_null[t])) << t;
+  }
+  // Asking for the terms never moves a score bit.
+  std::vector<float> scores_only(kLen, -1.0f);
+  chunk_point_scores(in.weights, in.scale, in.baseline, in.out, in.chunk,
+                     nullptr, 0, 0, scores_only.data());
+  EXPECT_EQ(std::memcmp(scores_only.data(), scores_null.data(),
+                        kLen * sizeof(float)),
+            0);
+}
+
+TEST(ChunkPointScores, InvalidCellsCarryNoWeightOrTerm) {
+  const ScoringInputs in;
+  constexpr std::size_t kLen = ScoringInputs::kLen;
+  constexpr std::size_t M = ScoringInputs::kMetrics;
+  ValidityMask mask(1, M, kLen);
+  for (std::size_t m = 0; m < M; ++m) mask.at(0, m, 3) = 0;  // dead tick
+  mask.at(0, 2, 5) = 0;
+  std::vector<float> scores(kLen, -1.0f), terms(kLen * M, -1.0f);
+  EXPECT_EQ(chunk_point_scores(in.weights, in.scale, in.baseline, in.out,
+                               in.chunk, &mask, 0, 0, scores.data(),
+                               terms.data()),
+            kLen - 1);
+  EXPECT_EQ(scores[3], -1.0f);  // a dead timestamp keeps its score
+  for (std::size_t m = 0; m < M; ++m) EXPECT_EQ(terms[3 * M + m], 0.0f);
+  EXPECT_EQ(terms[5 * M + 2], 0.0f);
+  // Tick 5 renormalizes over the four valid metrics' weight mass.
+  double err = 0.0, weight = 0.0;
+  for (std::size_t m = 0; m < M; ++m) {
+    if (m == 2) continue;
+    const double d = in.out.at(5, m) - in.chunk.at(5, m);
+    err += in.weights.at(m) * d * d / in.scale.at(m);
+    weight += in.weights.at(m);
+  }
+  EXPECT_EQ(scores[5], static_cast<float>(err / weight / in.baseline));
 }
 
 }  // namespace

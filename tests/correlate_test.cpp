@@ -385,7 +385,7 @@ TEST_F(CorrelatedFaultFixture, AttributionLeavesDetectionsBitwiseUnchanged) {
   }
   EXPECT_FALSE(s.reference.attribution.enabled());
   ASSERT_TRUE(s.attributed.attribution.enabled());
-  // Attribution rows sum back to the score (separate pass, same terms).
+  // Attribution rows sum back to the score (one pass writes both).
   const std::size_t M = s.attributed.attribution.num_metrics;
   std::size_t checked = 0;
   for (std::size_t n = 0; n < s.attributed.detections.size(); ++n) {

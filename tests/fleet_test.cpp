@@ -1,10 +1,10 @@
 // Sharded fleet serving (DESIGN.md §14): N=1 bitwise parity with the lone
 // ServeEngine, multi-shard equivalence on clean data, consistent-hash
 // placement stability under fleet growth, fleet-stats merge == sum of
-// shard stats, ServeSession config validation and generation checkpoint
-// round trip, and two race tests (run
-// under TSan via the race label): concurrent ingest/stats polling, and
-// every shard scoring through one shared cluster model at once.
+// shard stats, one scoring pool per fleet, ServeSession config validation
+// and generation checkpoint round trip, and two race tests (run under TSan
+// via the race label): concurrent ingest/stats polling, and every shard
+// scoring through one shared cluster model at once.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -297,6 +298,23 @@ TEST_F(FleetFixture, OneSharedModelScoresConcurrentlyAcrossShards) {
     EXPECT_GE(got.stats.batches_run, 25 * fleet_config.shards);
     expect_bitwise_equal(got.detections, ref.detections);
   }
+}
+
+// A fleet runs one scoring pool: `threads` workers beside its shard
+// workers, not `threads` per shard.
+TEST_F(FleetFixture, ShardsShareOneScoringPool) {
+  const auto live_threads = [] {
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator{}));
+  };
+  FleetConfig config;
+  config.shards = 3;
+  config.engine.threads = 2;
+  const std::size_t before = live_threads();
+  FleetEngine fleet(*sentry_, config);
+  EXPECT_EQ(live_threads(), before + config.shards + config.engine.threads);
+  fleet.finalize();
 }
 
 TEST_F(FleetFixture, SessionRunsAFleetAndMatchesTheSingleEngine) {

@@ -2,13 +2,16 @@
 // integration with the preprocessing pipeline.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "sim/dataset_builder.hpp"
 #include "sim/telemetry_faults.hpp"
 #include "ts/preprocess.hpp"
 #include "ts/quality.hpp"
+#include "ts/stream.hpp"
 
 namespace ns {
 namespace {
@@ -46,17 +49,6 @@ TEST(QualityGuard, CleanDataReportsClean) {
   EXPECT_EQ(result.report.points_total, 3u * 200u);
   for (std::size_t m = 0; m < 3; ++m)
     EXPECT_DOUBLE_EQ(result.mask.valid_fraction(0, m, 0, 200), 1.0);
-}
-
-TEST(QualityGuard, DisabledGuardReturnsEmptyMask) {
-  MtsDataset ds = make_dataset(1, 50);
-  ds.nodes[0].values[0][10] = kInf;
-  QualityConfig config;
-  config.enabled = false;
-  const QualityResult result = apply_quality_guard(ds, config);
-  EXPECT_TRUE(result.mask.empty());
-  EXPECT_TRUE(result.mask.valid(0, 0, 10));  // empty mask = all-valid
-  EXPECT_TRUE(std::isinf(ds.nodes[0].values[0][10]));  // untouched
 }
 
 TEST(QualityGuard, InfRunMaskedAsNonFinite) {
@@ -203,25 +195,45 @@ TEST(QualityGuard, PreprocessProducesAlignedMask) {
       for (float v : series) ASSERT_TRUE(std::isfinite(v));
 }
 
-TEST(QualityGuard, CleanPreprocessMatchesGuardlessRun) {
-  // On pristine data the guard must be a no-op: identical processed values.
+TEST(QualityGuard, CleanPreprocessMatchesStreamReplay) {
+  // On pristine data the guard is a no-op: it reports clean, its mask is
+  // all ones, and the processed values equal an independent per-sample
+  // replay of the fitted pipeline (StreamPreprocessor) bit for bit.
   SimDatasetConfig config = d2_sim_config(0.25, 31);
   config.anomaly_ratio = 0.0;
   config.missing_rate = 0.0;
   const SimDataset sim = build_sim_dataset(config);
 
-  QualityConfig off;
-  off.enabled = false;
-  const PreprocessOutput with_guard = preprocess(sim.data, sim.train_end);
-  const PreprocessOutput without = preprocess(sim.data, sim.train_end, 0.99,
-                                              0.05, 5.0f, off);
-  ASSERT_EQ(with_guard.dataset.num_metrics(), without.dataset.num_metrics());
-  for (std::size_t n = 0; n < with_guard.dataset.num_nodes(); ++n)
-    for (std::size_t m = 0; m < with_guard.dataset.num_metrics(); ++m)
-      for (std::size_t t = 0; t < with_guard.dataset.num_timestamps(); ++t)
-        ASSERT_EQ(with_guard.dataset.nodes[n].values[m][t],
-                  without.dataset.nodes[n].values[m][t])
+  const PreprocessOutput out = preprocess(sim.data, sim.train_end);
+  EXPECT_TRUE(out.quality.clean());
+  const std::size_t N = out.dataset.num_nodes();
+  const std::size_t M = out.dataset.num_metrics();
+  const std::size_t T = out.dataset.num_timestamps();
+  ASSERT_EQ(out.mask.num_nodes(), N);
+  ASSERT_EQ(out.mask.num_metrics(), M);
+  ASSERT_EQ(out.mask.num_timestamps(), T);
+  for (std::size_t n = 0; n < N; ++n)
+    for (std::size_t m = 0; m < M; ++m)
+      for (std::size_t t = 0; t < T; ++t)
+        ASSERT_EQ(out.mask.at(n, m, t), 1) << n << ' ' << m << ' ' << t;
+
+  const StreamPreprocessor replay(sim.data.num_metrics(),
+                                  out.aggregation_sources, out.kept_metrics,
+                                  &out.standardizer, 5.0f);
+  std::vector<float> raw(sim.data.num_metrics());
+  for (std::size_t n = 0; n < N; ++n)
+    for (std::size_t t = 0; t < T; ++t) {
+      for (std::size_t r = 0; r < raw.size(); ++r)
+        raw[r] = sim.data.nodes[n].values[r][t];
+      const StreamPreprocessor::Row row = replay.process(n, raw);
+      for (std::size_t m = 0; m < M; ++m) {
+        const float batch = out.dataset.nodes[n].values[m][t];
+        ASSERT_EQ(row.valid[m], 1) << n << ' ' << m << ' ' << t;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(row.values[m]),
+                  std::bit_cast<std::uint32_t>(batch))
             << n << ' ' << m << ' ' << t;
+      }
+    }
 }
 
 TEST(TelemetryFaults, PlanCoversEveryTypeInsideRegion) {
