@@ -180,7 +180,6 @@ int main() {
   std::printf("\n=== Per-core forward scoring throughput ===\n\n");
   const ClusterEntry& bench_cluster = sentry.library().clusters().front();
   TransformerReconstructor& bench_model = *bench_cluster.model;
-  bench_model.set_training(false);
   const std::size_t M = bench_model.config().input_dim;
   constexpr std::size_t kBlocks = 16, kBlockRows = 64;
   constexpr std::size_t kRows = kBlocks * kBlockRows;

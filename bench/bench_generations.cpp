@@ -44,6 +44,8 @@ NodeSentryConfig bench_config() {
   config.k_max = 3;
   config.seed = 99;
   config.incremental_updates = false;
+  // The retrainer's epochs (detect() never adapts with updates off).
+  config.finetune_epochs = 2;
   return config;
 }
 
@@ -75,7 +77,6 @@ std::shared_ptr<TransformerReconstructor> clone_model(
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
   save_parameters(base, buffer);
   load_parameters(*clone, buffer);
-  clone->set_training(false);
   return clone;
 }
 
@@ -244,11 +245,7 @@ int main(int argc, char** argv) {
   GenerationRegistry registry(sentry.library().size(), 3, &obs);
   RetrainerConfig retrain_config;
   retrain_config.min_segments = 1;
-  retrain_config.max_segments = 4;
-  retrain_config.train_window = 32;
-  retrain_config.epochs = 2;
-  Retrainer retrainer(registry, sentry.library(), sentry.model_config(),
-                      retrain_config, &obs);
+  Retrainer retrainer(registry, sentry, retrain_config, &obs);
   ServeConfig consensus;
   consensus.registry = &obs;
   consensus.generations = 3;

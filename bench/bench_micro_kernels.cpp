@@ -139,7 +139,6 @@ void BM_TransformerForward(benchmark::State& state) {
   TransformerConfig config;
   config.input_dim = 16;
   TransformerReconstructor model(config, rng);
-  model.set_training(false);
   const Tensor x = Tensor::randn(Shape{tokens, 16}, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.forward(Var::constant(x), rng));
@@ -166,7 +165,6 @@ void BM_ScoringPlanForward(benchmark::State& state) {
     config.ffn_hidden = 32;
   }
   TransformerReconstructor model(config, rng);
-  model.set_training(false);
   const ScoringPlan plan = state.range(0) == 0 ? ScoringPlan::canonical(model)
                                                : ScoringPlan(model);
   const Tensor x =

@@ -48,7 +48,9 @@ int main() {
     std::string archetypes;
     for (const auto& [name, count] : archetype_counts) {
       if (!archetypes.empty()) archetypes += ", ";
-      archetypes += name + ("x" + std::to_string(count));
+      archetypes += name;
+      archetypes += 'x';
+      archetypes += std::to_string(count);
     }
     // The metric the WMSE weights emphasize most.
     std::size_t top_metric = 0;

@@ -53,7 +53,10 @@
 //                   (1..G; default 1)
 //   --retrain-every run the background retrainer every MS milliseconds
 //                   while the replay streams (0 = no retraining); fresh
-//                   matched segments feed it, publishes hot-swap in
+//                   matched segments feed it, and each publish hot-swaps
+//                   in. It trains with the fit's recipe (learning rate,
+//                   train window, batch, denoising, seed) for the fit's
+//                   finetune_epochs (4)
 //   --incidents-out correlate the run's detections into cross-node
 //                   incidents (DESIGN.md §15) and write them as JSON;
 //                   turns on per-metric residual attribution so each
@@ -227,11 +230,12 @@ int main(int argc, char** argv) {
   // ---- Serve: every serving flag folds into one ServeSessionConfig; the
   // session owns the wiring (backend, generations, retrainer, store).
   ServeSessionConfig session_config;
-  session_config.engine.threads = static_cast<std::size_t>(
+  ServeConfig& engine = session_config.fleet.engine;
+  engine.threads = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--threads", "0")));
-  session_config.engine.max_batch_tokens = static_cast<std::size_t>(
+  engine.max_batch_tokens = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--batch-tokens", "384")));
-  session_config.engine.reorder_slack = static_cast<std::size_t>(
+  engine.reorder_slack = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--slack", "8")));
   session_config.fleet.shards = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--shards", "1")));
@@ -242,20 +246,19 @@ int main(int argc, char** argv) {
   // implies it because its batch-equivalence check is a bitwise contract.
   const bool strict_replay = arg_flag(argc, argv, "--strict-replay") ||
                              arg_flag(argc, argv, "--verify");
-  session_config.engine.scoring_path =
+  engine.scoring_path =
       strict_replay ? ScoringPath::kStrict : ScoringPath::kQuantized;
   std::printf("scoring path: %s (kernel tier %s)\n",
               strict_replay ? "strict (canonical kernels)"
                             : "quantized int8 + relaxed kernels",
               kernel_tier_name(kernel_dispatch_tier()));
 
-  session_config.engine.generations = static_cast<std::size_t>(
+  engine.generations = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--generations", "1")));
-  session_config.engine.consensus_quorum = static_cast<std::size_t>(
+  engine.consensus_quorum = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--consensus", "1")));
   session_config.generations.retrain_every_ms = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--retrain-every", "0")));
-  session_config.generations.seed = seed;
   // Generations ride the serve checkpoint flow (DESIGN.md §12): a warm
   // start restores the rolling generation sets saved by the previous run
   // instead of re-seeding every lane from the library.
@@ -265,8 +268,8 @@ int main(int argc, char** argv) {
       std::filesystem::exists(generations_dir))
     session_config.generations.restore_dir = generations_dir.string();
   std::printf("consensus scoring: G=%zu Q=%zu%s%s\n",
-              session_config.engine.generations,
-              session_config.engine.consensus_quorum,
+              engine.generations,
+              engine.consensus_quorum,
               session_config.generations.restore_dir.empty()
                   ? ""
                   : ", generations restored",
@@ -293,7 +296,7 @@ int main(int argc, char** argv) {
   // Incident metric ranking needs the per-metric WMSE split recorded
   // during scoring; the terms never feed the scores, so detections stay
   // bitwise identical.
-  if (incidents_out[0] != '\0') session_config.engine.attribution = true;
+  if (incidents_out[0] != '\0') engine.attribution = true;
 
   ServeSession session(sentry, dataset, train_end, session_config);
   if (session.num_shards() > 1)

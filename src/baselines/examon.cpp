@@ -44,7 +44,6 @@ DetectorReport Examon::run(const MtsDataset& processed,
     train_seconds[n] = train_sw.elapsed_s();
 
     Stopwatch detect_sw;
-    ae.set_training(false);
     NodeDetection& det = report.detections[n];
     det.scores.assign(T, 0.0f);
     const std::size_t chunk = 256;

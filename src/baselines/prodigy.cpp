@@ -57,7 +57,6 @@ DetectorReport Prodigy::run(const MtsDataset& processed,
   // Detection: reconstruction error per timestep (mean over stochastic
   // decoder output with a single sample, as in practice).
   Stopwatch detect_sw;
-  vae.set_training(false);
   report.detections.assign(N, NodeDetection{});
   parallel_for(0, N, [&](std::size_t n) {
     Rng node_rng(config_.seed ^ (n * 0x9E3779B97F4A7C15ull + 3));

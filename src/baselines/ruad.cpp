@@ -63,7 +63,6 @@ DetectorReport Ruad::run(const MtsDataset& processed, std::size_t train_end) {
     train_seconds[n] = train_sw.elapsed_s();
 
     Stopwatch detect_sw;
-    ae.set_training(false);
     NodeDetection& det = report.detections[n];
     det.scores.assign(T, 0.0f);
     for (std::size_t begin = train_end; begin < T; begin += W) {

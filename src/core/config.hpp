@@ -1,6 +1,8 @@
 // NodeSentry configuration: every knob of the offline training and online
 // detection pipeline, including the switches used by the paper's ablation
-// variants C1–C5 (§4.4) and hyperparameter sweeps (§4.6).
+// variants C1–C5 (§4.4) and hyperparameter sweeps (§4.6). Values no run
+// varies are `static constexpr` members: they read like fields
+// (`config.detect_chunk`) but cannot be set.
 #pragma once
 
 #include <cstddef>
@@ -17,11 +19,11 @@ struct NodeSentryConfig {
   // ---- preprocessing (§3.2)
   double correlation_threshold = 0.99;
   double standardize_trim = 0.05;
-  float standardize_clip = 5.0f;
+  static constexpr float standardize_clip = 5.0f;
   /// Telemetry data-quality guard run ahead of cleaning: classifies
   /// NaN/Inf bursts, stuck sensors, spikes, long gaps and dead metrics,
   /// producing the validity mask that degrades scoring gracefully.
-  QualityConfig quality;
+  static constexpr QualityConfig quality{};
 
   // ---- segmentation
   std::size_t min_segment_length = 8;
@@ -35,7 +37,7 @@ struct NodeSentryConfig {
   /// Mitigates the curse of dimensionality on the ~40 x M feature space.
   std::size_t pca_components = 16;
   Linkage linkage = Linkage::kWard;
-  std::size_t k_min = 2;
+  static constexpr std::size_t k_min = 2;
   std::size_t k_max = 12;
   /// 0 = choose k automatically by silhouette. Ablation C1 forces 1.
   /// Fig. 6(b) sweeps multiples of the auto k.
@@ -46,8 +48,9 @@ struct NodeSentryConfig {
   double training_subsample = 1.0;
 
   // ---- fine-grained model sharing (§3.4)
-  /// K segments nearest the centroid used to train each shared model.
-  std::size_t segments_per_cluster = 4;
+  /// K segments nearest the centroid used to train each shared model, and
+  /// the freshest segments the serve Retrainer trains a clone on.
+  static constexpr std::size_t segments_per_cluster = 4;
   /// Center each segment's tokens by the per-metric mean of its leading
   /// window before modeling. Per-node standardization (Eq. 2) leaves
   /// node-specific offsets inside every cluster (a node's z-level for the
@@ -67,7 +70,7 @@ struct NodeSentryConfig {
   /// amortizes the optimizer and graph overhead over B chunks (the fit
   /// throughput win) at the cost of a different — not worse — optimizer
   /// trajectory. Residual statistics are batch-size-invariant.
-  std::size_t train_batch = 8;
+  static constexpr std::size_t train_batch = 8;
   std::size_t max_tokens_per_segment = 192;
   /// Denoising training: inputs are corrupted with Gaussian noise (and
   /// random token drops) while the loss targets the clean tokens. This
@@ -87,11 +90,11 @@ struct NodeSentryConfig {
   double k_sigma = 3.0;
   /// Floor on the window stddev, as a fraction of the window mean; keeps
   /// ultra-quiet windows from flagging benign micro-spikes.
-  double sigma_floor_fraction = 0.2;
-  /// Causal median filter width applied to scores before thresholding
-  /// (1 disables). Removes single-point reconstruction spikes while
-  /// preserving real anomaly intervals, which span many samples.
-  std::size_t score_median_window = 3;
+  static constexpr double sigma_floor_fraction = 0.2;
+  /// Causal median filter width applied to scores before thresholding.
+  /// Removes single-point reconstruction spikes while preserving real
+  /// anomaly intervals, which span many samples.
+  static constexpr std::size_t score_median_window = 3;
   /// Relative floor on the score: a point is only flagged when its smoothed
   /// score also exceeds this multiple of its segment's reference level, the
   /// 25th-percentile score of that test segment (score_reference_levels).
@@ -103,7 +106,8 @@ struct NodeSentryConfig {
   /// noisy to trigger (e.g. the window already contains the anomaly's own
   /// samples).
   double hard_score_factor = 6.0;
-  std::size_t detect_chunk = 96;  ///< bound on attention sequence length
+  /// Bound on attention sequence length.
+  static constexpr std::size_t detect_chunk = 96;
   /// A segment matches a cluster when its centroid distance is below
   /// factor * cluster radius; otherwise it is treated as a new pattern.
   double match_threshold_factor = 2.5;
@@ -120,7 +124,9 @@ struct NodeSentryConfig {
   /// Upper bound for targeted fine-tuning: a matching window whose error
   /// exceeds this multiple of the baseline is more likely anomalous than a
   /// benign pattern shift, and must not be learned.
-  double finetune_ceiling = 10.0;
+  static constexpr double finetune_ceiling = 10.0;
+  /// Epochs of every warm-start update of a fitted model: detect()'s
+  /// fine-tune and spawned models, and each serve Retrainer clone.
   std::size_t finetune_epochs = 4;
 
   // ---- crash-safe checkpointing

@@ -72,6 +72,16 @@ void center_tokens_leading(Tensor& tokens, std::size_t match_period) {
   }
 }
 
+TrainOptions NodeSentry::train_options(std::size_t epochs) const {
+  TrainOptions options;
+  options.epochs = epochs;
+  options.learning_rate = config_.learning_rate;
+  options.batch = config_.train_batch;
+  options.denoise_noise = config_.denoise_noise;
+  options.denoise_token_drop = config_.denoise_token_drop;
+  return options;
+}
+
 TransformerConfig NodeSentry::model_config() const {
   TransformerConfig mc = config_.model;
   mc.input_dim = processed_.num_metrics();
@@ -101,8 +111,7 @@ NodeSentry::FitReport NodeSentry::fit(const MtsDataset& raw,
   Stopwatch sw;
   PreprocessOutput pre =
       preprocess(raw, train_end, config_.correlation_threshold,
-                 config_.standardize_trim, config_.standardize_clip,
-                 config_.quality);
+                 config_.standardize_trim, config_.standardize_clip);
   processed_ = std::move(pre.dataset);
   mask_ = std::move(pre.mask);
   standardizer_ = std::move(pre.standardizer);
@@ -278,8 +287,7 @@ void NodeSentry::restore(const MtsDataset& raw, std::size_t train_end,
   train_end_ = train_end;
   PreprocessOutput pre =
       preprocess(raw, train_end, config_.correlation_threshold,
-                 config_.standardize_trim, config_.standardize_clip,
-                 config_.quality);
+                 config_.standardize_trim, config_.standardize_clip);
   processed_ = std::move(pre.dataset);
   mask_ = std::move(pre.mask);
   standardizer_ = std::move(pre.standardizer);
@@ -342,15 +350,9 @@ void NodeSentry::train_cluster(ClusterEntry& entry, std::size_t epochs,
     }
   }
 
-  TrainOptions options;
-  options.epochs = epochs;
-  options.learning_rate = config_.learning_rate;
-  options.batch = config_.train_batch;
-  options.denoise_noise = config_.denoise_noise;
-  options.denoise_token_drop = config_.denoise_token_drop;
-  TrainStats stats =
-      train_reconstructor(*entry.model, chunks, entry.metric_weights, options,
-                          seed);
+  TrainStats stats = train_reconstructor(*entry.model, chunks,
+                                         entry.metric_weights,
+                                         train_options(epochs), seed);
   entry.residual_scale = std::move(stats.residual_scale);
   entry.baseline_error = stats.baseline_error;
 }
@@ -742,7 +744,6 @@ NodeSentry::DetectReport NodeSentry::detect() {
       for (std::size_t t = 0; t < tokens.size(0); ++t)
         if (errs[t] > cut) token_weight[t] = 0.0f;
     }
-    entry.model->set_training(true);
     const std::vector<TrainChunk> pieces =
         train_chunks(tokens, config_.train_window, route.member);
     for (std::size_t epoch = 0; epoch < config_.finetune_epochs; ++epoch) {
@@ -783,7 +784,6 @@ NodeSentry::DetectReport NodeSentry::detect() {
         optimizer.step();
       }
     }
-    entry.model->set_training(false);
   };
 
   // Reconstruction scoring of a whole segment: its detect_chunk-row chunks
@@ -855,8 +855,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
           // outright anomalous (learning it would mask the fault).
           const double err = window_error(entry, plan, route, ws);
           tune = err > config_.finetune_trigger &&
-                 (config_.finetune_ceiling <= 0.0 ||
-                  err < config_.finetune_ceiling);
+                 err < config_.finetune_ceiling;
         }
         if (tune) {
           finetune(entry, plan, seg, route, ws);

@@ -24,6 +24,7 @@
 #include "core/cluster_library.hpp"
 #include "core/config.hpp"
 #include "core/segments.hpp"
+#include "core/trainer.hpp"
 #include "eval/metrics.hpp"
 #include "ts/mts.hpp"
 #include "ts/preprocess.hpp"
@@ -145,12 +146,18 @@ class NodeSentry {
   /// background retrainer clone/restore models from this description.
   TransformerConfig model_config() const;
 
+  /// The fit's training recipe run for `epochs` epochs: config's
+  /// learning_rate, train_batch, denoise_noise and denoise_token_drop.
+  /// fit()'s per-cluster training and the serve Retrainer both train
+  /// through it, so a retrained generation learns as the fit did.
+  TrainOptions train_options(std::size_t epochs) const;
+
  private:
   /// Chunks the member segments and trains the entry's shared model with
-  /// the batched mini-batch trainer (core/trainer.hpp, DESIGN.md §11):
-  /// config.train_batch chunks per Adam step through one block-diagonal
-  /// forward, then a batch-size-invariant, thread-count-invariant
-  /// residual-statistics pass.
+  /// the batched mini-batch trainer (core/trainer.hpp, DESIGN.md §11) on
+  /// train_options(epochs): config.train_batch chunks per Adam step
+  /// through one block-diagonal forward, then a batch-size-invariant,
+  /// thread-count-invariant residual-statistics pass.
   void train_cluster(ClusterEntry& entry, std::size_t epochs,
                      std::uint64_t seed);
   /// Builds a fully-populated entry (centroid, radius, weights, members)

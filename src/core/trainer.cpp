@@ -50,7 +50,6 @@ TrainStats train_reconstructor(TransformerReconstructor& model,
                                   << "weights have " << M);
 
   Rng rng(seed);
-  model.set_training(true);
   Adam optimizer(model.parameters(), options.learning_rate);
 
   // ---- Batched mini-batch training: B chunks per Adam step, packed into
@@ -132,7 +131,6 @@ TrainStats train_reconstructor(TransformerReconstructor& model,
     }
   }
   fast_kernels.reset();
-  model.set_training(false);
 
   // ---- Residual statistics on the clean member chunks: per-metric mean
   // squared residual (for whitening) and the resulting whitened baseline

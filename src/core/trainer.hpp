@@ -68,7 +68,7 @@ struct TrainStats {
 
 /// Trains `model` in place on `chunks` with WMSE weights `metric_weights`
 /// ([M], matching every chunk's column count), then computes the residual
-/// statistics. Leaves the model in eval mode.
+/// statistics.
 TrainStats train_reconstructor(TransformerReconstructor& model,
                                std::span<const TrainChunk> chunks,
                                const Tensor& metric_weights,

@@ -154,9 +154,8 @@ IncidentReport IncidentEngine::build(const ServeResult& result,
       if (events[j].begin > events[i].end + config_.window) break;
       const AnomalyEvent& a = events[i];
       const AnomalyEvent& b = events[j];
-      const bool same_job = config_.link_jobs && a.job_id >= 0 &&
-                            a.job_id == b.job_id;
-      const bool same_rack = config_.link_racks && a.rack == b.rack;
+      const bool same_job = a.job_id >= 0 && a.job_id == b.job_id;
+      const bool same_rack = a.rack == b.rack;
       const bool same_arch =
           config_.link_archetypes && same_archetype(a, b);
       if (same_job || same_rack || same_arch) uf.unite(i, j);

@@ -87,11 +87,10 @@ struct IncidentConfig {
   std::size_t min_nodes = 1;
   std::size_t top_metrics = 8;  ///< per-incident + global ranked-metric cap
   std::size_t top_nodes = 16;   ///< global ranked-node cap
-  bool link_jobs = true;
-  bool link_racks = true;
-  /// Also merge same-archetype events across jobs/racks. Off by default:
-  /// archetypes are broad (half a fleet can be compute-bound) and would
-  /// fuse unrelated incidents.
+  /// Events of one job or one rack always link. This also merges
+  /// same-archetype events across jobs/racks. Off by default: archetypes
+  /// are broad (half a fleet can be compute-bound) and would fuse
+  /// unrelated incidents.
   bool link_archetypes = false;
   /// Registry for the ns_correlate_* instruments; null = process-global.
   obs::Registry* registry = nullptr;

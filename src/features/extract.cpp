@@ -71,176 +71,6 @@ const std::vector<std::string> kFeatureNames = {
 static_assert(kNumFeatures == 40);
 
 double autocorrelation(std::span<const float> xs, std::size_t lag, double mu,
-                       double var);
-float sanitize(double x);
-
-// Second-tier (extended) features, appended after the base set.
-const std::vector<std::string> kExtendedNames = {
-    "p10", "p90", "median_abs_deviation", "below_mean_fraction",
-    "argmax_location", "argmin_location", "diff_variance",
-    "mean_second_derivative", "autocorr_lag2", "autocorr_lag8",
-    "autocorr_lag16", "autocorr_peak", "autocorr_peak_lag", "trend_r2",
-    "ratio_beyond_1sigma", "ratio_beyond_2sigma",
-    "longest_strike_below_mean", "quarter_energy_1", "quarter_energy_2",
-    "quarter_energy_3", "quarter_energy_4", "fft_coef_1", "fft_coef_2",
-    "fft_coef_3", "fft_coef_4", "fft_coef_5", "fft_coef_6", "fft_coef_7",
-    "fft_coef_8", "haar_energy_1", "haar_energy_2", "haar_energy_3"};
-
-std::vector<float> extract_extended_features(std::span<const float> series) {
-  std::vector<float> f(kExtendedNames.size(), 0.0f);
-  const std::size_t n = series.size();
-  if (n < 2) return f;
-  const double inv_n = 1.0 / static_cast<double>(n);
-  const double mu = mean(series);
-  const double var = variance(series, mu);
-  const double sd = std::sqrt(var);
-  std::vector<float> sorted(series.begin(), series.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto order_stat = [&](double q) {
-    const double pos = q * static_cast<double>(n - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, n - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return (1.0 - frac) * sorted[lo] + frac * sorted[hi];
-  };
-  std::size_t slot = 0;
-  f[slot++] = sanitize(order_stat(0.10));
-  f[slot++] = sanitize(order_stat(0.90));
-  {
-    // Median absolute deviation from the median (robust spread).
-    const double med = order_stat(0.5);
-    std::vector<float> devs(n);
-    for (std::size_t i = 0; i < n; ++i)
-      devs[i] = static_cast<float>(std::abs(series[i] - med));
-    std::sort(devs.begin(), devs.end());
-    f[slot++] = sanitize(devs[n / 2]);
-  }
-  {
-    std::size_t below = 0, argmax = 0, argmin = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (series[i] < mu) ++below;
-      if (series[i] > series[argmax]) argmax = i;
-      if (series[i] < series[argmin]) argmin = i;
-    }
-    f[slot++] = sanitize(static_cast<double>(below) * inv_n);
-    f[slot++] = sanitize(static_cast<double>(argmax) * inv_n);
-    f[slot++] = sanitize(static_cast<double>(argmin) * inv_n);
-  }
-  {
-    // Variance of first differences and mean |second derivative|.
-    double diff_mu = 0.0;
-    for (std::size_t i = 0; i + 1 < n; ++i)
-      diff_mu += static_cast<double>(series[i + 1]) - series[i];
-    diff_mu /= static_cast<double>(n - 1);
-    double diff_var = 0.0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const double d =
-          static_cast<double>(series[i + 1]) - series[i] - diff_mu;
-      diff_var += d * d;
-    }
-    f[slot++] = sanitize(diff_var / static_cast<double>(n - 1));
-    double second = 0.0;
-    for (std::size_t i = 1; i + 1 < n; ++i)
-      second += std::abs(static_cast<double>(series[i + 1]) -
-                         2.0 * series[i] + series[i - 1]);
-    f[slot++] = sanitize(n > 2 ? second / static_cast<double>(n - 2) : 0.0);
-  }
-  f[slot++] = sanitize(autocorrelation(series, 2, mu, var));
-  f[slot++] = sanitize(autocorrelation(series, 8, mu, var));
-  f[slot++] = sanitize(autocorrelation(series, 16, mu, var));
-  {
-    // Dominant autocorrelation over lags 2..32 (periodicity strength + lag).
-    double best = 0.0;
-    std::size_t best_lag = 0;
-    for (std::size_t lag = 2; lag <= 32 && lag < n; ++lag) {
-      const double ac = autocorrelation(series, lag, mu, var);
-      if (ac > best) {
-        best = ac;
-        best_lag = lag;
-      }
-    }
-    f[slot++] = sanitize(best);
-    f[slot++] = sanitize(static_cast<double>(best_lag) / 32.0);
-  }
-  {
-    // R^2 of the least-squares linear fit (trend strength).
-    const double t_mean = (n - 1) / 2.0;
-    double num = 0.0, den = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dt = static_cast<double>(i) - t_mean;
-      num += dt * (series[i] - mu);
-      den += dt * dt;
-    }
-    const double beta = den > 0.0 ? num / den : 0.0;
-    const double ss_model = beta * beta * den;
-    f[slot++] = sanitize(var > 1e-12 ? ss_model / (var * n) : 0.0);
-  }
-  {
-    std::size_t beyond1 = 0, beyond2 = 0;
-    for (float x : series) {
-      const double d = std::abs(x - mu);
-      if (d > sd) ++beyond1;
-      if (d > 2.0 * sd) ++beyond2;
-    }
-    f[slot++] = sanitize(static_cast<double>(beyond1) * inv_n);
-    f[slot++] = sanitize(static_cast<double>(beyond2) * inv_n);
-  }
-  {
-    std::size_t strike = 0, best_strike = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      strike = series[i] < mu ? strike + 1 : 0;
-      best_strike = std::max(best_strike, strike);
-    }
-    f[slot++] = sanitize(static_cast<double>(best_strike) * inv_n);
-  }
-  {
-    // Energy distribution across the four temporal quarters (sub-pattern
-    // imbalance indicator).
-    double total = 1e-12;
-    double quarters[4] = {0, 0, 0, 0};
-    for (std::size_t i = 0; i < n; ++i) {
-      const double e = static_cast<double>(series[i] - mu) * (series[i] - mu);
-      quarters[std::min<std::size_t>(3, 4 * i / n)] += e;
-      total += e;
-    }
-    for (double q : quarters) f[slot++] = sanitize(q / total);
-  }
-  {
-    // Magnitudes of FFT bins 1..8 normalized by total spectral power.
-    const std::vector<double> power = power_spectrum(series);
-    double total = 1e-12;
-    for (double p : power) total += p;
-    for (std::size_t k = 1; k <= 8; ++k)
-      f[slot++] = sanitize(k < power.size() ? std::sqrt(power[k] / total)
-                                            : 0.0);
-  }
-  {
-    // Haar wavelet detail energies at 3 levels (multi-scale activity).
-    std::vector<double> approx(series.begin(), series.end());
-    for (int level = 0; level < 3; ++level) {
-      if (approx.size() < 2) {
-        f[slot++] = 0.0f;
-        continue;
-      }
-      std::vector<double> next(approx.size() / 2);
-      double detail_energy = 0.0;
-      for (std::size_t i = 0; i < next.size(); ++i) {
-        const double a = approx[2 * i];
-        const double b = approx[2 * i + 1];
-        next[i] = (a + b) * 0.5;
-        const double d = (a - b) * 0.5;
-        detail_energy += d * d;
-      }
-      f[slot++] = sanitize(detail_energy / static_cast<double>(next.size()));
-      approx = std::move(next);
-    }
-  }
-  NS_CHECK(slot == kExtendedNames.size(),
-           "extended feature count drifted from the name table");
-  return f;
-}
-
-double autocorrelation(std::span<const float> xs, std::size_t lag, double mu,
                        double var) {
   if (xs.size() <= lag || var <= 0.0) return 0.0;
   double acc = 0.0;
@@ -256,30 +86,12 @@ float sanitize(double x) {
 
 }  // namespace
 
-const std::vector<std::string>& feature_names(bool extended) {
-  if (!extended) return kFeatureNames;
-  static const std::vector<std::string> all = [] {
-    std::vector<std::string> names = kFeatureNames;
-    names.insert(names.end(), kExtendedNames.begin(), kExtendedNames.end());
-    return names;
-  }();
-  return all;
-}
+const std::vector<std::string>& feature_names() { return kFeatureNames; }
 
-std::size_t features_per_metric(bool extended) {
-  return kNumFeatures + (extended ? kExtendedNames.size() : 0);
-}
+std::size_t features_per_metric() { return kNumFeatures; }
 
-std::vector<float> extract_series_features(std::span<const float> series,
-                                           bool extended) {
+std::vector<float> extract_series_features(std::span<const float> series) {
   std::vector<float> f(kNumFeatures, 0.0f);
-  if (extended) {
-    // Compute the base block below, then append the second tier.
-    std::vector<float> base = extract_series_features(series, false);
-    const std::vector<float> extra = extract_extended_features(series);
-    base.insert(base.end(), extra.begin(), extra.end());
-    return base;
-  }
   const std::size_t n = series.size();
   if (n < 2) return f;
   const double inv_n = 1.0 / static_cast<double>(n);

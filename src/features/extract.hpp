@@ -17,19 +17,15 @@
 
 namespace ns {
 
-/// Names of the per-metric features, in extraction order. With
-/// `extended`, the second-tier features (additional quantiles, lag sweeps,
-/// FFT coefficients, Haar wavelet energies, ...) are appended — closer to
-/// TSFEL's full catalogue, at roughly double the extraction cost.
-const std::vector<std::string>& feature_names(bool extended = false);
+/// Names of the per-metric features, in extraction order.
+const std::vector<std::string>& feature_names();
 
 /// Number of features per metric.
-std::size_t features_per_metric(bool extended = false);
+std::size_t features_per_metric();
 
 /// Extracts the feature vector of a single series. Series with fewer than
 /// 2 samples yield all-zero features. Never returns NaN/Inf.
-std::vector<float> extract_series_features(std::span<const float> series,
-                                           bool extended = false);
+std::vector<float> extract_series_features(std::span<const float> series);
 
 /// Feature vector of one segment: per-metric features concatenated in
 /// metric order (size = num_metrics * features_per_metric()).

@@ -77,14 +77,4 @@ std::vector<LabelInterval> suggest_statistical(const MtsDataset& dataset,
   return flags_to_intervals(flags, config);
 }
 
-std::vector<LabelInterval> suggest_from_detector(Detector& detector,
-                                                 const MtsDataset& dataset,
-                                                 std::size_t node,
-                                                 std::size_t train_end,
-                                                 const SuggestConfig& config) {
-  NS_REQUIRE(node < dataset.num_nodes(), "suggest: node out of range");
-  const DetectorReport report = detector.run(dataset, train_end);
-  return flags_to_intervals(report.detections[node].predictions, config);
-}
-
 }  // namespace ns

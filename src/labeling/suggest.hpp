@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "baselines/detector.hpp"
 #include "labeling/label_store.hpp"
 #include "ts/mts.hpp"
 
@@ -28,16 +27,8 @@ std::vector<LabelInterval> suggest_statistical(const MtsDataset& dataset,
                                                std::size_t eval_begin,
                                                const SuggestConfig& config = {});
 
-/// Model-assisted suggestions: runs any Detector and converts its per-point
-/// predictions into intervals.
-std::vector<LabelInterval> suggest_from_detector(Detector& detector,
-                                                 const MtsDataset& dataset,
-                                                 std::size_t node,
-                                                 std::size_t train_end,
-                                                 const SuggestConfig& config = {});
-
 /// Groups a 0/1 flag vector into intervals with gap merging and minimum
-/// length filtering (shared by both suggestion paths).
+/// length filtering.
 std::vector<LabelInterval> flags_to_intervals(
     const std::vector<std::uint8_t>& flags, const SuggestConfig& config);
 

@@ -38,8 +38,9 @@ class Module {
     return n;
   }
 
-  /// Training-mode flag consumed by dropout-like layers; propagates to
-  /// children.
+  /// Training-mode flag; propagates to children. No layer reads it (the
+  /// models have no dropout), so it changes nothing; it stays for
+  /// perfbench's layer pass, which still calls it.
   void set_training(bool training) {
     training_ = training;
     for (Module* child : children_) child->set_training(training);

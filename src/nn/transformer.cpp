@@ -26,15 +26,11 @@ TransformerReconstructor::EncoderLayer::EncoderLayer(
 }
 
 Var TransformerReconstructor::EncoderLayer::forward(
-    const Var& x, float dropout, Rng& rng, bool is_training,
-    std::span<const std::size_t> attn_blocks) const {
+    const Var& x, std::span<const std::size_t> attn_blocks) const {
   // Pre-LN residual blocks.
-  Var attn_out = attention.forward(ln1.forward(x), attn_blocks);
-  attn_out = vdropout(attn_out, dropout, rng, is_training);
-  Var h = vadd(x, attn_out);
+  Var h = vadd(x, attention.forward(ln1.forward(x), attn_blocks));
   Var block_in = ln2.forward(h);
   Var block_out = moe ? moe->forward(block_in) : ffn->forward(block_in);
-  block_out = vdropout(block_out, dropout, rng, is_training);
   return vadd(h, block_out);
 }
 
@@ -66,7 +62,7 @@ Var TransformerReconstructor::forward(
 
 Var TransformerReconstructor::forward_blocked(
     const Var& x, std::span<const std::size_t> offsets,
-    std::span<const std::size_t> segment_ids, Rng& rng,
+    std::span<const std::size_t> segment_ids, Rng& /*rng*/,
     std::span<const std::size_t> block_lens) const {
   check_cols(x.value(), config_.input_dim, "TransformerReconstructor::forward");
   if (block_lens.size() > 1) {
@@ -78,8 +74,7 @@ Var TransformerReconstructor::forward_blocked(
   }
   Var h = input_proj_.forward(x);
   h = posenc_.forward(h, offsets, segment_ids);
-  for (const auto& layer : layers_)
-    h = layer->forward(h, config_.dropout, rng, training(), block_lens);
+  for (const auto& layer : layers_) h = layer->forward(h, block_lens);
   h = final_norm_.forward(h);
   return decoder_.forward(h);
 }
@@ -93,7 +88,7 @@ Var TransformerReconstructor::forward(const Var& x, Rng& rng) const {
 }
 
 Var TransformerReconstructor::aux_loss() const {
-  if (!config_.use_moe || config_.aux_loss_weight <= 0.0f) return Var();
+  if (!config_.use_moe) return Var();
   Var total;
   for (const auto& layer : layers_) {
     Var term = layer->moe->aux_load_balance_loss();

@@ -32,8 +32,8 @@ struct TransformerConfig {
   bool use_segment_encoding = true;  ///< false -> plain PE (ablation C4)
   std::size_t max_position = 4096;   ///< intra-segment offset capacity
   std::size_t max_segments = 64;     ///< distinct segments per stream
-  float dropout = 0.0f;
-  float aux_loss_weight = 0.01f;  ///< load-balance loss scale (MoE only)
+  /// Load-balance loss scale (MoE only).
+  static constexpr float aux_loss_weight = 0.01f;
 };
 
 class TransformerReconstructor : public Module {
@@ -42,7 +42,9 @@ class TransformerReconstructor : public Module {
 
   /// x: [T, input_dim] tokens. offsets/segment_ids: per-token intra-segment
   /// position and segment identity (see SegmentPositionalEncoding).
-  /// Returns the reconstruction [T, input_dim].
+  /// Returns the reconstruction [T, input_dim]. The forward is
+  /// deterministic: `rng` draws nothing (the model has no dropout) and
+  /// stays for perfbench's layer pass, which still passes one.
   Var forward(const Var& x, std::span<const std::size_t> offsets,
               std::span<const std::size_t> segment_ids, Rng& rng) const;
 
@@ -55,7 +57,7 @@ class TransformerReconstructor : public Module {
   /// fit-side mini-batch trainer). Works in training mode: the autograd
   /// tape covers the whole batch, so a backward() through the result yields
   /// the batch-mean gradient. An empty or single-entry block_lens degrades
-  /// to the plain forward().
+  /// to the plain forward(). `rng` draws nothing, as in forward().
   Var forward_blocked(const Var& x, std::span<const std::size_t> offsets,
                       std::span<const std::size_t> segment_ids, Rng& rng,
                       std::span<const std::size_t> block_lens) const;
@@ -77,7 +79,7 @@ class TransformerReconstructor : public Module {
     /// `attn_blocks` with >= 2 entries confines attention to consecutive
     /// row blocks of those lengths; empty (or singleton) means dense
     /// attention over all rows.
-    Var forward(const Var& x, float dropout, Rng& rng, bool training,
+    Var forward(const Var& x,
                 std::span<const std::size_t> attn_blocks = {}) const;
 
     LayerNorm ln1, ln2;

@@ -105,6 +105,12 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config,
                "serve: store has " << store.num_metrics()
                                    << " metrics, raw space is "
                                    << sentry.raw_metrics());
+    // finalize() hands the writer one batch per node in one burst; a
+    // smaller bound would drop whole node histories.
+    const std::size_t bound = config_.store_writer->queue_capacity();
+    NS_REQUIRE(bound == 0 || bound >= N,
+               "serve: store writer queue_capacity " << bound << " < " << N
+                                                     << " nodes");
     retained_.resize(N);
   }
   registry_ = config_.registry ? config_.registry : &obs::Registry::global();

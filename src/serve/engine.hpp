@@ -38,9 +38,13 @@
 // number of forwards through one cluster model — from this engine's tasks
 // or from other fleet shards — run at the same time, with no lock between
 // them, and a task finds its plans in the snapshot it already holds.
-// Ingest never blocks on scoring: the pending-unit queue is bounded and
-// drops its *oldest* unit past the cap (counted in stats.units_dropped)
-// rather than stalling the collector.
+// Ingest never blocks on scoring, and it does not shed load either:
+// ingest() pumps once pump_watermark units are pending, and pump() hands
+// every pending unit to the pool. The pending queue's drop-oldest cap
+// (max_pending_units, counted in stats.units_dropped) therefore fires only
+// when a caller sets pump_watermark above it; the futures of dispatched
+// tasks (inflight_) and the pool's task queue are unbounded, so sustained
+// overload grows memory there (DESIGN.md §8).
 #pragma once
 
 #include <cstddef>
@@ -77,6 +81,8 @@ struct ServeConfig {
   /// arrivals for those ticks are dropped as too late.
   std::size_t reorder_slack = 8;
   /// Bound on queued scoring units; past it the oldest unit is dropped.
+  /// Reached only with pump_watermark above it: a pump dispatches every
+  /// queued unit.
   std::size_t max_pending_units = 1024;
   /// Max total rows per batched forward (0 = one chunk per forward, i.e.
   /// sequential scoring — useful to cross-check the batched path).
@@ -147,7 +153,9 @@ struct ServeConfig {
   /// drop-oldest; never blocks the collector loop). Gap-filled placeholder
   /// rows are NOT stored: the store records what actually arrived, and
   /// reconstruction restores the holes as NaN. The writer's store must
-  /// have the engine's node count and the sentry's raw metric count.
+  /// have the engine's node count and the sentry's raw metric count, and
+  /// its queue_capacity must be 0 or at least the node count (one batch
+  /// per node arrives in one burst).
   StoreWriter* store_writer = nullptr;
 };
 

@@ -243,7 +243,6 @@ void GenerationRegistry::load(const std::string& directory,
           Tensor::from_vector(read_floats(is, "residual scale"));
       gen.model =
           std::make_shared<TransformerReconstructor>(model_config, rng);
-      gen.model->set_training(false);
       load_parameters(*gen.model, is);
       gen.plan = compile(*gen.model);
       max_id = std::max(max_id, gen.gen_id);

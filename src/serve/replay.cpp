@@ -10,6 +10,11 @@
 
 namespace ns {
 
+namespace {
+/// Samples between explicit backend.pump() calls.
+constexpr std::size_t kPumpEvery = 256;
+}  // namespace
+
 ReplayReport serve_replay(ServeBackend& backend, const MtsDataset& raw,
                           std::size_t begin_t, const ReplayOptions& options) {
   NS_REQUIRE(options.speedup >= 0.0, "serve_replay: negative speedup");
@@ -24,7 +29,7 @@ ReplayReport serve_replay(ServeBackend& backend, const MtsDataset& raw,
   while (source.next(sample)) {
     backend.ingest(sample);
     ++report.samples_streamed;
-    if (options.pump_every > 0 && ++since_pump >= options.pump_every) {
+    if (++since_pump >= kPumpEvery) {
       backend.pump();
       since_pump = 0;
     }

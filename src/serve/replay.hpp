@@ -20,9 +20,6 @@ struct ReplayOptions {
   /// 0 = replay as fast as possible; otherwise pace delivery at
   /// speedup x real time (one tick every interval_seconds / speedup).
   double speedup = 0.0;
-  /// Explicit engine.pump() every this many samples (0 = rely purely on
-  /// the engine's pump watermark).
-  std::size_t pump_every = 256;
   /// Invoked on the streaming thread every `progress_every` samples (0 =
   /// never) with the running sample count — the periodic metrics-dump
   /// hook for long replays (see nodesentry_serve --metrics-every).
@@ -39,8 +36,8 @@ struct ReplayReport {
 };
 
 /// Streams every sample of `raw` from begin_t (normally the fitted
-/// train_end) through `backend`, pumps periodically, and finalizes.
-/// Accepts any ServeBackend — single engine or fleet.
+/// train_end) through `backend`, pumps it every 256 samples, and
+/// finalizes. Accepts any ServeBackend — single engine or fleet.
 ReplayReport serve_replay(ServeBackend& backend, const MtsDataset& raw,
                           std::size_t begin_t,
                           const ReplayOptions& options = {});

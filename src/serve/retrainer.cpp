@@ -9,26 +9,22 @@
 
 namespace ns {
 
-Retrainer::Retrainer(GenerationRegistry& registry,
-                     const ClusterLibrary& library,
-                     const TransformerConfig& model_config,
+Retrainer::Retrainer(GenerationRegistry& registry, const NodeSentry& sentry,
                      RetrainerConfig config, obs::Registry* obs_registry,
                      RetrainFaultInjector* faults)
     : registry_(&registry),
-      library_(&library),
-      model_config_(model_config),
+      sentry_(&sentry),
       config_(std::move(config)),
       faults_(faults) {
-  NS_REQUIRE(library.size() == registry.num_clusters(),
-             "retrainer: library has " << library.size()
-                                       << " clusters, registry "
+  const std::size_t clusters = sentry.library().size();
+  NS_REQUIRE(clusters == registry.num_clusters(),
+             "retrainer: library has " << clusters << " clusters, registry "
                                        << registry.num_clusters());
-  NS_REQUIRE(config_.min_segments >= 1 &&
-                 config_.max_segments >= config_.min_segments,
-             "retrainer: bad segment bounds");
-  NS_REQUIRE(config_.ring_capacity >= config_.max_segments,
-             "retrainer: ring smaller than max_segments");
-  clusters_.resize(library.size());
+  constexpr std::size_t K = NodeSentryConfig::segments_per_cluster;
+  NS_REQUIRE(config_.min_segments >= 1 && config_.min_segments <= K,
+             "retrainer: min_segments " << config_.min_segments
+                                        << " out of [1," << K << "]");
+  clusters_.resize(clusters);
   obs_ = obs_registry ? obs_registry : &obs::Registry::global();
   published_counter_ = &obs_->counter("ns_retrain_published_total",
                                       "Generations published by the retrainer");
@@ -62,7 +58,7 @@ void Retrainer::offer_segment(std::size_t cluster, Tensor tokens,
   std::lock_guard<std::mutex> lock(ring_mutex_);
   std::deque<FreshSegment>& ring = clusters_[cluster].ring;
   ring.push_back({std::move(tokens), segment_id});
-  while (ring.size() > config_.ring_capacity) ring.pop_front();
+  while (ring.size() > kRingCapacity) ring.pop_front();
 }
 
 RetrainCycleReport Retrainer::run_cycle() {
@@ -88,7 +84,7 @@ RetrainCycleReport Retrainer::run_cycle() {
         // Consume the freshest K; anything older is stale by definition
         // once a retrain on newer data happens, so the ring is drained.
         const std::size_t take =
-            std::min(config_.max_segments, cs.ring.size());
+            std::min(NodeSentryConfig::segments_per_cluster, cs.ring.size());
         segments.reserve(take);
         for (auto it = cs.ring.end() - static_cast<std::ptrdiff_t>(take);
              it != cs.ring.end(); ++it)
@@ -138,12 +134,13 @@ bool Retrainer::retrain_cluster(std::size_t cluster,
   NS_REQUIRE(!snap->generations.empty(),
              "retrainer: cluster " << cluster << " has no generations");
   const ModelGeneration& base = snap->generations.back();
-  const ClusterEntry& entry = library_->clusters()[cluster];
+  const ClusterEntry& entry = sentry_->library().clusters()[cluster];
+  const NodeSentryConfig& fit = sentry_->config();
 
   // Chaos seam: poisoned-training-segment faults corrupt the gathered
   // tokens before chunking, exactly where a sick collector would.
   if (faults_ != nullptr) {
-    Rng poison_rng(config_.seed ^ (cycle * 2654435761ull) ^ cluster);
+    Rng poison_rng(fit.seed ^ (cycle * 2654435761ull) ^ cluster);
     for (FreshSegment& seg : segments)
       faults_->poison(cluster, seg.tokens, poison_rng);
   }
@@ -154,29 +151,26 @@ bool Retrainer::retrain_cluster(std::size_t cluster,
   std::vector<TrainChunk> chunks;
   for (const FreshSegment& seg : segments)
     for (TrainChunk& chunk :
-         train_chunks(seg.tokens, config_.train_window, seg.segment_id))
+         train_chunks(seg.tokens, fit.train_window, seg.segment_id))
       chunks.push_back(std::move(chunk));
   if (chunks.empty()) return false;
 
-  TrainOptions options;
-  options.epochs = config_.epochs;
-  options.learning_rate = config_.learning_rate;
-  options.batch = config_.batch;
-  options.denoise_noise = config_.denoise_noise;
-  options.denoise_token_drop = config_.denoise_token_drop;
+  // The fit's recipe, with the warm-start epoch budget detect() uses too.
+  const TrainOptions options = sentry_->train_options(fit.finetune_epochs);
   const std::uint64_t train_seed =
-      config_.seed + cycle * 7919ull + cluster * 104729ull;
+      fit.seed + cycle * 7919ull + cluster * 104729ull;
+  const TransformerConfig model_config = sentry_->model_config();
 
   const std::size_t attempts = std::max<std::size_t>(config_.max_attempts, 1);
   for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
     try {
       if (faults_ != nullptr) faults_->at_stage(cluster, /*publishing=*/false);
       // Clone the base model through the parameter stream. Scoring
-      // forwards only ever *read* parameter tensors (eval mode, no
-      // gradients), so streaming them out while the base keeps serving is
-      // safe; the clone is private to this attempt.
+      // forwards only ever *read* parameter tensors (no gradients), so
+      // streaming them out while the base keeps serving is safe; the clone
+      // is private to this attempt.
       Rng clone_rng(train_seed);
-      auto clone = std::make_shared<TransformerReconstructor>(model_config_,
+      auto clone = std::make_shared<TransformerReconstructor>(model_config,
                                                               clone_rng);
       {
         std::stringstream buffer(std::ios::in | std::ios::out |
@@ -232,9 +226,8 @@ bool Retrainer::validate_clone(const TransformerReconstructor& clone,
                                double base_baseline) const {
   if (!std::isfinite(stats.baseline_error) || stats.baseline_error <= 0.0)
     return false;
-  if (config_.max_baseline_inflation > 0.0 &&
-      stats.baseline_error >
-          config_.max_baseline_inflation * std::max(base_baseline, 1e-9))
+  if (stats.baseline_error >
+      kMaxBaselineInflation * std::max(base_baseline, 1e-9))
     return false;
   for (const float s : stats.residual_scale.flat())
     if (!std::isfinite(s)) return false;

@@ -6,8 +6,10 @@
 // enough fresh data gets a new generation: clone the newest serving model,
 // train the clone on the freshest K segments with the existing batched
 // trainer, validate it (finite parameters, bounded baseline inflation), and
-// publish it through the registry's atomic swap. Serving is never touched
-// by anything less than a validated publish:
+// publish it through the registry's atomic swap. The training recipe is the
+// fitted detector's own (NodeSentry::train_options), run for
+// config.finetune_epochs — nothing here configures it a second time.
+// Serving is never touched by anything less than a validated publish:
 //
 //   train crash    -> bounded retries with exponential backoff, then the
 //                     cycle records a failure; the serving set is unchanged.
@@ -38,26 +40,21 @@
 #include <thread>
 #include <vector>
 
-#include "core/trainer.hpp"
+#include "core/nodesentry.hpp"
 #include "serve/model_registry.hpp"
 #include "sim/telemetry_faults.hpp"
 
 namespace ns {
 
+/// How the maintenance loop runs. What a retrain trains on and how comes
+/// from the fitted NodeSentry: the freshest
+/// NodeSentryConfig::segments_per_cluster segments, chunked at its
+/// train_window, trained with its train_options(finetune_epochs) and
+/// seeded from its seed.
 struct RetrainerConfig {
-  /// Freshest segments per cluster used for one retrain (the paper's K).
-  std::size_t max_segments = 4;
-  /// A cluster retrains only once this many fresh segments accumulated.
+  /// A cluster retrains only once this many fresh segments accumulated
+  /// (1..NodeSentryConfig::segments_per_cluster).
   std::size_t min_segments = 2;
-  /// Per-cluster ring capacity; older offers fall off the back.
-  std::size_t ring_capacity = 16;
-  /// Tokens per training chunk (mirror the fit config's train_window).
-  std::size_t train_window = 48;
-  std::size_t epochs = 2;
-  float learning_rate = 2e-3f;
-  std::size_t batch = 8;
-  float denoise_noise = 0.4f;
-  float denoise_token_drop = 0.15f;
   /// Training attempts per cluster per cycle (>= 1); attempt i sleeps
   /// backoff_initial * 2^(i-1) before retrying.
   std::size_t max_attempts = 3;
@@ -66,12 +63,8 @@ struct RetrainerConfig {
   std::size_t breaker_threshold = 3;
   /// Cycles the breaker stays open before half-opening for one probe.
   std::size_t breaker_cooldown = 4;
-  /// Validation: reject a clone whose baseline error exceeds this multiple
-  /// of the generation it was cloned from (a poisoned or diverged train).
-  double max_baseline_inflation = 10.0;
   /// When non-empty, the registry checkpoints here after every publish.
   std::string checkpoint_dir;
-  std::uint64_t seed = 1234;
 };
 
 /// Per-cluster circuit-breaker state (exposed for stats and tests).
@@ -90,13 +83,21 @@ struct RetrainCycleReport {
 
 class Retrainer {
  public:
-  /// `registry` and `library` must outlive the retrainer; `library` is
-  /// read-only (metric weights and model architecture). `faults` is the
-  /// chaos-test seam (null in production). `model_config` must describe
-  /// the architecture of the library's models.
-  Retrainer(GenerationRegistry& registry, const ClusterLibrary& library,
-            const TransformerConfig& model_config, RetrainerConfig config,
-            obs::Registry* obs_registry = nullptr,
+  /// Per-cluster ring capacity; older offers fall off the back.
+  static constexpr std::size_t kRingCapacity = 16;
+  static_assert(kRingCapacity >= NodeSentryConfig::segments_per_cluster,
+                "the ring must hold the freshest K segments");
+  /// Validation: reject a clone whose baseline error exceeds this multiple
+  /// of the generation it was cloned from (a poisoned or diverged train).
+  static constexpr double kMaxBaselineInflation = 10.0;
+
+  /// `registry` and the fitted `sentry` must outlive the retrainer. The
+  /// sentry is read-only: its library gives the metric weights, its
+  /// model_config() the architecture, and its config and train_options()
+  /// the training recipe. `faults` is the chaos-test seam (null in
+  /// production).
+  Retrainer(GenerationRegistry& registry, const NodeSentry& sentry,
+            RetrainerConfig config, obs::Registry* obs_registry = nullptr,
             RetrainFaultInjector* faults = nullptr);
   ~Retrainer();
 
@@ -159,8 +160,7 @@ class Retrainer {
                       const TrainStats& stats, double base_baseline) const;
 
   GenerationRegistry* registry_;
-  const ClusterLibrary* library_;
-  TransformerConfig model_config_;
+  const NodeSentry* sentry_;
   RetrainerConfig config_;
   RetrainFaultInjector* faults_ = nullptr;
 

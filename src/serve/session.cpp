@@ -16,14 +16,15 @@ void ServeSessionConfig::validate() const {
   NS_REQUIRE(fleet.shards >= 1, "session: fleet.shards must be >= 1");
   NS_REQUIRE(fleet.ring_capacity >= 2,
              "session: fleet.ring_capacity " << fleet.ring_capacity << " < 2");
+  const ServeConfig& engine = fleet.engine;
   NS_REQUIRE(engine.generations >= 1 && engine.generations <= 8,
-             "session: engine.generations " << engine.generations
-                                            << " out of [1,8]");
+             "session: fleet.engine.generations " << engine.generations
+                                                  << " out of [1,8]");
   NS_REQUIRE(engine.consensus_quorum >= 1 &&
                  engine.consensus_quorum <= engine.generations,
-             "session: engine.consensus_quorum " << engine.consensus_quorum
-                                                 << " out of [1,"
-                                                 << engine.generations << "]");
+             "session: fleet.engine.consensus_quorum "
+                 << engine.consensus_quorum << " out of [1,"
+                 << engine.generations << "]");
   NS_REQUIRE(replay.speedup >= 0.0, "session: negative replay speedup");
   NS_REQUIRE(metrics.every == 0 || !metrics.out_prefix.empty(),
              "session: metrics.every needs metrics.out_prefix");
@@ -44,20 +45,21 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
              "session: fitted dataset has no nodes — no standardization "
              "profile to serve from");
 
-  ServeConfig engine_config = config_.engine;
+  ServeConfig engine_config = config_.fleet.engine;
   engine_config.retrainer = nullptr;
   engine_config.store_writer = nullptr;
 
   registry_ = std::make_unique<GenerationRegistry>(
       sentry.library().size(), engine_config.generations,
       engine_config.registry, engine_config.scoring_path);
+  // The loaded parameters overwrite every initialization, so the seed only
+  // has to be a fixed one: the fit's.
   if (!config_.generations.restore_dir.empty())
     registry_->load(config_.generations.restore_dir, sentry.model_config(),
-                    config_.generations.seed);
+                    sentry.config().seed);
   engine_config.generation_registry = registry_.get();
   if (config_.generations.retrain_every_ms > 0) {
-    retrainer_ = std::make_unique<Retrainer>(*registry_, sentry.library(),
-                                             sentry.model_config(),
+    retrainer_ = std::make_unique<Retrainer>(*registry_, sentry,
                                              config_.generations.retrainer);
     engine_config.retrainer = retrainer_.get();
   }
@@ -78,9 +80,7 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
   }
 
   if (config_.fleet.shards > 1) {
-    FleetConfig fleet_config;
-    fleet_config.shards = config_.fleet.shards;
-    fleet_config.ring_capacity = config_.fleet.ring_capacity;
+    FleetConfig fleet_config = config_.fleet;
     fleet_config.engine = engine_config;
     fleet_ = std::make_unique<FleetEngine>(sentry, fleet_config);
     backend_ = fleet_.get();
@@ -103,13 +103,13 @@ ReplayReport ServeSession::run() {
     retrainer_->start(
         std::chrono::milliseconds(config_.generations.retrain_every_ms));
 
+  obs::Registry* registry = config_.fleet.engine.registry
+                                ? config_.fleet.engine.registry
+                                : &obs::Registry::global();
   ReplayOptions replay = config_.replay;
   if (!config_.metrics.out_prefix.empty() && config_.metrics.every > 0) {
     // Periodic exposition: a scraper can pick up <prefix>.prom while the
     // replay streams (files are swapped atomically).
-    obs::Registry* registry = config_.engine.registry
-                                  ? config_.engine.registry
-                                  : &obs::Registry::global();
     const std::string prefix = config_.metrics.out_prefix;
     replay.progress_every = config_.metrics.every;
     replay.on_progress = [registry, prefix](std::size_t) {
@@ -119,12 +119,8 @@ ReplayReport ServeSession::run() {
 
   ReplayReport report = serve_replay(*backend_, *dataset_, train_end_, replay);
   if (retrainer_) retrainer_->stop();
-  if (!config_.metrics.out_prefix.empty()) {
-    obs::Registry* registry = config_.engine.registry
-                                  ? config_.engine.registry
-                                  : &obs::Registry::global();
+  if (!config_.metrics.out_prefix.empty())
     obs::write_metrics_files(*registry, config_.metrics.out_prefix);
-  }
   return report;
 }
 

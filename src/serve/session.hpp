@@ -3,8 +3,9 @@
 // The serve CLI grew ~15 loose flags that were threaded positionally into
 // ServeConfig, ReplayOptions, RetrainerConfig, StoreWriter and the metrics
 // exporter. ServeSessionConfig collapses all of it into a single nested
-// config — engine + fleet + generations + store + replay + metrics — with
-// one validate() that cross-checks the knobs BEFORE any resource is built.
+// config — fleet (with its engine template) + generations + store +
+// replay + metrics — with one validate() that cross-checks the knobs
+// BEFORE any resource is built.
 // ServeSession then owns the whole serving phase: it constructs the right
 // backend (a lone ServeEngine for shards == 1; a FleetEngine otherwise),
 // the generation registry every backend scores through (plus the optional
@@ -29,23 +30,21 @@
 namespace ns {
 
 struct ServeSessionConfig {
-  /// Template for the (shard) engine(s): threads, reorder slack, batching,
+  /// The serving backend. `fleet.shards` == 1 serves through a lone
+  /// ServeEngine (the historic single-engine path, no worker thread);
+  /// shards > 1 through a FleetEngine with one SPSC ring + worker per
+  /// shard, each ring `fleet.ring_capacity` samples. `fleet.engine` is the
+  /// template for the (shard) engine(s): threads, reorder slack, batching,
   /// metrics registry, scoring path and G/Q (`generations`,
   /// `consensus_quorum`). The session wires its own generation registry
   /// (compiled in `scoring_path`), retrainer and store writer, so those
   /// three pointers are ignored here.
-  ServeConfig engine;
-
-  /// Fleet shape. shards == 1 serves through a lone ServeEngine (the
-  /// historic single-engine path, no worker thread); shards > 1 through a
-  /// FleetEngine with one SPSC ring + worker per shard.
-  struct Fleet {
-    std::size_t shards = 1;
-    std::size_t ring_capacity = 4096;
-  } fleet;
+  FleetConfig fleet;
 
   /// Rolling generations (DESIGN.md §12): the session's registry has
-  /// engine.generations lanes per cluster.
+  /// fleet.engine.generations lanes per cluster. Restored generations and
+  /// retrained clones take their seed and training recipe from the fitted
+  /// sentry.
   struct Generations {
     /// Run the background retrainer every this many ms (0 = never).
     std::size_t retrain_every_ms = 0;
@@ -53,7 +52,6 @@ struct ServeSessionConfig {
     /// Warm start: load generation sets from this directory when it is
     /// non-empty (a previous session's save_generations output).
     std::string restore_dir;
-    std::uint64_t seed = 1234;  ///< registry restore / retrain seed
   } generations;
 
   /// Embedded time-series store (DESIGN.md §13). Disabled when dir empty.

@@ -28,8 +28,9 @@ namespace ns {
 struct StoreWriterConfig {
   /// Bound on queued batches; past it the oldest batch is dropped. 0 =
   /// unbounded. ServeEngine::finalize() enqueues one batch per node in one
-  /// burst, so a bound below the served node count drops whole node
-  /// histories; ServeSession raises a nonzero bound to the node count.
+  /// burst, so a bound below the served node count would drop whole node
+  /// histories: the engine rejects such a writer, and ServeSession raises
+  /// a nonzero bound to the node count.
   std::size_t queue_capacity = 256;
 };
 
@@ -72,6 +73,9 @@ class StoreWriter {
   /// construction) and the next enqueue() — the consumer owns the store
   /// while batches are in flight.
   const TimeSeriesStore& store() const { return store_; }
+
+  /// The configured bound on queued batches (0 = unbounded).
+  std::size_t queue_capacity() const { return config_.queue_capacity; }
 
   std::uint64_t batches_enqueued() const;
   std::uint64_t batches_dropped() const;

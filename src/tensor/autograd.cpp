@@ -782,16 +782,6 @@ Var vmask(const Var& x, const Tensor& mask) {
   }));
 }
 
-Var vdropout(const Var& x, float p, Rng& rng, bool training) {
-  if (!training || p <= 0.0f) return x;
-  NS_REQUIRE(p < 1.0f, "dropout rate must be < 1");
-  Tensor mask(x.value().shape());
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (std::size_t i = 0; i < mask.numel(); ++i)
-    mask.data()[i] = rng.bernoulli(p) ? 0.0f : keep_scale;
-  return vmask(x, mask);
-}
-
 Var vmse_loss(const Var& pred, const Tensor& target) {
   check_same_shape(pred.value(), target, "mse_loss");
   const std::size_t n = target.numel();

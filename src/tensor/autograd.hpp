@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ns {
@@ -125,8 +124,6 @@ Var vblock_attention(const Var& q, const Var& k, const Var& v,
 
 /// Elementwise multiply by a constant mask tensor (no gradient to the mask).
 Var vmask(const Var& x, const Tensor& mask);
-/// Inverted dropout; identity when !training or p == 0.
-Var vdropout(const Var& x, float p, Rng& rng, bool training);
 
 /// Mean squared error against a constant target: mean((x - target)^2).
 Var vmse_loss(const Var& pred, const Tensor& target);

@@ -251,10 +251,10 @@ std::vector<JobSpan> build_job_spans(std::span<const JobSpan> scheduled,
 
 PreprocessOutput preprocess(const MtsDataset& raw, std::size_t fit_until,
                             double correlation_threshold, double trim,
-                            float clip, const QualityConfig& quality) {
+                            float clip) {
   PreprocessOutput out;
   MtsDataset cleaned = raw;
-  QualityResult guarded = apply_quality_guard(cleaned, quality);
+  QualityResult guarded = apply_quality_guard(cleaned);
   out.quality = std::move(guarded.report);
   clean_dataset(cleaned);
   AggregationResult aggregated = aggregate_semantics(cleaned, &guarded.mask);

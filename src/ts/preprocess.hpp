@@ -110,7 +110,6 @@ struct PreprocessOutput {
 
 PreprocessOutput preprocess(const MtsDataset& raw, std::size_t fit_until,
                             double correlation_threshold = 0.99,
-                            double trim = 0.05, float clip = 5.0f,
-                            const QualityConfig& quality = {});
+                            double trim = 0.05, float clip = 5.0f);
 
 }  // namespace ns

@@ -113,7 +113,7 @@ void scan_non_finite(SeriesGuard& g) {
   }
 }
 
-void scan_gaps(SeriesGuard& g, std::size_t max_interpolation_gap) {
+void scan_gaps(SeriesGuard& g) {
   const std::size_t n = g.series.size();
   std::size_t t = 0;
   while (t < n) {
@@ -125,7 +125,7 @@ void scan_gaps(SeriesGuard& g, std::size_t max_interpolation_gap) {
     while (end < n && std::isnan(g.series[end]) &&
            g.mask.at(g.node, g.metric, end) != 0)
       ++end;
-    if (end - t > max_interpolation_gap) {
+    if (end - t > QualityConfig::max_interpolation_gap) {
       g.invalidate_run(t, end, QualityIssue::kLongGap);
     } else {
       g.report.points_interpolatable += end - t;
@@ -134,9 +134,9 @@ void scan_gaps(SeriesGuard& g, std::size_t max_interpolation_gap) {
   }
 }
 
-void scan_stuck(SeriesGuard& g, std::size_t stuck_run_length) {
+void scan_stuck(SeriesGuard& g) {
   const std::size_t n = g.series.size();
-  if (stuck_run_length == 0 || n < stuck_run_length) return;
+  if (n < QualityConfig::stuck_run_length) return;
   // A globally constant series is a legitimately flat metric (e.g. total
   // memory); only repetition inside an otherwise-live series is "stuck".
   float first = kMissingValue;
@@ -159,14 +159,13 @@ void scan_stuck(SeriesGuard& g, std::size_t stuck_run_length) {
     }
     std::size_t end = t + 1;
     while (end < n && g.series[end] == g.series[t]) ++end;
-    if (end - t >= stuck_run_length)
+    if (end - t >= QualityConfig::stuck_run_length)
       g.invalidate_run(t, end, QualityIssue::kStuckSensor);
     t = end;
   }
 }
 
-void scan_spikes(SeriesGuard& g, double spike_mad_factor) {
-  if (spike_mad_factor <= 0.0) return;
+void scan_spikes(SeriesGuard& g) {
   std::vector<float> finite;
   finite.reserve(g.series.size());
   for (std::size_t t = 0; t < g.series.size(); ++t)
@@ -192,7 +191,7 @@ void scan_spikes(SeriesGuard& g, double spike_mad_factor) {
   // A (near-)zero scale means the series barely moves; spike detection on
   // it would flag any twitch, so it is left to the stuck/constant logic.
   if (scale <= 1e-12) return;
-  const double limit = spike_mad_factor * scale;
+  const double limit = QualityConfig::spike_mad_factor * scale;
   std::size_t t = 0;
   const std::size_t n = g.series.size();
   while (t < n) {
@@ -210,7 +209,7 @@ void scan_spikes(SeriesGuard& g, double spike_mad_factor) {
   }
 }
 
-void scan_dead(SeriesGuard& g, double dead_metric_min_valid) {
+void scan_dead(SeriesGuard& g) {
   const std::size_t n = g.series.size();
   if (n == 0) return;
   std::size_t valid_count = 0;
@@ -218,15 +217,14 @@ void scan_dead(SeriesGuard& g, double dead_metric_min_valid) {
     valid_count += g.mask.at(g.node, g.metric, t) != 0 &&
                    !std::isnan(g.series[t]);
   if (static_cast<double>(valid_count) / static_cast<double>(n) >=
-      dead_metric_min_valid)
+      QualityConfig::dead_metric_min_valid)
     return;
   g.invalidate_run(0, n, QualityIssue::kDeadMetric);
 }
 
 }  // namespace
 
-QualityResult apply_quality_guard(MtsDataset& dataset,
-                                  const QualityConfig& config) {
+QualityResult apply_quality_guard(MtsDataset& dataset) {
   QualityResult result;
   const std::size_t N = dataset.num_nodes();
   const std::size_t M = dataset.num_metrics();
@@ -237,10 +235,10 @@ QualityResult apply_quality_guard(MtsDataset& dataset,
     for (std::size_t m = 0; m < M; ++m) {
       SeriesGuard g{dataset.nodes[n].values[m], result.mask, per_node[n], n, m};
       scan_non_finite(g);
-      scan_stuck(g, config.stuck_run_length);
-      scan_spikes(g, config.spike_mad_factor);
-      scan_gaps(g, config.max_interpolation_gap);
-      scan_dead(g, config.dead_metric_min_valid);
+      scan_stuck(g);
+      scan_spikes(g);
+      scan_gaps(g);
+      scan_dead(g);
     }
   });
   QualityReport& report = result.report;

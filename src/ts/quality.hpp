@@ -98,28 +98,29 @@ struct QualityEvent {
   QualityIssue issue = QualityIssue::kLongGap;
 };
 
+/// The guard's thresholds. They are constants: no run varies them.
 struct QualityConfig {
   /// NaN gaps up to this length are trusted to linear interpolation; longer
   /// gaps are masked (the filler values exist but carry no weight).
-  std::size_t max_interpolation_gap = 16;
+  static constexpr std::size_t max_interpolation_gap = 16;
   /// Consecutive bit-identical values in a non-constant series at or above
   /// this run length are treated as a stuck sensor. Real float telemetry
   /// carries noise; exact repetition this long means the collector froze.
-  std::size_t stuck_run_length = 48;
+  static constexpr std::size_t stuck_run_length = 48;
   /// Robust z threshold for spikes: |x - median| > factor * MAD. Kept very
   /// high on purpose — genuine workload anomalies (the thing the detector
   /// must find) live well below it; only non-physical values (counter
   /// overflows, unit glitches) exceed it.
-  double spike_mad_factor = 50.0;
+  static constexpr double spike_mad_factor = 50.0;
   /// A (node, metric) whose valid fraction falls below this is dead: the
   /// entire series is masked rather than reconstructed from thin air.
-  double dead_metric_min_valid = 0.05;
+  static constexpr double dead_metric_min_valid = 0.05;
   /// Detection gate: a segment with less valid data than this is flagged
   /// kInsufficientData instead of scored (consumed by NodeSentry).
-  double min_segment_valid_fraction = 0.3;
+  static constexpr double min_segment_valid_fraction = 0.3;
   /// A metric counts as alive within a window when at least this fraction
   /// of its points there are valid (consumed by masked cluster matching).
-  double min_metric_valid_fraction = 0.5;
+  static constexpr double min_metric_valid_fraction = 0.5;
 };
 
 struct QualityReport {
@@ -145,7 +146,6 @@ struct QualityResult {
 /// (the later interpolation pass turns it into finite filler) and marked 0
 /// in the mask. Short NaN gaps remain valid. The mask always has the
 /// dataset's shape: every cell of every pipeline run carries a validity bit.
-QualityResult apply_quality_guard(MtsDataset& dataset,
-                                  const QualityConfig& config = {});
+QualityResult apply_quality_guard(MtsDataset& dataset);
 
 }  // namespace ns

@@ -259,20 +259,5 @@ TEST(Autograd, ConstantsReceiveNoGradient) {
   EXPECT_NEAR(x.grad().at(0), 5.0f, 1e-5);
 }
 
-TEST(Autograd, DropoutEvalIsIdentity) {
-  Rng rng(30);
-  Var x = Var::leaf(Tensor(Shape{4, 4}, std::vector<float>(16, 2.0f)), true);
-  Var y = vdropout(x, 0.5f, rng, /*training=*/false);
-  for (float v : y.value().flat()) EXPECT_EQ(v, 2.0f);
-}
-
-TEST(Autograd, DropoutTrainingPreservesExpectation) {
-  Rng rng(31);
-  Var x = Var::leaf(Tensor(Shape{100, 100}, std::vector<float>(10000, 1.0f)),
-                    false);
-  Var y = vdropout(x, 0.3f, rng, /*training=*/true);
-  EXPECT_NEAR(mean_all(y.value()), 1.0, 0.05);
-}
-
 }  // namespace
 }  // namespace ns

@@ -359,13 +359,13 @@ TEST(FleetSession, ValidateRejectsBrokenConfigs) {
   }
   {
     ServeSessionConfig config;
-    config.engine.generations = 9;  // lane bitmap is a byte
+    config.fleet.engine.generations = 9;  // lane bitmap is a byte
     EXPECT_THROW(config.validate(), Error);
   }
   {
     ServeSessionConfig config;
-    config.engine.generations = 2;
-    config.engine.consensus_quorum = 3;  // Q > G
+    config.fleet.engine.generations = 2;
+    config.fleet.engine.consensus_quorum = 3;  // Q > G
     EXPECT_THROW(config.validate(), Error);
   }
   {

@@ -91,16 +91,16 @@ class GenerationsFixture : public ::testing::Test {
     config.k_max = 6;
     config.seed = 99;
     config.incremental_updates = false;
+    // Each retrain's epochs (detect() never adapts with updates off).
+    config.finetune_epochs = 1;
     return config;
   }
 
+  // The retrainer trains with the fit's recipe (train_window 32, lr 3e-3,
+  // batch 8, the freshest 4 segments, seed 99) for finetune_epochs.
   static RetrainerConfig fast_retrain_config() {
     RetrainerConfig config;
     config.min_segments = 1;
-    config.max_segments = 2;
-    config.train_window = 32;
-    config.epochs = 1;
-    config.batch = 4;
     config.backoff_initial = std::chrono::milliseconds(0);
     return config;
   }
@@ -228,8 +228,7 @@ TEST_F(GenerationsFixture, DefaultEngineExposesItsGenerations) {
 TEST_F(GenerationsFixture, RetrainerMustFeedTheServedRegistry) {
   obs::Registry obs;
   GenerationRegistry registry(sentry_->library().size(), 2, &obs);
-  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
-                      fast_retrain_config(), &obs);
+  Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
   ServeConfig config;
   config.registry = &obs;
   config.generations = 2;
@@ -244,8 +243,7 @@ TEST_F(GenerationsFixture, RetrainerMustFeedTheServedRegistry) {
 TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
   obs::Registry obs;
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
-  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
-                      fast_retrain_config(), &obs);
+  Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
 
   // First replay seeds the registry (via the engine) and feeds the rings.
   ServeConfig config;
@@ -277,6 +275,71 @@ TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
     for (const float s : det.scores) ASSERT_TRUE(std::isfinite(s));
 }
 
+// The retrainer has no training recipe of its own: each clone trains with
+// the fitted sentry's (train_window, learning rate, batch, denoising, the
+// fit's seed) for its finetune_epochs, on the freshest segments_per_cluster
+// offers. The fixture's recipe (window 32, lr 3e-3, 1 epoch) differs from
+// any fixed default, so the published generation must equal, bit for bit,
+// that training replayed by hand from the base generation.
+TEST_F(GenerationsFixture, RetrainerTrainsWithTheFittedRecipe) {
+  const NodeSentryConfig& fit = sentry_->config();
+  const std::size_t K = NodeSentryConfig::segments_per_cluster;
+  obs::Registry obs;
+  GenerationRegistry registry(sentry_->library().size(), 2, &obs);
+  registry.seed_from_library(sentry_->library());
+  Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
+
+  // Offer cluster 0 more segments than K; only the freshest K may train.
+  const std::vector<CoreSegment> segments =
+      test_segments(sentry_->processed(), sentry_->train_end(), fit);
+  ASSERT_GT(segments.size(), K);
+  std::vector<Tensor> offered;
+  for (std::size_t i = 0; i < K + 2; ++i) {
+    offered.push_back(
+        sentry_->model_tokens(segments[i], fit.max_tokens_per_segment));
+    retrainer.offer_segment(0, offered.back().clone(), i % K);
+  }
+  const ModelGeneration base = registry.snapshot(0)->generations.back();
+
+  const RetrainCycleReport report = retrainer.run_cycle();
+  ASSERT_EQ(report.retrains_published, 1u);
+  ASSERT_EQ(report.segments_consumed, K);
+  const auto after = registry.snapshot(0);
+  const ModelGeneration& published = after->generations.back();
+  ASSERT_NE(published.model, base.model);
+
+  std::vector<TrainChunk> chunks;
+  for (std::size_t i = 2; i < K + 2; ++i)
+    for (TrainChunk& chunk : train_chunks(offered[i], fit.train_window, i % K))
+      chunks.push_back(std::move(chunk));
+  TrainOptions recipe;
+  recipe.epochs = fit.finetune_epochs;
+  recipe.learning_rate = fit.learning_rate;
+  recipe.batch = fit.train_batch;
+  recipe.denoise_noise = fit.denoise_noise;
+  recipe.denoise_token_drop = fit.denoise_token_drop;
+  Rng rng(0);
+  TransformerReconstructor expected(sentry_->model_config(), rng);
+  {
+    std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+    save_parameters(*base.model, buffer);
+    load_parameters(expected, buffer);
+  }
+  // Cycle 1, cluster 0: the retrainer's per-cycle seed from the fit's.
+  const TrainStats stats = train_reconstructor(
+      expected, chunks, sentry_->library().clusters()[0].metric_weights,
+      recipe, fit.seed + 7919ull);
+
+  EXPECT_TRUE(params_blob(*published.model) == params_blob(expected))
+      << "the published parameters differ from the fitted recipe's";
+  EXPECT_EQ(published.baseline_error, stats.baseline_error);
+  ASSERT_EQ(published.residual_scale.numel(), stats.residual_scale.numel());
+  EXPECT_EQ(std::memcmp(published.residual_scale.data(),
+                        stats.residual_scale.data(),
+                        stats.residual_scale.numel() * sizeof(float)),
+            0);
+}
+
 TEST_F(GenerationsFixture, CrashMidTrainNeverTouchesServingSet) {
   obs::Registry obs;
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
@@ -284,8 +347,7 @@ TEST_F(GenerationsFixture, CrashMidTrainNeverTouchesServingSet) {
   RetrainFaultInjector faults;
   RetrainerConfig config = fast_retrain_config();
   config.max_attempts = 2;
-  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
-                      config, &obs, &faults);
+  Retrainer retrainer(registry, *sentry_, config, &obs, &faults);
   feed(retrainer, obs);
 
   const auto before = all_snapshots(registry);
@@ -313,8 +375,7 @@ TEST_F(GenerationsFixture, CrashMidPublishKeepsCheckpointComplete) {
   RetrainFaultInjector faults;
   RetrainerConfig config = fast_retrain_config();
   config.checkpoint_dir = dir;
-  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
-                      config, &obs, &faults);
+  Retrainer retrainer(registry, *sentry_, config, &obs, &faults);
 
   // Phase 1: a clean cycle publishes and checkpoints.
   feed(retrainer, obs);
@@ -355,8 +416,8 @@ TEST_F(GenerationsFixture, PoisonedSegmentsRejectedWithoutRetry) {
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
   registry.seed_from_library(sentry_->library());
   RetrainFaultInjector faults;
-  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
-                      fast_retrain_config(), &obs, &faults);
+  Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs,
+                      &faults);
   feed(retrainer, obs);
 
   const auto before = all_snapshots(registry);
@@ -384,8 +445,7 @@ TEST_F(GenerationsFixture, BreakerOpensSkipsAndRecoversThroughProbe) {
   config.max_attempts = 1;
   config.breaker_threshold = 2;
   config.breaker_cooldown = 2;
-  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
-                      config, &obs, &faults);
+  Retrainer retrainer(registry, *sentry_, config, &obs, &faults);
 
   faults.arm(RetrainFaultType::kCrashMidTrain,
              RetrainFaultInjector::kEveryCluster, 1u << 20);
@@ -566,8 +626,7 @@ TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {
   // the registry's atomic snapshot/publish and the offer ring.
   obs::Registry obs;
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
-  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
-                      fast_retrain_config(), &obs);
+  Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
 
   ServeConfig config;
   config.registry = &obs;
@@ -610,8 +669,7 @@ TEST_F(GenerationsFixture, ServeRetrainerStoreAgreement) {
   StoreWriter writer(std::move(store), StoreWriterConfig{}, &obs);
   GenerationRegistry registry(sentry_->library().size(), 2, &obs);
   registry.seed_from_library(sentry_->library());
-  Retrainer retrainer(registry, sentry_->library(), sentry_->model_config(),
-                      fast_retrain_config(), &obs);
+  Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
 
   ServeConfig config;
   config.registry = &obs;

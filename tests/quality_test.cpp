@@ -24,7 +24,8 @@ MtsDataset make_dataset(std::size_t metrics, std::size_t T) {
   MtsDataset ds;
   for (std::size_t m = 0; m < metrics; ++m) {
     MetricMeta meta;
-    meta.name = "m" + std::to_string(m);
+    meta.name = "m";
+    meta.name += std::to_string(m);
     meta.semantic_group = meta.name;  // no aggregation
     ds.metrics.push_back(meta);
   }

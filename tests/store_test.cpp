@@ -1149,16 +1149,43 @@ TEST_F(ServeStoreFixture, ServeSealsBitsMatchingDetectionsAndWarmRestarts) {
   EXPECT_EQ(rate.anomalous, flagged);
 }
 
-// finalize() hands the writer one batch per node in one burst, so a queue
-// bound below the node count used to drop whole node histories; the
-// session raises it to the store's node count.
+// finalize() hands the writer one batch per node in one burst, so a
+// nonzero queue bound below the node count would drop whole node
+// histories: the engine refuses such a writer at construction.
+TEST_F(ServeStoreFixture, EngineRejectsAWriterQueueBelowTheNodeCount) {
+  const std::size_t nodes = sim_->data.num_nodes();
+  ASSERT_GE(nodes, 3u);
+  const std::string dir = temp_dir("engine_queue_bound");
+  for (const std::size_t capacity : {std::size_t{1}, nodes - 1, nodes,
+                                     std::size_t{0}}) {
+    fs::remove_all(dir);
+    obs::Registry registry;
+    StoreWriter writer(
+        TimeSeriesStore::create(dir, store_meta_from_dataset(sim_->data)),
+        StoreWriterConfig{capacity}, &registry);
+    ServeConfig config;
+    config.registry = &registry;
+    config.store_writer = &writer;
+    if (capacity > 0 && capacity < nodes) {
+      EXPECT_THROW({ ServeEngine engine(*sentry_, config); }, Error)
+          << "queue_capacity " << capacity;
+    } else {
+      EXPECT_NO_THROW({ ServeEngine engine(*sentry_, config); })
+          << "queue_capacity " << capacity;
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// The session raises a nonzero writer bound to the store's node count, so
+// a tiny configured queue still keeps every node's batch.
 TEST_F(ServeStoreFixture, SessionKeepsEveryNodeBatchWithATinyWriterQueue) {
   ASSERT_GE(sim_->data.num_nodes(), 3u);
   const std::string dir = temp_dir("session_store");
   {
     obs::Registry registry;
     ServeSessionConfig config;
-    config.engine.registry = &registry;
+    config.fleet.engine.registry = &registry;
     config.store.dir = dir;
     config.store.writer.queue_capacity = 1;
     ServeSession session(*sentry_, sim_->data, sim_->train_end, config);
