@@ -39,6 +39,8 @@
 #include "nn/transformer.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
+#include "ts/preprocess.hpp"
+#include "ts/quality.hpp"
 
 namespace {
 
@@ -94,19 +96,6 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_HacClustering(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(4);
-  std::vector<std::vector<float>> points(n, std::vector<float>(16));
-  for (auto& p : points)
-    for (float& x : p) x = static_cast<float>(rng.gaussian());
-  for (auto _ : state) {
-    Hac hac(points, Linkage::kWard);
-    benchmark::DoNotOptimize(hac.cut(4));
-  }
-}
-BENCHMARK(BM_HacClustering)->Arg(64)->Arg(128)->Arg(256);
-
 // PCA's eigensolve on a dense PSD Gram matrix X X^T (X n x n, Gaussian).
 // 440 is the D1-sim segment Gram, 640 the ISC'20 covariance (40 features x
 // 16 metrics).
@@ -131,6 +120,72 @@ BENCHMARK(BM_SymmetricEigen)
     ->Arg(128)
     ->Arg(440)
     ->Arg(640)
+    ->Unit(benchmark::kMillisecond);
+
+// The fit stages ahead of training, on D1-sim shapes. Series are offset
+// sines plus noise; every tenth metric repeats the one before, so pruning
+// drops some.
+MtsDataset bench_dataset(std::size_t nodes, std::size_t metrics,
+                         std::size_t timestamps) {
+  Rng rng(9);
+  MtsDataset ds;
+  for (std::size_t m = 0; m < metrics; ++m) {
+    MetricMeta meta;
+    meta.name = "m" + std::to_string(m);
+    ds.metrics.push_back(meta);
+  }
+  ds.nodes.resize(nodes);
+  for (NodeSeries& node : ds.nodes) {
+    node.values.assign(metrics, std::vector<float>(timestamps));
+    for (std::size_t m = 0; m < metrics; ++m)
+      for (std::size_t t = 0; t < timestamps; ++t) {
+        const double phase = 0.01 * static_cast<double>(t * (m + 1));
+        node.values[m][t] =
+            m % 10 == 9 ? node.values[m - 1][t]
+                        : static_cast<float>(10.0 * static_cast<double>(m) +
+                                             std::sin(phase) +
+                                             0.1 * rng.gaussian());
+      }
+  }
+  return ds;
+}
+
+// The data-quality guard over 32 nodes x 65 raw metrics x 2880 ticks.
+void BM_QualityGuard(benchmark::State& state) {
+  const MtsDataset raw = bench_dataset(32, 65, 2880);
+  for (auto _ : state) {
+    state.PauseTiming();
+    MtsDataset ds = raw;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(apply_quality_guard(ds));
+  }
+}
+BENCHMARK(BM_QualityGuard)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Correlation pruning of 40 aggregated metrics (8 sampled nodes).
+void BM_PruneCorrelated(benchmark::State& state) {
+  const MtsDataset ds = bench_dataset(32, 40, 2880);
+  for (auto _ : state) benchmark::DoNotOptimize(prune_correlated(ds, 0.99));
+}
+BENCHMARK(BM_PruneCorrelated)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Ward HAC on n points x 16 dims; 440 is D1-sim's training segment count.
+void BM_HacWard(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  std::vector<std::vector<float>> points(n, std::vector<float>(16));
+  for (auto& p : points)
+    for (float& x : p) x = static_cast<float>(rng.gaussian());
+  for (auto _ : state) {
+    Hac hac(points, Linkage::kWard);
+    benchmark::DoNotOptimize(hac.cut(4));
+  }
+}
+BENCHMARK(BM_HacWard)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(440)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TransformerForward(benchmark::State& state) {

@@ -40,29 +40,44 @@ Hac::Hac(const std::vector<std::vector<float>>& points, Linkage linkage)
   const bool squared = (linkage == Linkage::kWard);
   DistanceMatrix dist = DistanceMatrix::build(points, squared);
 
-  // active[i]: current cluster id occupying slot i (or SIZE_MAX when merged
-  // away). Slots reuse the distance matrix rows.
+  // Slot i holds cluster cluster_id[i] while alive[i]; a merge keeps the
+  // lower slot and reuses its distance matrix row.
   std::vector<bool> alive(n_, true);
   std::vector<double> size(n_, 1.0);
   std::vector<std::size_t> cluster_id(n_);
   std::iota(cluster_id.begin(), cluster_id.end(), 0);
 
+  // Nearest-partner cache: for each live slot i, the first live j > i at
+  // the row's smallest distance (n_ when there is none), as a scan of the
+  // row in ascending j with a strict < finds it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> partner(n_, n_);
+  std::vector<double> nearest(n_, kInf);
+  const auto rescan = [&](std::size_t i) {
+    nearest[i] = kInf;
+    partner[i] = n_;
+    for (std::size_t j = i + 1; j < n_; ++j)
+      if (alive[j] && dist.at(i, j) < nearest[i]) {
+        nearest[i] = dist.at(i, j);
+        partner[i] = j;
+      }
+  };
+  for (std::size_t i = 0; i < n_; ++i) rescan(i);
+
   merges_.reserve(n_ > 0 ? n_ - 1 : 0);
   heights_.reserve(n_ > 0 ? n_ - 1 : 0);
 
   for (std::size_t step = 0; step + 1 < n_; ++step) {
-    // Find the closest alive pair.
-    double best = std::numeric_limits<double>::infinity();
+    // The closest live pair: the first row holding the smallest cached
+    // distance, with its cached partner. This is the pair (and tie-break)
+    // of a full scan over every live i < j in row-major order.
+    double best = kInf;
     std::size_t bi = 0, bj = 0;
     for (std::size_t i = 0; i < n_; ++i) {
-      if (!alive[i]) continue;
-      for (std::size_t j = i + 1; j < n_; ++j) {
-        if (!alive[j]) continue;
-        if (dist.at(i, j) < best) {
-          best = dist.at(i, j);
-          bi = i;
-          bj = j;
-        }
+      if (alive[i] && nearest[i] < best) {
+        best = nearest[i];
+        bi = i;
+        bj = partner[i];
       }
     }
     merges_.push_back({cluster_id[bi], cluster_id[bj]});
@@ -82,6 +97,24 @@ Hac::Hac(const std::vector<std::vector<float>>& points, Linkage linkage)
     alive[bj] = false;
     size[bi] = ni + nj;
     cluster_id[bi] = n_ + step;  // dendrogram node id
+
+    // Row bi changed throughout. Any other row whose partner was bi or bj
+    // is rescanned; a row left of bi otherwise changed in one entry only,
+    // its distance to bi, which takes over when it is smaller or an equal
+    // distance at an earlier column.
+    rescan(bi);
+    for (std::size_t k = 0; k < n_; ++k) {
+      if (!alive[k] || k == bi) continue;
+      if (partner[k] == bi || partner[k] == bj) {
+        rescan(k);
+      } else if (k < bi) {
+        const double d = dist.at(k, bi);
+        if (d < nearest[k] || (d == nearest[k] && bi < partner[k])) {
+          nearest[k] = d;
+          partner[k] = bi;
+        }
+      }
+    }
   }
 }
 

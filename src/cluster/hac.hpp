@@ -20,9 +20,9 @@ enum class Linkage { kSingle, kComplete, kAverage, kWard };
 
 class Hac {
  public:
-  /// Runs the agglomeration over the given points. O(n^2) memory, O(n^3)
-  /// time — fine for the few hundred to few thousand job segments per
-  /// training window.
+  /// Runs the agglomeration over the given points. O(n^2) memory. Each row
+  /// caches its nearest live partner, so a merge rescans only the rows it
+  /// invalidated: O(n^2) time in practice, O(n^3) at worst.
   Hac(const std::vector<std::vector<float>>& points, Linkage linkage);
 
   std::size_t num_points() const { return n_; }

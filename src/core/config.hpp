@@ -77,8 +77,8 @@ struct NodeSentryConfig {
   /// keeps the reconstructor from collapsing to an identity map, so
   /// off-pattern (anomalous) inputs are projected back toward the learned
   /// pattern and show a large reconstruction error.
-  float denoise_noise = 0.4f;
-  float denoise_token_drop = 0.15f;
+  static constexpr float denoise_noise = 0.4f;
+  static constexpr float denoise_token_drop = 0.15f;
 
   // ---- online detection (§3.5)
   /// Matching window after a job transition (paper default 1 h = 240 steps

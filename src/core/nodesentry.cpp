@@ -752,8 +752,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
         const std::size_t rows = piece.offsets.size();
         Tensor chunk = piece.tokens.clone();
         for (std::size_t t = 0; t < rows; ++t) {
-          if (config_.denoise_token_drop > 0.0f &&
-              tune_rng.bernoulli(config_.denoise_token_drop)) {
+          if (tune_rng.bernoulli(config_.denoise_token_drop)) {
             for (std::size_t m = 0; m < M; ++m) chunk.at(t, m) = 0.0f;
             continue;
           }

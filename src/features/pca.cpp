@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace ns {
 
@@ -232,15 +233,21 @@ void Pca::fit(const std::vector<std::vector<float>>& matrix,
   if (rows <= dims) {
     // Gram trick: eigen of G = X X^T (rows x rows); principal direction
     // w_i = X^T u_i / sqrt(lambda_i).
+    // One task per row fills the row's upper part, each dot product in
+    // ascending d; the lower triangle is mirrored afterwards, so no task
+    // writes into other tasks' rows.
     std::vector<double> gram(rows * rows, 0.0);
-    for (std::size_t i = 0; i < rows; ++i)
+    parallel_for(0, rows, [&](std::size_t i) {
       for (std::size_t j = i; j < rows; ++j) {
         double dot = 0.0;
         for (std::size_t d = 0; d < dims; ++d)
           dot += centered[i][d] * centered[j][d];
         gram[i * rows + j] = dot;
-        gram[j * rows + i] = dot;
       }
+    });
+    for (std::size_t i = 1; i < rows; ++i)
+      for (std::size_t j = 0; j < i; ++j)
+        gram[i * rows + j] = gram[j * rows + i];
     const EigenDecomposition eig = symmetric_eigen(std::move(gram), rows);
     for (double l : eig.values) total_variance += std::max(0.0, l);
     for (std::size_t c = 0; c < keep; ++c) {

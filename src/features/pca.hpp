@@ -5,9 +5,11 @@
 //
 // Fitting uses the Gram-matrix trick when there are fewer samples than
 // feature columns (the usual case: hundreds of segments x thousands of
-// features), so the eigen-decomposition runs on an n x n matrix. The
-// symmetric eigensolver is Householder tridiagonalization followed by
-// implicit-shift QL (EISPACK tred2/tql2), O(n^3) with no sweep count.
+// features), so the eigen-decomposition runs on an n x n matrix. Its rows
+// are built in parallel, each dot product summed in one fixed order, so the
+// bits do not depend on the thread count. The symmetric eigensolver is
+// Householder tridiagonalization followed by implicit-shift QL (EISPACK
+// tred2/tql2), O(n^3) with no sweep count, on one thread.
 #pragma once
 
 #include <cstddef>

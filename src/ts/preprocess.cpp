@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -144,16 +145,41 @@ PruneResult prune_correlated(const MtsDataset& dataset, double threshold,
     }
   }
 
+  // pearson()'s means and sums of squared deviations depend on one metric
+  // only, so they are taken once per metric in its summation order; a pair
+  // then costs the one pass over the cross products.
+  std::vector<double> mu(m), ss(m);
+  parallel_for(0, m, [&](std::size_t mi) {
+    mu[mi] = mean(samples[mi]);
+    double sum = 0.0;
+    for (float x : samples[mi]) {
+      const double d = x - mu[mi];
+      sum += d * d;
+    }
+    ss[mi] = sum;
+  });
+  const auto correlation = [&](std::size_t a, std::size_t b) {
+    if (samples[a].size() < 2 || ss[a] <= 0.0 || ss[b] <= 0.0) return 0.0;
+    double num = 0.0;
+    for (std::size_t i = 0; i < samples[a].size(); ++i) {
+      const double xa = samples[a][i] - mu[a];
+      const double xb = samples[b][i] - mu[b];
+      num += xa * xb;
+    }
+    return num / std::sqrt(ss[a] * ss[b]);
+  };
+
   std::vector<std::size_t> kept;
-  std::vector<bool> dropped(m, false);
+  // One byte per metric: the candidates of a kept metric are tested in
+  // parallel and each writes its own flag.
+  std::vector<std::uint8_t> dropped(m, 0);
   for (std::size_t a = 0; a < m; ++a) {
     if (dropped[a]) continue;
     kept.push_back(a);
     // Drop all later metrics that are near-duplicates of metric a.
-    for (std::size_t b = a + 1; b < m; ++b) {
-      if (dropped[b]) continue;
-      if (pearson(samples[a], samples[b]) >= threshold) dropped[b] = true;
-    }
+    parallel_for(a + 1, m, [&](std::size_t b) {
+      if (!dropped[b] && correlation(a, b) >= threshold) dropped[b] = 1;
+    });
   }
 
   PruneResult out;

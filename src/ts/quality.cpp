@@ -42,13 +42,15 @@ ValidityMask ValidityMask::aggregate(
     const std::vector<std::vector<std::size_t>>& sources) const {
   if (data_.empty()) return {};
   ValidityMask out(num_nodes(), sources.size(), timestamps_, 0);
-  for (std::size_t n = 0; n < num_nodes(); ++n)
-    for (std::size_t g = 0; g < sources.size(); ++g)
-      for (std::size_t t = 0; t < timestamps_; ++t) {
-        std::uint8_t any = 0;
-        for (std::size_t src : sources[g]) any |= at(n, src, t);
-        out.at(n, g, t) = any;
+  parallel_for(0, num_nodes(), [&](std::size_t n) {
+    for (std::size_t g = 0; g < sources.size(); ++g) {
+      std::uint8_t* dst = out.data_[n].data() + g * timestamps_;
+      for (std::size_t src : sources[g]) {
+        const std::uint8_t* row = data_[n].data() + src * timestamps_;
+        for (std::size_t t = 0; t < timestamps_; ++t) dst[t] |= row[t];
       }
+    }
+  });
   return out;
 }
 
@@ -56,10 +58,12 @@ ValidityMask ValidityMask::select_metrics(
     const std::vector<std::size_t>& kept) const {
   if (data_.empty()) return {};
   ValidityMask out(num_nodes(), kept.size(), timestamps_, 0);
-  for (std::size_t n = 0; n < num_nodes(); ++n)
-    for (std::size_t k = 0; k < kept.size(); ++k)
-      for (std::size_t t = 0; t < timestamps_; ++t)
-        out.at(n, k, t) = at(n, kept[k], t);
+  parallel_for(0, num_nodes(), [&](std::size_t n) {
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      const std::uint8_t* row = data_[n].data() + kept[k] * timestamps_;
+      std::copy(row, row + timestamps_, out.data_[n].data() + k * timestamps_);
+    }
+  });
   return out;
 }
 
@@ -165,29 +169,55 @@ void scan_stuck(SeriesGuard& g) {
   }
 }
 
+// The type-7 quantile q of the sample `xs`, exactly as quantile_from_sorted
+// reads it from the sorted sample: order statistics lo and lo + 1 around
+// pos = q * (n - 1). Both lie in [first, last), a range an earlier
+// selection split off (no value before `first` is larger and no value from
+// `last` on is smaller), so lo is found by selection inside it and lo + 1
+// is the minimum of the partition above lo.
+double select_quantile(std::vector<float>& xs, std::size_t first,
+                       std::size_t last, double q) {
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto at = [&xs](std::size_t i) {
+    return xs.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::nth_element(at(first), at(lo), at(last));
+  const float next = *std::min_element(at(lo + 1), at(last));
+  return (1.0 - frac) * xs[lo] + frac * next;
+}
+
 void scan_spikes(SeriesGuard& g) {
   std::vector<float> finite;
   finite.reserve(g.series.size());
   for (std::size_t t = 0; t < g.series.size(); ++t)
     if (!std::isnan(g.series[t])) finite.push_back(g.series[t]);
-  if (finite.size() < 8) return;
-  // Sort once and take every quantile from the same order statistics
-  // (type-7, shared with percentile()) instead of one nth_element pass per
-  // quantile; the deviations need their own order, so one more sort.
-  std::sort(finite.begin(), finite.end());
-  static constexpr double kQs[] = {0.05, 0.5, 0.95};
-  const std::vector<double> qs = quantiles_from_sorted(finite, kQs);
-  const double p5 = qs[0];
-  const double med = qs[1];
-  const double p95 = qs[2];
-  for (float& v : finite) v = static_cast<float>(std::abs(v - med));
-  std::sort(finite.begin(), finite.end());
-  const double mad = quantile_from_sorted(finite, 0.5);
+  const std::size_t count = finite.size();
+  if (count < 8) return;
+  // The median splits the sample, so p5 is selected below it and p95 above
+  // it. From eight points on, each of these ranges also holds order
+  // statistic lo + 1 of its quantile, as select_quantile requires.
+  const std::size_t mid =
+      static_cast<std::size_t>(0.5 * static_cast<double>(count - 1));
+  const double med = select_quantile(finite, 0, count, 0.5);
+  const double p5 = select_quantile(finite, 0, mid, 0.05);
+  const double p95 = select_quantile(finite, mid + 1, count, 0.95);
   // Workload telemetry is often bimodal (idle floor vs busy plateau): the
   // MAD hugs the idle mode and would flag legitimate busy samples. Floor
   // the robust scale with the central 90% range so only values far outside
-  // the series' own observed dynamic range count as non-physical.
-  const double scale = std::max(mad, (p95 - p5) / 2.0);
+  // the series' own observed dynamic range count as non-physical. The MAD
+  // can only raise the limit above that floor, so when no point lies beyond
+  // the floor's limit nothing is flagged and the MAD is not needed.
+  const double range_scale = (p95 - p5) / 2.0;
+  const double range_limit = QualityConfig::spike_mad_factor * range_scale;
+  if (std::none_of(finite.begin(), finite.end(), [&](float v) {
+        return std::abs(v - med) > range_limit;
+      }))
+    return;
+  for (float& v : finite) v = static_cast<float>(std::abs(v - med));
+  const double mad = select_quantile(finite, 0, count, 0.5);
+  const double scale = std::max(mad, range_scale);
   // A (near-)zero scale means the series barely moves; spike detection on
   // it would flag any twitch, so it is left to the stuck/constant logic.
   if (scale <= 1e-12) return;

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/distance.hpp"
 #include "cluster/gmm.hpp"
 #include "cluster/hac.hpp"
 #include "cluster/kmeans.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace ns {
@@ -111,6 +119,175 @@ TEST(Hac, SinglePointDataset) {
   const std::vector<std::vector<float>> points{{1.0f, 2.0f}};
   Hac hac(points, Linkage::kAverage);
   EXPECT_EQ(hac.cut(1), std::vector<std::size_t>{0});
+}
+
+// ---- Hac as it was before each row cached its nearest partner: the
+// Lance–Williams coefficients, the constructor's full closest-pair scan and
+// cut()'s union-find replay, verbatim but for the merges living in a
+// returned struct, kept as the reference.
+
+// Lance–Williams coefficients: d(k, i∪j) = ai*d(ki) + aj*d(kj) + b*d(ij)
+// + g*|d(ki) - d(kj)|. Ward operates on squared Euclidean distances.
+struct LwCoeffs {
+  double ai, aj, b, g;
+};
+
+LwCoeffs lw_coeffs(Linkage linkage, double ni, double nj, double nk) {
+  switch (linkage) {
+    case Linkage::kSingle: return {0.5, 0.5, 0.0, -0.5};
+    case Linkage::kComplete: return {0.5, 0.5, 0.0, 0.5};
+    case Linkage::kAverage:
+      return {ni / (ni + nj), nj / (ni + nj), 0.0, 0.0};
+    case Linkage::kWard: {
+      const double denom = ni + nj + nk;
+      return {(ni + nk) / denom, (nj + nk) / denom, -nk / denom, 0.0};
+    }
+  }
+  return {0.5, 0.5, 0.0, 0.0};
+}
+
+struct ReferenceDendrogram {
+  std::vector<std::pair<std::size_t, std::size_t>> merges;
+  std::vector<double> heights;
+};
+
+ReferenceDendrogram reference_hac(
+    const std::vector<std::vector<float>>& points, Linkage linkage) {
+  const std::size_t n_ = points.size();
+  ReferenceDendrogram out;
+  auto& merges_ = out.merges;
+  auto& heights_ = out.heights;
+  const bool squared = (linkage == Linkage::kWard);
+  DistanceMatrix dist = DistanceMatrix::build(points, squared);
+
+  // active[i]: current cluster id occupying slot i (or SIZE_MAX when merged
+  // away). Slots reuse the distance matrix rows.
+  std::vector<bool> alive(n_, true);
+  std::vector<double> size(n_, 1.0);
+  std::vector<std::size_t> cluster_id(n_);
+  std::iota(cluster_id.begin(), cluster_id.end(), 0);
+
+  merges_.reserve(n_ > 0 ? n_ - 1 : 0);
+  heights_.reserve(n_ > 0 ? n_ - 1 : 0);
+
+  for (std::size_t step = 0; step + 1 < n_; ++step) {
+    // Find the closest alive pair.
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t bi = 0, bj = 0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (!alive[i]) continue;
+      for (std::size_t j = i + 1; j < n_; ++j) {
+        if (!alive[j]) continue;
+        if (dist.at(i, j) < best) {
+          best = dist.at(i, j);
+          bi = i;
+          bj = j;
+        }
+      }
+    }
+    merges_.push_back({cluster_id[bi], cluster_id[bj]});
+    heights_.push_back(squared ? std::sqrt(std::max(0.0, best)) : best);
+
+    // Merge bj into bi; update distances via Lance–Williams.
+    const double ni = size[bi], nj = size[bj];
+    for (std::size_t k = 0; k < n_; ++k) {
+      if (!alive[k] || k == bi || k == bj) continue;
+      const LwCoeffs c = lw_coeffs(linkage, ni, nj, size[k]);
+      const double dki = dist.at(k, bi);
+      const double dkj = dist.at(k, bj);
+      const double dij = dist.at(bi, bj);
+      dist.set(k, bi,
+               c.ai * dki + c.aj * dkj + c.b * dij + c.g * std::abs(dki - dkj));
+    }
+    alive[bj] = false;
+    size[bi] = ni + nj;
+    cluster_id[bi] = n_ + step;  // dendrogram node id
+  }
+  return out;
+}
+
+std::vector<std::size_t> reference_cut(const ReferenceDendrogram& dendrogram,
+                                       std::size_t n_, std::size_t k) {
+  const auto& merges = dendrogram.merges;
+  NS_REQUIRE(k >= 1 && k <= n_, "cut: k " << k << " out of [1," << n_ << "]");
+  // Replay the first n_-k merges through a union-find.
+  std::vector<std::size_t> parent(2 * n_);
+  std::iota(parent.begin(), parent.end(), 0);
+  const std::function<std::size_t(std::size_t)> find =
+      [&](std::size_t x) -> std::size_t {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  for (std::size_t step = 0; step < n_ - k; ++step) {
+    const std::size_t node = n_ + step;
+    parent[find(merges[step].first)] = node;
+    parent[find(merges[step].second)] = node;
+  }
+  // Compact labels in first-appearance order. A hash map keeps the
+  // compaction O(n); a linear scan over the seen roots would make cut()
+  // O(n*k), which the silhouette sweep calls k_max times.
+  std::vector<std::size_t> labels(n_);
+  std::unordered_map<std::size_t, std::size_t> root_label;
+  root_label.reserve(k);
+  for (std::size_t i = 0; i < n_; ++i) {
+    const auto [it, inserted] =
+        root_label.try_emplace(find(i), root_label.size());
+    labels[i] = it->second;
+  }
+  NS_CHECK(root_label.size() == k,
+           "cut produced " << root_label.size() << " clusters, expected "
+                           << k);
+  return labels;
+}
+
+
+/// n points in 3-D on a small integer grid (many equal distances), or with
+/// Gaussian coordinates when `continuous`; every third point from the
+/// fourth on repeats an earlier one (distance 0).
+std::vector<std::vector<float>> tied_points(std::size_t n, bool continuous,
+                                            Rng& rng) {
+  std::vector<std::vector<float>> points;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i >= 3 && i % 3 == 0) {
+      points.push_back(points[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+      continue;
+    }
+    std::vector<float> p(3);
+    for (float& x : p)
+      x = continuous ? static_cast<float>(rng.gaussian())
+                     : static_cast<float>(rng.uniform_int(0, 3));
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+TEST(HacEquivalence, MatchesFullScanReferenceWithTies) {
+  Rng rng(12);
+  for (const Linkage linkage : {Linkage::kSingle, Linkage::kComplete,
+                                Linkage::kAverage, Linkage::kWard})
+    for (const std::size_t n : {1, 2, 3, 50, 300})
+      for (const bool continuous : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "linkage " << static_cast<int>(linkage) << " n " << n
+                     << " continuous " << continuous);
+        const auto points = tied_points(n, continuous, rng);
+        const Hac hac(points, linkage);
+        const ReferenceDendrogram want = reference_hac(points, linkage);
+        const std::vector<double>& heights = hac.merge_heights();
+        ASSERT_EQ(heights.size(), want.heights.size());
+        for (std::size_t s = 0; s < heights.size(); ++s)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(heights[s]),
+                    std::bit_cast<std::uint64_t>(want.heights[s]))
+              << "merge " << s;
+        // cut(k) replays the first n - k merges, so equal cuts at every k
+        // mean the same clusters merged at every step.
+        for (std::size_t k = 1; k <= n; ++k)
+          ASSERT_EQ(hac.cut(k), reference_cut(want, n, k)) << "k " << k;
+      }
 }
 
 TEST(Silhouette, PerfectSeparationNearOne) {

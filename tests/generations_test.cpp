@@ -662,48 +662,52 @@ TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {
 // flagged ones).
 TEST_F(GenerationsFixture, ServeRetrainerStoreAgreement) {
   const std::string dir = temp_dir("retrain_store");
-  obs::Registry obs;
-  TimeSeriesStore store =
-      TimeSeriesStore::create(dir, store_meta_from_dataset(sim_->data));
-  store_append_dataset(store, sim_->data, 0, sim_->train_end);
-  StoreWriter writer(std::move(store), StoreWriterConfig{}, &obs);
-  GenerationRegistry registry(sentry_->library().size(), 2, &obs);
-  registry.seed_from_library(sentry_->library());
-  Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
+  {
+    // The writer, engine and retrainer end here, before the store's
+    // directory is removed: the writer's last flush needs it.
+    obs::Registry obs;
+    TimeSeriesStore store =
+        TimeSeriesStore::create(dir, store_meta_from_dataset(sim_->data));
+    store_append_dataset(store, sim_->data, 0, sim_->train_end);
+    StoreWriter writer(std::move(store), StoreWriterConfig{}, &obs);
+    GenerationRegistry registry(sentry_->library().size(), 2, &obs);
+    registry.seed_from_library(sentry_->library());
+    Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
 
-  ServeConfig config;
-  config.registry = &obs;
-  config.generations = 2;
-  config.consensus_quorum = 1;
-  config.generation_registry = &registry;
-  config.retrainer = &retrainer;
-  config.store_writer = &writer;
-  ServeEngine engine(*sentry_, config);
+    ServeConfig config;
+    config.registry = &obs;
+    config.generations = 2;
+    config.consensus_quorum = 1;
+    config.generation_registry = &registry;
+    config.retrainer = &retrainer;
+    config.store_writer = &writer;
+    ServeEngine engine(*sentry_, config);
 
-  // Retrain mid-stream, deterministically: a cycle every ~40 ticks on the
-  // streaming thread. Generations hot-swap while segments keep closing
-  // and the store keeps retaining rows.
-  ReplayOptions options;
-  options.progress_every = sim_->data.num_nodes() * 40;
-  options.on_progress = [&retrainer](std::size_t) { retrainer.run_cycle(); };
-  const ReplayReport rep =
-      serve_replay(engine, sim_->data, sim_->train_end, options);
-  writer.drain();
+    // Retrain mid-stream, deterministically: a cycle every ~40 ticks on the
+    // streaming thread. Generations hot-swap while segments keep closing
+    // and the store keeps retaining rows.
+    ReplayOptions options;
+    options.progress_every = sim_->data.num_nodes() * 40;
+    options.on_progress = [&retrainer](std::size_t) { retrainer.run_cycle(); };
+    const ReplayReport rep =
+        serve_replay(engine, sim_->data, sim_->train_end, options);
+    writer.drain();
 
-  EXPECT_GT(retrainer.cycles(), 0u);
-  // Offer accounting: every matched closed segment was offered, flags or
-  // no flags; nothing beyond the closed-segment count can be offered.
-  EXPECT_GT(retrainer.segments_offered(), 0u);
-  EXPECT_LE(retrainer.segments_offered(), rep.result.stats.segments_closed);
+    EXPECT_GT(retrainer.cycles(), 0u);
+    // Offer accounting: every matched closed segment was offered, flags or
+    // no flags; nothing beyond the closed-segment count can be offered.
+    EXPECT_GT(retrainer.segments_offered(), 0u);
+    EXPECT_LE(retrainer.segments_offered(), rep.result.stats.segments_closed);
 
-  // The store's in-band bits were stamped at finalize from the SAME
-  // predictions the replay reports — mid-stream retraining must not open
-  // a gap between them.
-  const StoreDelta delta = compare_detections_with_store(
-      rep.result.detections, writer.store(), sim_->train_end);
-  EXPECT_EQ(delta.samples_compared, rep.samples_streamed);
-  EXPECT_EQ(delta.flag_mismatches, 0u);
-  EXPECT_EQ(delta.samples_unflagged, 0u);
+    // The store's in-band bits were stamped at finalize from the SAME
+    // predictions the replay reports — mid-stream retraining must not open
+    // a gap between them.
+    const StoreDelta delta = compare_detections_with_store(
+        rep.result.detections, writer.store(), sim_->train_end);
+    EXPECT_EQ(delta.samples_compared, rep.samples_streamed);
+    EXPECT_EQ(delta.flag_mismatches, 0u);
+    EXPECT_EQ(delta.samples_unflagged, 0u);
+  }
   fs::remove_all(dir);
 }
 

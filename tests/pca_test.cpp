@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <ostream>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "features/extract.hpp"
 #include "features/pca.hpp"
 
@@ -182,6 +184,117 @@ TEST(Pca, GramTrickWhenFewerSamplesThanDims) {
       EXPECT_NEAR(dot, 0.0, 1e-3) << "components " << a << "," << b;
     }
   }
+}
+
+// ---- The Gram route of Pca::fit as it was before the Gram rows were built
+// in parallel, verbatim but for returning its mean, components and
+// explained variance ratio, kept as the reference.
+struct ReferencePca {
+  std::vector<float> mean_;
+  std::vector<std::vector<float>> components_;
+  double explained_ratio_ = 0.0;
+};
+
+ReferencePca reference_gram_pca(const std::vector<std::vector<float>>& matrix,
+                                std::size_t components) {
+  ReferencePca out;
+  auto& mean_ = out.mean_;
+  auto& components_ = out.components_;
+  const std::size_t rows = matrix.size();
+  const std::size_t dims = matrix.front().size();
+
+  mean_.assign(dims, 0.0f);
+  for (const auto& row : matrix) {
+    for (std::size_t d = 0; d < dims; ++d) mean_[d] += row[d];
+  }
+  for (float& m : mean_) m /= static_cast<float>(rows);
+
+  // Centered data X (rows x dims), kept as doubles for the decomposition.
+  std::vector<std::vector<double>> centered(rows, std::vector<double>(dims));
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t d = 0; d < dims; ++d)
+      centered[r][d] = static_cast<double>(matrix[r][d]) - mean_[d];
+
+  const std::size_t keep =
+      std::min({components, rows > 1 ? rows - 1 : 1, dims});
+
+  double total_variance = 0.0;
+  double kept_variance = 0.0;
+
+  // Gram trick: eigen of G = X X^T (rows x rows); principal direction
+  // w_i = X^T u_i / sqrt(lambda_i).
+  std::vector<double> gram(rows * rows, 0.0);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = i; j < rows; ++j) {
+      double dot = 0.0;
+      for (std::size_t d = 0; d < dims; ++d)
+        dot += centered[i][d] * centered[j][d];
+      gram[i * rows + j] = dot;
+      gram[j * rows + i] = dot;
+    }
+  const EigenDecomposition eig = symmetric_eigen(std::move(gram), rows);
+  for (double l : eig.values) total_variance += std::max(0.0, l);
+  for (std::size_t c = 0; c < keep; ++c) {
+    const double lambda = eig.values[c];
+    if (lambda <= 1e-12) break;
+    kept_variance += lambda;
+    std::vector<float> direction(dims, 0.0f);
+    const double inv_sqrt = 1.0 / std::sqrt(lambda);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double coeff = eig.vectors[c][r] * inv_sqrt;
+      for (std::size_t d = 0; d < dims; ++d)
+        direction[d] += static_cast<float>(coeff * centered[r][d]);
+    }
+    components_.push_back(std::move(direction));
+  }
+  out.explained_ratio_ =
+      total_variance > 0.0 ? kept_variance / total_variance : 1.0;
+  return out;
+}
+
+void expect_floats_bitwise_equal(const std::vector<float>& a,
+                                 const std::vector<float>& b,
+                                 const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
+      << what << " differs bitwise";
+}
+
+// Called from the test thread, fit() builds the Gram rows on the whole
+// pool; called from a pool worker, the nested parallel_for is a serial
+// loop. Both must give the serial reference's bits.
+TEST(Pca, GramBuildMatchesSerialReferenceOnAnyThread) {
+  Rng rng(8);
+  // 120 samples in 300 dims (the Gram route): five directions carry the
+  // signal and the rest is faint noise, so the components past the fifth
+  // sit on nearly equal eigenvalues and move, even in float, when a single
+  // Gram entry changes in its last bit.
+  std::vector<std::vector<double>> basis(5, std::vector<double>(300));
+  for (auto& b : basis)
+    for (double& x : b) x = rng.gaussian();
+  std::vector<std::vector<float>> data(120, std::vector<float>(300));
+  for (auto& row : data) {
+    double weight[5];
+    for (double& w : weight) w = rng.gaussian();
+    for (std::size_t d = 0; d < row.size(); ++d) {
+      double v = 1e-3 * rng.gaussian();
+      for (std::size_t k = 0; k < 5; ++k) v += weight[k] * basis[k][d];
+      row[d] = static_cast<float>(v);
+    }
+  }
+  Pca here, there;
+  here.fit(data, 16);
+  ThreadPool::global().submit([&] { there.fit(data, 16); }).get();
+  const ReferencePca want = reference_gram_pca(data, 16);
+  for (const Pca* pca : {&here, &there}) {
+    expect_floats_bitwise_equal(pca->mean(), want.mean_, "mean");
+    ASSERT_EQ(pca->components().size(), want.components_.size());
+    for (std::size_t c = 0; c < want.components_.size(); ++c)
+      expect_floats_bitwise_equal(pca->components()[c], want.components_[c],
+                                  "component");
+  }
+  EXPECT_EQ(here.explained_variance_ratio(), want.explained_ratio_);
+  EXPECT_EQ(there.explained_variance_ratio(), want.explained_ratio_);
 }
 
 TEST(Pca, TransformPreservesPairwiseDistanceWithFullRank) {

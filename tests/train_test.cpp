@@ -26,6 +26,7 @@
 #include "core/trainer.hpp"
 #include "nn/optim.hpp"
 #include "sim/dataset_builder.hpp"
+#include "sim/telemetry_faults.hpp"
 #include "tensor/autograd.hpp"
 
 namespace ns {
@@ -570,6 +571,97 @@ TEST(ParallelDetect, WorkerThreadMatchesTestThreadBitwise) {
     expect_params_bitwise_equal(*ca[c].model, *cb[c].model);
     expect_bitwise_equal(ca[c].residual_scale, cb[c].residual_scale,
                          "residual_scale");
+  }
+}
+
+void expect_floats_bitwise_equal(const std::vector<float>& a,
+                                 const std::vector<float>& b,
+                                 const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
+      << what << " differs bitwise";
+}
+
+// Run from a pool worker, every nested parallel_for inside fit() is a
+// serial loop: the quality guard, mask aggregation and selection,
+// correlation pruning, feature extraction, the PCA Gram build and
+// per-cluster training. Run from the test thread, they use the whole pool.
+// Both must give the same bits: processed data, mask, feature pipeline and
+// every cluster with its model.
+TEST(ParallelFit, WorkerThreadMatchesTestThreadBitwise) {
+  SimDataset sim = build_sim_dataset(d2_sim_config(0.25, 5));
+  TelemetryFaultPlanConfig plan;
+  plan.region_begin = 0;
+  plan.region_end = sim.data.num_timestamps();
+  plan.events_per_type = 2;
+  Rng fault_rng(6);
+  apply_telemetry_faults(
+      sim.data, plan_telemetry_faults(plan, sim.data.num_nodes(),
+                                      sim.data.num_metrics(), fault_rng));
+  NodeSentryConfig config;
+  config.model.d_model = 12;
+  config.model.num_layers = 1;
+  config.model.num_heads = 2;
+  config.model.ffn_hidden = 16;
+  config.train_epochs = 2;
+  config.max_tokens_per_segment = 64;
+  config.train_window = 32;
+  config.seed = 5;
+  NodeSentry here(config), there(config);
+  const NodeSentry::FitReport a = here.fit(sim.data, sim.train_end);
+  NodeSentry::FitReport b;
+  ThreadPool::global()
+      .submit([&] { b = there.fit(sim.data, sim.train_end); })
+      .get();
+
+  ASSERT_GT(a.quality.points_invalid, 0u);
+  EXPECT_EQ(a.quality.points_invalid, b.quality.points_invalid);
+  EXPECT_EQ(a.quality.events.size(), b.quality.events.size());
+  EXPECT_EQ(a.num_segments, b.num_segments);
+  EXPECT_EQ(a.num_clusters, b.num_clusters);
+  EXPECT_EQ(a.silhouette, b.silhouette);
+  EXPECT_EQ(here.kept_metrics(), there.kept_metrics());
+  const MtsDataset& pa = here.processed();
+  const MtsDataset& pb = there.processed();
+  ASSERT_EQ(pa.num_nodes(), pb.num_nodes());
+  ASSERT_EQ(pa.num_metrics(), pb.num_metrics());
+  for (std::size_t n = 0; n < pa.num_nodes(); ++n)
+    for (std::size_t m = 0; m < pa.num_metrics(); ++m) {
+      expect_floats_bitwise_equal(pa.nodes[n].values[m],
+                                  pb.nodes[n].values[m], "processed series");
+      for (std::size_t t = 0; t < pa.num_timestamps(); ++t)
+        ASSERT_EQ(here.mask().at(n, m, t), there.mask().at(n, m, t));
+    }
+
+  const ClusterLibrary& la = here.library();
+  const ClusterLibrary& lb = there.library();
+  ASSERT_TRUE(la.pca().fitted());
+  expect_floats_bitwise_equal(la.pca().mean(), lb.pca().mean(), "pca mean");
+  ASSERT_EQ(la.pca().components().size(), lb.pca().components().size());
+  for (std::size_t c = 0; c < la.pca().components().size(); ++c)
+    expect_floats_bitwise_equal(la.pca().components()[c],
+                                lb.pca().components()[c], "pca component");
+  const auto& ca = la.clusters();
+  const auto& cb = lb.clusters();
+  ASSERT_GE(ca.size(), 2u);
+  ASSERT_EQ(ca.size(), cb.size());
+  for (std::size_t c = 0; c < ca.size(); ++c) {
+    expect_floats_bitwise_equal(ca[c].centroid, cb[c].centroid, "centroid");
+    EXPECT_EQ(ca[c].radius, cb[c].radius);
+    EXPECT_EQ(ca[c].baseline_error, cb[c].baseline_error);
+    ASSERT_EQ(ca[c].members.size(), cb[c].members.size());
+    for (std::size_t i = 0; i < ca[c].members.size(); ++i) {
+      EXPECT_EQ(ca[c].members[i].node, cb[c].members[i].node);
+      EXPECT_EQ(ca[c].members[i].begin, cb[c].members[i].begin);
+      EXPECT_EQ(ca[c].members[i].end, cb[c].members[i].end);
+      expect_floats_bitwise_equal(ca[c].member_features[i],
+                                  cb[c].member_features[i], "member features");
+    }
+    expect_bitwise_equal(ca[c].metric_weights, cb[c].metric_weights,
+                         "MAC weights");
+    expect_bitwise_equal(ca[c].residual_scale, cb[c].residual_scale,
+                         "residual_scale");
+    expect_params_bitwise_equal(*ca[c].model, *cb[c].model);
   }
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/mathutil.hpp"
 #include "common/rng.hpp"
 #include "ts/mts.hpp"
 #include "ts/preprocess.hpp"
@@ -160,6 +163,110 @@ TEST(Prune, ThresholdOneKeepsEverything) {
   MtsDataset ds = tiny_dataset();
   auto result = prune_correlated(ds, 1.01);
   EXPECT_EQ(result.kept.size(), ds.num_metrics());
+}
+
+// ---- prune_correlated's greedy pearson() loop as it was before each
+// metric's moments were taken once, verbatim up to the kept list (its
+// sampling step is split out so tests can read the sampled series), kept as
+// the reference.
+
+std::vector<std::vector<float>> reference_samples(const MtsDataset& dataset,
+                                                  std::size_t sample_nodes,
+                                                  std::size_t stride) {
+  const std::size_t m = dataset.num_metrics();
+  const std::size_t n_nodes = std::min(sample_nodes, dataset.nodes.size());
+
+  // Build subsampled concatenated series per metric across sample nodes.
+  std::vector<std::vector<float>> samples(m);
+  for (std::size_t mi = 0; mi < m; ++mi) {
+    for (std::size_t n = 0; n < n_nodes; ++n) {
+      const auto& series = dataset.nodes[n].values[mi];
+      for (std::size_t t = 0; t < series.size(); t += stride)
+        samples[mi].push_back(series[t]);
+    }
+  }
+  return samples;
+}
+
+std::vector<std::size_t> reference_prune_kept(const MtsDataset& dataset,
+                                              double threshold,
+                                              std::size_t sample_nodes,
+                                              std::size_t stride) {
+  const std::size_t m = dataset.num_metrics();
+  const std::vector<std::vector<float>> samples =
+      reference_samples(dataset, sample_nodes, stride);
+
+  std::vector<std::size_t> kept;
+  std::vector<bool> dropped(m, false);
+  for (std::size_t a = 0; a < m; ++a) {
+    if (dropped[a]) continue;
+    kept.push_back(a);
+    // Drop all later metrics that are near-duplicates of metric a.
+    for (std::size_t b = a + 1; b < m; ++b) {
+      if (dropped[b]) continue;
+      if (pearson(samples[a], samples[b]) >= threshold) dropped[b] = true;
+    }
+  }
+  return kept;
+}
+
+/// 10 nodes x 12 metrics: random walks, exact, affine and negated copies,
+/// near copies, flat metrics and a mixture.
+MtsDataset correlated_dataset() {
+  constexpr std::size_t kMetrics = 12, kT = 301;
+  MtsDataset ds = tiny_dataset(10, kMetrics, kT);
+  Rng rng(77);
+  for (NodeSeries& node : ds.nodes) {
+    auto& v = node.values;
+    double walk_a = 0.0, walk_b = 0.0;
+    for (std::size_t t = 0; t < kT; ++t) {
+      walk_a += rng.gaussian();
+      walk_b += rng.gaussian();
+      v[0][t] = static_cast<float>(walk_a);
+      v[1][t] = 2.5f * v[0][t] - 3.0f;
+      v[2][t] = static_cast<float>(walk_b);
+      v[3][t] = v[2][t] + static_cast<float>(rng.gaussian(0.0, 0.05));
+      v[4][t] = 7.0f;
+      v[5][t] = 1.0f - v[0][t];
+      v[6][t] = 7.0f;
+      v[7][t] = v[3][t] + static_cast<float>(rng.gaussian(0.0, 0.01));
+      v[8][t] = static_cast<float>(rng.gaussian());
+      v[9][t] = v[0][t];
+      v[10][t] = 0.5f * v[8][t] + static_cast<float>(rng.gaussian(0.0, 0.1));
+      v[11][t] = 0.5f * v[0][t] + 0.5f * v[2][t];
+    }
+  }
+  return ds;
+}
+
+TEST(PruneEquivalence, MatchesGreedyPearsonLoop) {
+  const MtsDataset ds = correlated_dataset();
+  std::vector<double> thresholds = {-1.0, 0.0, 0.5, 0.99, 1.01};
+  // Thresholds at a pair's exact coefficient and one ulp above it: any
+  // change in the coefficient's bits flips one of the two decisions.
+  const auto samples = reference_samples(ds, 8, 1);
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {0, 1}, {2, 3}, {0, 9}, {3, 7}, {0, 11}, {8, 10}};
+  for (const auto& [a, b] : pairs) {
+    const double r = pearson(samples[a], samples[b]);
+    thresholds.push_back(r);
+    thresholds.push_back(std::nextafter(r, 2.0));
+  }
+  for (const double threshold : thresholds)
+    for (const std::size_t sample_nodes : {2, 8})
+      for (const std::size_t stride : {1, 3}) {
+        SCOPED_TRACE(::testing::Message() << threshold << ' ' << sample_nodes
+                                          << ' ' << stride);
+        const PruneResult got =
+            prune_correlated(ds, threshold, sample_nodes, stride);
+        EXPECT_EQ(got.kept,
+                  reference_prune_kept(ds, threshold, sample_nodes, stride));
+        ASSERT_EQ(got.dataset.num_metrics(), got.kept.size());
+        for (std::size_t n = 0; n < ds.num_nodes(); ++n)
+          for (std::size_t k = 0; k < got.kept.size(); ++k)
+            EXPECT_EQ(got.dataset.nodes[n].values[k],
+                      ds.nodes[n].values[got.kept[k]]);
+      }
 }
 
 TEST(Standardizer, ZeroMeanUnitishScale) {
