@@ -18,6 +18,13 @@ DistanceMatrix DistanceMatrix::build(
   return m;
 }
 
+DistanceMatrix DistanceMatrix::square_roots() const {
+  DistanceMatrix m(n_);
+  for (std::size_t i = 0; i < data_.size(); ++i)
+    m.data_[i] = std::sqrt(data_[i]);
+  return m;
+}
+
 std::vector<float> centroid_of(const std::vector<std::vector<float>>& points,
                                std::span<const std::size_t> member_indices) {
   NS_REQUIRE(!member_indices.empty(), "centroid of empty cluster");

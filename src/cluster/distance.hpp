@@ -36,6 +36,11 @@ class DistanceMatrix {
   static DistanceMatrix build(const std::vector<std::vector<float>>& points,
                               bool squared = false);
 
+  /// The matrix of every entry's square root. Applied to a squared build
+  /// it is the Euclidean build bit for bit, since euclidean() is the square
+  /// root of squared_euclidean().
+  DistanceMatrix square_roots() const;
+
   std::size_t size() const { return n_; }
   double at(std::size_t i, std::size_t j) const { return data_[i * n_ + j]; }
   void set(std::size_t i, std::size_t j, double v) {

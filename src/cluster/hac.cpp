@@ -35,10 +35,11 @@ LwCoeffs lw_coeffs(Linkage linkage, double ni, double nj, double nk) {
 }  // namespace
 
 Hac::Hac(const std::vector<std::vector<float>>& points, Linkage linkage)
-    : n_(points.size()) {
+    : Hac(DistanceMatrix::build(points, linkage == Linkage::kWard), linkage) {}
+
+Hac::Hac(DistanceMatrix dist, Linkage linkage) : n_(dist.size()) {
   NS_REQUIRE(n_ >= 1, "HAC needs at least one point");
   const bool squared = (linkage == Linkage::kWard);
-  DistanceMatrix dist = DistanceMatrix::build(points, squared);
 
   // Slot i holds cluster cluster_id[i] while alive[i]; a merge keeps the
   // lower slot and reuses its distance matrix row.

@@ -24,6 +24,9 @@ class Hac {
   /// caches its nearest live partner, so a merge rescans only the rows it
   /// invalidated: O(n^2) time in practice, O(n^3) at worst.
   Hac(const std::vector<std::vector<float>>& points, Linkage linkage);
+  /// The same over the points' prebuilt distances: squared Euclidean for
+  /// Ward, Euclidean otherwise, as the points constructor builds them.
+  Hac(DistanceMatrix distances, Linkage linkage);
 
   std::size_t num_points() const { return n_; }
 

@@ -10,6 +10,64 @@ namespace {
 // Which pool (if any) owns the current thread. Lets nested parallel_for
 // calls from inside a task detect their own pool and run sequentially.
 thread_local ThreadPool* t_worker_pool = nullptr;
+
+// One parallel_for call, shared by its caller and every helper task it
+// queued. A helper may start long after the call returned (queued behind
+// busy workers): it then finds the cursor exhausted and returns without
+// touching `fn`, which only a claimed chunk dereferences.
+//
+// Chunk layout is a pure function of (begin, end, grain): chunk c covers
+// [begin + c*grain, begin + (c+1)*grain). Threads claim whole chunks from
+// an atomic cursor, so each index runs on exactly one thread no matter how
+// many workers exist or in what order chunks are stolen.
+struct ParallelLoop {
+  ParallelLoop(std::size_t begin, std::size_t end, std::size_t grain,
+               const std::function<void(std::size_t)>& fn)
+      : begin(begin),
+        end(end),
+        grain(grain),
+        chunks((end - begin + grain - 1) / grain),
+        fn(&fn) {}
+
+  // Claims and runs chunks until none is left. A chunk that throws still
+  // counts as finished; the first exception is kept for the caller.
+  void run_chunks() {
+    for (std::size_t c = cursor.fetch_add(1); c < chunks;
+         c = cursor.fetch_add(1)) {
+      const std::size_t lo = begin + c * grain;
+      const std::size_t hi = std::min(end, lo + grain);
+      std::exception_ptr error;
+      try {
+        for (std::size_t i = lo; i < hi; ++i) (*fn)(i);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      if (error && !first_error) first_error = std::move(error);
+      if (++finished == chunks) all_finished.notify_one();
+    }
+  }
+
+  // Blocks until every chunk has finished, then rethrows the first
+  // exception a chunk threw.
+  void wait() {
+    std::exception_ptr error;
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      all_finished.wait(lock, [this] { return finished == chunks; });
+      error = first_error;
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+  const std::size_t begin, end, grain, chunks;
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> cursor{0};
+  std::mutex mutex;  // guards finished and first_error
+  std::condition_variable all_finished;
+  std::size_t finished = 0;
+  std::exception_ptr first_error;
+};
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -102,50 +160,22 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  // Chunk layout is a pure function of (begin, end, grain): chunk c covers
-  // [begin + c*grain, begin + (c+1)*grain). Threads claim whole chunks from
-  // an atomic cursor, so each index runs on exactly one thread no matter
-  // how many workers exist or in what order chunks are stolen.
-  const std::size_t chunks = (n + grain - 1) / grain;
-  auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  const auto run_chunks = [begin, end, grain, chunks, cursor, &fn] {
-    for (std::size_t c = cursor->fetch_add(1); c < chunks;
-         c = cursor->fetch_add(1)) {
-      const std::size_t lo = begin + c * grain;
-      const std::size_t hi = std::min(end, lo + grain);
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    }
-  };
-  // Helper tasks drain the same cursor; the caller participates below, so
-  // the loop completes even if no worker ever becomes free (and cannot
-  // deadlock when the pool is saturated with waiting parallel_for callers).
-  const std::size_t helpers = std::min(chunks - 1, size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
+  // The caller claims chunks too, so the loop completes even when no
+  // helper ever starts; it waits only for chunks a helper already claimed.
+  const auto loop = std::make_shared<ParallelLoop>(begin, end, grain, fn);
+  const std::size_t helpers = std::min(loop->chunks - 1, size());
   for (std::size_t h = 0; h < helpers; ++h) {
     try {
-      futures.push_back(submit(run_chunks));
-    } catch (const Error&) {
-      break;  // pool began shutdown mid-call: the caller runs what remains
-    }
-  }
-  std::exception_ptr first_error;
-  try {
-    run_chunks();
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (const std::future_error&) {
-      // Discarded by shutdown before it started; its chunks were claimed
-      // (or will never be claimed) by the surviving participants.
+      submit([loop] { loop->run_chunks(); });
     } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+      // The pool began shutdown mid-call, or a task could not be queued.
+      // Leaving by exception would let queued helpers reach `fn` after it
+      // died, so the caller runs what remains instead.
+      break;
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  loop->run_chunks();
+  loop->wait();
 }
 
 void ThreadPool::worker_loop() {

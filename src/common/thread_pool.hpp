@@ -79,14 +79,18 @@ class ThreadPool {
   bool on_worker_thread() const;
 
   /// Runs fn(i) for i in [begin, end), splitting the range into fixed
-  /// `grain`-sized chunks claimed from a shared atomic cursor. The calling
-  /// thread participates in the work, so the call completes even when every
-  /// worker is busy; called from one of this pool's own workers it runs
+  /// `grain`-sized chunks claimed from a shared atomic cursor by the
+  /// calling thread and by up to size() queued helper tasks. The caller
+  /// waits only for chunks a helper has already claimed, never for a helper
+  /// to start: when every worker is busy it runs all chunks itself and
+  /// returns, and a helper that starts after the last claim returns without
+  /// calling fn. Called from one of this pool's own workers it runs
   /// sequentially (never deadlocks). Chunk boundaries depend only on
   /// (begin, end, grain) — not on the worker count — and each index is
   /// processed by exactly one thread, so any per-index computation that is
   /// itself deterministic yields identical results at any thread count.
-  /// Blocks until every iteration finished; rethrows the first exception.
+  /// Blocks until every iteration finished; every chunk runs even when one
+  /// throws, and the first exception caught is rethrown.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
 

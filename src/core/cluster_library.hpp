@@ -34,7 +34,8 @@ struct ClusterEntry {
   std::shared_ptr<TransformerReconstructor> model;
   std::vector<CoreSegment> members;          ///< the K training segments
   std::vector<std::vector<float>> member_features;
-  std::size_t training_tokens = 0;  ///< bookkeeping for reports
+  /// Token rows of the training chunks; fit() trains longest-first by it.
+  std::size_t training_tokens = 0;
 };
 
 struct MatchResult {

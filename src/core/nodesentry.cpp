@@ -155,7 +155,8 @@ NodeSentry::FitReport NodeSentry::fit(const MtsDataset& raw,
     if (!kept.empty()) segments = std::move(kept);
   }
   std::vector<std::vector<float>> features(segments.size());
-  ThreadPool::global().parallel_for(0, segments.size(), 1, [&](std::size_t i) {
+  ThreadPool& pool = ThreadPool::global();
+  pool.parallel_for(0, segments.size(), 1, [&](std::size_t i) {
     features[i] = segment_features(segments[i]);
   });
   // Column z-scaling so no single feature (e.g. abs_energy, which grows
@@ -179,8 +180,13 @@ NodeSentry::FitReport NodeSentry::fit(const MtsDataset& raw,
     labels.assign(1, 0);
     auto_k_ = 1;
   } else {
-    Hac hac(features, config_.linkage);
-    const DistanceMatrix dist = DistanceMatrix::build(features);
+    // One O(n^2 d) distance build: Ward merges on the squared distances and
+    // the silhouette reads their square roots, euclidean() bit for bit.
+    DistanceMatrix squared = DistanceMatrix::build(features, true);
+    const DistanceMatrix dist = squared.square_roots();
+    Hac hac(config_.linkage == Linkage::kWard ? std::move(squared)
+                                              : DistanceMatrix(dist),
+            config_.linkage);
     if (config_.forced_k > 0) {
       // Forced k: the O(n^2 * k_max) silhouette sweep would only produce a
       // result we discard, so cut directly and report the silhouette of
@@ -219,6 +225,14 @@ NodeSentry::FitReport NodeSentry::fit(const MtsDataset& raw,
   std::vector<std::size_t> nonempty;
   for (std::size_t c = 0; c < k; ++c)
     if (!members[c].empty()) nonempty.push_back(c);
+  // Every cluster's members and training chunks come first, so the
+  // clusters can then train longest-first.
+  std::vector<std::vector<TrainChunk>> chunks(k);
+  pool.parallel_for(0, nonempty.size(), 1, [&](std::size_t idx) {
+    const std::size_t c = nonempty[idx];
+    library_.clusters()[c] = select_members(segments, features, members[c]);
+    chunks[c] = member_chunks(library_.clusters()[c]);
+  });
   // Clusters are trained in waves so a checkpoint can be published after
   // each wave: a crash mid-fit loses at most one wave of work, and the
   // last checkpoint is always a complete, loadable library prefix.
@@ -232,11 +246,27 @@ NodeSentry::FitReport NodeSentry::fit(const MtsDataset& raw,
       obs::default_duration_buckets(), {}, 256);
   for (std::size_t base = 0; base < nonempty.size(); base += wave) {
     const std::size_t stop = std::min(nonempty.size(), base + wave);
-    ThreadPool::global().parallel_for(base, stop, 1, [&](std::size_t idx) {
-      const std::size_t c = nonempty[idx];
+    // Within a wave the clusters with the most training tokens start first
+    // (ties by index), so the longest ones are not left to run alone at
+    // the end. Each cluster trains from its own seed on one thread, so the
+    // order changes no model.
+    std::vector<std::size_t> order(
+        nonempty.begin() + static_cast<std::ptrdiff_t>(base),
+        nonempty.begin() + static_cast<std::ptrdiff_t>(stop));
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return library_.clusters()[a].training_tokens >
+                              library_.clusters()[b].training_tokens;
+                     });
+    pool.parallel_for(0, order.size(), 1, [&](std::size_t o) {
+      const std::size_t c = order[o];
       obs::ScopedTimer timer(&cluster_train_hist, "fit.train_cluster");
-      library_.clusters()[c] = build_cluster(
-          segments, features, members[c], config_.seed + 1000 + c);
+      ClusterEntry& entry = library_.clusters()[c];
+      const std::uint64_t seed = config_.seed + 1000 + c;
+      Rng model_rng(seed);
+      entry.model =
+          std::make_shared<TransformerReconstructor>(model_config(), model_rng);
+      train_cluster(entry, chunks[c], config_.train_epochs, seed ^ 0xABCDEF);
     });
     if (checkpointing) {
       std::vector<const ClusterEntry*> trained;
@@ -302,10 +332,10 @@ void NodeSentry::restore(const MtsDataset& raw, std::size_t train_end,
                                      << checkpoint_directory);
 }
 
-ClusterEntry NodeSentry::build_cluster(
+ClusterEntry NodeSentry::select_members(
     const std::vector<CoreSegment>& segments,
     const std::vector<std::vector<float>>& features,
-    const std::vector<std::size_t>& member_indices, std::uint64_t seed) {
+    const std::vector<std::size_t>& member_indices) const {
   ClusterEntry entry;
   entry.centroid = centroid_of(features, member_indices);
 
@@ -327,19 +357,11 @@ ClusterEntry NodeSentry::build_cluster(
     entry.members.push_back(segments[by_distance[i].second]);
     entry.member_features.push_back(features[by_distance[i].second]);
   }
-
   entry.metric_weights = mac_weights(processed_, entry.members);
-
-  Rng model_rng(seed);
-  entry.model =
-      std::make_shared<TransformerReconstructor>(model_config(), model_rng);
-  train_cluster(entry, config_.train_epochs, seed ^ 0xABCDEF);
   return entry;
 }
 
-void NodeSentry::train_cluster(ClusterEntry& entry, std::size_t epochs,
-                               std::uint64_t seed) {
-  // Pre-build token chunks: (tokens, offsets, segment id).
+std::vector<TrainChunk> NodeSentry::member_chunks(ClusterEntry& entry) const {
   std::vector<TrainChunk> chunks;
   for (std::size_t s = 0; s < entry.members.size(); ++s) {
     const Tensor tokens =
@@ -349,7 +371,12 @@ void NodeSentry::train_cluster(ClusterEntry& entry, std::size_t epochs,
       chunks.push_back(std::move(chunk));
     }
   }
+  return chunks;
+}
 
+void NodeSentry::train_cluster(ClusterEntry& entry,
+                               const std::vector<TrainChunk>& chunks,
+                               std::size_t epochs, std::uint64_t seed) {
   TrainStats stats = train_reconstructor(*entry.model, chunks,
                                          entry.metric_weights,
                                          train_options(epochs), seed);
@@ -660,7 +687,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
     Rng model_rng(config_.seed ^ (0xBEEF + seg.node * 131 + seg.begin));
     entry.model =
         std::make_shared<TransformerReconstructor>(model_config(), model_rng);
-    train_cluster(entry, config_.finetune_epochs,
+    train_cluster(entry, member_chunks(entry), config_.finetune_epochs,
                   config_.seed ^ (seg.begin * 17 + seg.node));
   });
   // Checkpoint the grown library every checkpoint_every spawns, so a crash

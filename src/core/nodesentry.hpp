@@ -153,19 +153,24 @@ class NodeSentry {
   TrainOptions train_options(std::size_t epochs) const;
 
  private:
-  /// Chunks the member segments and trains the entry's shared model with
-  /// the batched mini-batch trainer (core/trainer.hpp, DESIGN.md §11) on
+  /// A cluster without its model: centroid and radius over
+  /// `member_indices`, its config.segments_per_cluster members nearest the
+  /// centroid and their MAC metric weights.
+  ClusterEntry select_members(const std::vector<CoreSegment>& segments,
+                              const std::vector<std::vector<float>>& features,
+                              const std::vector<std::size_t>& member_indices)
+      const;
+  /// The entry's training chunks: each member segment's tokens (up to
+  /// config.max_tokens_per_segment rows) cut by train_chunks(). Adds their
+  /// rows to entry.training_tokens.
+  std::vector<TrainChunk> member_chunks(ClusterEntry& entry) const;
+  /// Trains the entry's shared model on `chunks` with the batched
+  /// mini-batch trainer (core/trainer.hpp, DESIGN.md §11) on
   /// train_options(epochs): config.train_batch chunks per Adam step
   /// through one block-diagonal forward, then a batch-size-invariant,
   /// thread-count-invariant residual-statistics pass.
-  void train_cluster(ClusterEntry& entry, std::size_t epochs,
-                     std::uint64_t seed);
-  /// Builds a fully-populated entry (centroid, radius, weights, members)
-  /// from member segment indices, then trains it.
-  ClusterEntry build_cluster(const std::vector<CoreSegment>& segments,
-                             const std::vector<std::vector<float>>& features,
-                             const std::vector<std::size_t>& member_indices,
-                             std::uint64_t seed);
+  void train_cluster(ClusterEntry& entry, const std::vector<TrainChunk>& chunks,
+                     std::size_t epochs, std::uint64_t seed);
   /// Saves a consistent snapshot of `snapshot_clusters` (library order)
   /// into the configured checkpoint directory; `step` names the history
   /// subdirectory when checkpoint_history is on.

@@ -1,7 +1,9 @@
 #include "ts/quality.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/mathutil.hpp"
@@ -188,13 +190,81 @@ double select_quantile(std::vector<float>& xs, std::size_t first,
   return (1.0 - frac) * xs[lo] + frac * next;
 }
 
+// Bins of the coarse histogram spikes_ruled_out() reads.
+constexpr std::size_t kSpikeBins = 256;
+
+// True when the sample's range and a coarse count histogram prove that no
+// value lies more than spike_mad_factor * (p95 - p5) / 2 from the median,
+// the limit below which scan_spikes returns before the MAD: the sample is
+// the `count` non-NaN values of `series`, `smallest` and `largest` its
+// extremes. Values fall in kSpikeBins equal bins between the extremes, and
+// binning is monotone, so the bin holding order statistic k bounds it.
+// p5, the median and p95 interpolate between order statistics lo and
+// lo + 1 of their type-7 positions; the median is bounded by the bins of
+// both, p5 from above by the bin of its lo + 1 and p95 from below by the
+// bin of its lo. Every bound is widened by a whole bin and the comparison
+// keeps a 0.1 % margin, both far beyond the rounding of the binning and of
+// scan_spikes' own arithmetic. A constant sample is ruled out at once: its
+// median is its value exactly, so no point lies beyond any limit and
+// scan_spikes flags nothing.
+bool spikes_ruled_out(const std::vector<float>& series, std::size_t count,
+                      float smallest, float largest) {
+  if (smallest == largest) return true;
+  const double base = smallest;
+  const double top = largest;
+  const double width = (top - base) / kSpikeBins;
+  const double per_width = kSpikeBins / (top - base);
+  std::array<std::size_t, kSpikeBins> cumulative{};
+  for (const float v : series)
+    if (!std::isnan(v))
+      ++cumulative[std::min(kSpikeBins - 1,
+                            static_cast<std::size_t>(
+                                (static_cast<double>(v) - base) * per_width))];
+  for (std::size_t b = 1; b < kSpikeBins; ++b)
+    cumulative[b] += cumulative[b - 1];
+  const auto bin_of = [&cumulative](std::size_t k) {
+    return static_cast<std::size_t>(
+        std::upper_bound(cumulative.begin(), cumulative.end(), k) -
+        cumulative.begin());
+  };
+  const auto below = [&](std::size_t k) {
+    const std::size_t b = bin_of(k);
+    return b < 2 ? base : base + static_cast<double>(b - 1) * width;
+  };
+  const auto above = [&](std::size_t k) {
+    const std::size_t b = bin_of(k);
+    if (b + 2 >= kSpikeBins) return top;
+    return base + static_cast<double>(b + 2) * width;
+  };
+  // Order statistic lo of each quantile, as select_quantile computes it.
+  const auto lower_rank = [count](double q) {
+    return static_cast<std::size_t>(q * static_cast<double>(count - 1));
+  };
+  const std::size_t mid = lower_rank(0.5);
+  const double p5_above = above(lower_rank(0.05) + 1);
+  const double p95_below = below(lower_rank(0.95));
+  const double farthest = std::max(top - below(mid), above(mid + 1) - base);
+  return p95_below > p5_above &&
+         farthest * 1.001 <
+             QualityConfig::spike_mad_factor * (p95_below - p5_above) / 2.0;
+}
+
 void scan_spikes(SeriesGuard& g) {
+  std::size_t count = 0;
+  float smallest = std::numeric_limits<float>::infinity();
+  float largest = -smallest;
+  for (const float v : g.series) {
+    if (std::isnan(v)) continue;
+    ++count;
+    smallest = std::min(smallest, v);
+    largest = std::max(largest, v);
+  }
+  if (count < 8 || spikes_ruled_out(g.series, count, smallest, largest))
+    return;
   std::vector<float> finite;
-  finite.reserve(g.series.size());
-  for (std::size_t t = 0; t < g.series.size(); ++t)
-    if (!std::isnan(g.series[t])) finite.push_back(g.series[t]);
-  const std::size_t count = finite.size();
-  if (count < 8) return;
+  finite.reserve(count);
+  for (const float v : g.series)
+    if (!std::isnan(v)) finite.push_back(v);
   // The median splits the sample, so p5 is selected below it and p95 above
   // it. From eight points on, each of these ranges also holds order
   // statistic lo + 1 of its quantile, as select_quantile requires.

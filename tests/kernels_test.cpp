@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <limits>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -261,6 +265,66 @@ TEST(ThreadPoolParallelFor, PropagatesTaskException) {
                                    if (i == 57) throw InvalidArgument("boom");
                                  }),
                InvalidArgument);
+}
+
+// Parks every worker of `pool` inside a task that waits for `gate`, and
+// returns once all of them are parked.
+void park_workers(ThreadPool& pool, const std::shared_future<void>& gate) {
+  std::atomic<std::size_t> parked{0};
+  for (std::size_t w = 0; w < pool.size(); ++w)
+    pool.post([&parked, gate] {
+      parked.fetch_add(1);
+      gate.wait();
+    });
+  while (parked.load() < pool.size()) std::this_thread::yield();
+}
+
+constexpr auto kStallDeadline = std::chrono::seconds(10);
+
+TEST(ThreadPoolParallelFor, CallerFinishesWhileEveryWorkerIsParked) {
+  // The helpers this call queues cannot start until the gate opens, so the
+  // caller has to claim every chunk itself and return without them.
+  ThreadPool pool(2);
+  std::promise<void> gate;
+  park_workers(pool, gate.get_future().share());
+  std::vector<std::atomic<int>> hits(64);
+  auto call = std::async(std::launch::async, [&] {
+    pool.parallel_for(0, hits.size(), 1,
+                      [&](std::size_t i) { hits[i].fetch_add(1); });
+  });
+  const bool returned =
+      call.wait_for(kStallDeadline) == std::future_status::ready;
+  gate.set_value();
+  call.get();
+  EXPECT_TRUE(returned) << "parallel_for waited for parked workers";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolParallelFor, LateHelpersNeverCallAReturnedLoopsFn) {
+  // Every call below returns with its helpers still queued behind the
+  // parked workers, and its stack-local fn then dies. Opening the gate
+  // lets those helpers run; under ASan or TSan a helper that called a dead
+  // fn is reported, and here it would count an extra hit.
+  ThreadPool pool(2);
+  std::promise<void> gate;
+  park_workers(pool, gate.get_future().share());
+  constexpr std::size_t kCalls = 50, kRange = 16;
+  std::vector<std::atomic<int>> hits(kCalls * kRange);
+  auto calls = std::async(std::launch::async, [&] {
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      const std::function<void(std::size_t)> fn = [&hits, call](std::size_t i) {
+        hits[call * kRange + i].fetch_add(1);
+      };
+      pool.parallel_for(0, kRange, 1, fn);
+    }
+  });
+  const bool returned =
+      calls.wait_for(kStallDeadline) == std::future_status::ready;
+  gate.set_value();
+  calls.get();
+  pool.shutdown();  // drains the queue: every late helper has run
+  EXPECT_TRUE(returned) << "parallel_for waited for parked workers";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // ---- Canonical exp and tanh against the scalar libm loops they replaced.

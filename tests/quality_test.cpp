@@ -664,6 +664,118 @@ TEST(QualityGuardEquivalence, FaultedD2SimMatchesTwoSortReference) {
   expect_guard_matches_reference(sim.data);
 }
 
+/// One node whose metrics are `series` (all of one length).
+MtsDataset dataset_of(std::vector<std::vector<float>> series) {
+  MtsDataset ds = make_dataset(series.size(), series.front().size());
+  ds.nodes[0].values = std::move(series);
+  return ds;
+}
+
+std::size_t spike_points(const QualityReport& report) {
+  return report.issue_points[static_cast<std::size_t>(QualityIssue::kSpike)];
+}
+
+/// The median and the range floor's limit, spike_mad_factor * (p95 - p5)
+/// / 2, that the two-sort scan_spikes computes for a finite series free of
+/// Inf and stuck runs.
+std::pair<double, double> reference_range_limit(
+    const std::vector<float>& series) {
+  std::vector<float> sorted = series;
+  std::sort(sorted.begin(), sorted.end());
+  const double p5 = quantile_from_sorted(sorted, 0.05);
+  const double med = quantile_from_sorted(sorted, 0.5);
+  const double p95 = quantile_from_sorted(sorted, 0.95);
+  return {med, QualityConfig::spike_mad_factor * ((p95 - p5) / 2.0)};
+}
+
+TEST(QualityGuardEquivalence, RangesOneFloatEitherSideOfTheBound) {
+  // Gaussian series whose farthest point, above or below the median, sits
+  // on the last float within the range floor's limit or on the next float
+  // out. A Gaussian's MAD is below its range floor, so the limit is the
+  // floor's: the first point is never a spike and the second always is.
+  Rng rng(77);
+  for (const std::size_t T : {40, 2880}) {
+    SCOPED_TRACE(T);
+    std::vector<std::vector<float>> series;
+    std::size_t want_spikes = 0;
+    for (int rep = 0; rep < 6; ++rep)
+      for (const float outward : {kInf, -kInf})
+        for (const bool beyond : {false, true}) {
+          const double offset = rng.uniform(-50.0, 50.0);
+          const double sigma = std::pow(10.0, rng.uniform(-3.0, 3.0));
+          std::vector<float> s(T);
+          for (float& v : s)
+            v = static_cast<float>(offset + sigma * rng.gaussian());
+          // A placeholder at the far end keeps its rank when replaced.
+          const std::size_t at = pick(rng, T);
+          s[at] = outward > 0 ? 1e30f : -1e30f;
+          const auto [med, limit] = reference_range_limit(s);
+          const auto full = reference_spike_limit(s);
+          ASSERT_TRUE(full.has_value());
+          ASSERT_EQ(full->second, limit) << "the MAD set the limit";
+          const float edge = last_float_within(med, limit, outward);
+          s[at] = beyond ? std::nextafter(edge, outward) : edge;
+          want_spikes += beyond;
+          series.push_back(std::move(s));
+        }
+    const MtsDataset ds = dataset_of(std::move(series));
+    expect_guard_matches_reference(ds);
+    MtsDataset copy = ds;
+    EXPECT_EQ(spike_points(apply_quality_guard(copy).report), want_spikes);
+  }
+}
+
+TEST(QualityGuardEquivalence, ConstantSeriesMatchTwoSortReference) {
+  // Short series (no stuck scan) and long ones, with and without NaN holes,
+  // at values whose quantile interpolation rounds differently.
+  for (const std::size_t T : {8, 9, 12, 47, 2880}) {
+    SCOPED_TRACE(T);
+    std::vector<std::vector<float>> series;
+    for (const float value : {0.0f, -0.0f, 1.0f, -3.7f, 0.1f, 1e30f, -1e-30f,
+                              std::numeric_limits<float>::denorm_min(),
+                              std::numeric_limits<float>::max()})
+      for (const bool holes : {false, true}) {
+        std::vector<float> s(T, value);
+        if (holes)
+          for (std::size_t t = 1; t < T; t += 3) s[t] = kNan;
+        series.push_back(std::move(s));
+      }
+    const MtsDataset ds = dataset_of(std::move(series));
+    expect_guard_matches_reference(ds);
+    MtsDataset copy = ds;
+    EXPECT_EQ(spike_points(apply_quality_guard(copy).report), 0u);
+  }
+}
+
+TEST(QualityGuardEquivalence, TwoValuedSeriesMatchTwoSortReference) {
+  // Two values at every share of the minority value on 40 points (below
+  // the stuck-run length), and on 2,880 points at shares around the p5
+  // and p95 ranks and the median. The minority is spread evenly, so where
+  // it is common the majority forms no stuck run either.
+  const auto two_valued = [](std::size_t T, std::size_t minority, float major,
+                             float minor) {
+    std::vector<float> s(T, major);
+    for (std::size_t i = 0; i < minority; ++i) s[i * T / minority] = minor;
+    return s;
+  };
+  const std::vector<std::pair<float, float>> pairs = {
+      {0.0f, 1.0f}, {5.0f, -2.5f}, {1e6f, std::nextafter(1e6f, kInf)},
+      {-0.001f, 40.0f}};
+  std::vector<std::vector<float>> short_series;
+  for (const auto& [a, b] : pairs)
+    for (std::size_t minority = 0; minority <= 40; ++minority)
+      short_series.push_back(two_valued(40, minority, a, b));
+  expect_guard_matches_reference(dataset_of(std::move(short_series)));
+
+  std::vector<std::vector<float>> long_series;
+  for (const auto& [a, b] : pairs)
+    for (const std::size_t around : {144, 1440, 2736})
+      for (std::size_t minority = around - 3; minority <= around + 3;
+           ++minority)
+        long_series.push_back(two_valued(2880, minority, a, b));
+  expect_guard_matches_reference(dataset_of(std::move(long_series)));
+}
+
 TEST(ValidityMaskEquivalence, AggregateAndSelectMatchOldLoops) {
   Rng rng(31);
   const std::size_t N = 5, M = 12, T = 257;
