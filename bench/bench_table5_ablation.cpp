@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
     for (const Variant& variant : variants) {
       NodeSentryConfig config = bench_nodesentry_config();
       // The ablation isolates the offline components; online incremental
-      // adaptation (§3.5) would otherwise spawn per-segment rescue models
-      // and mask a broken variant (notably C2).
+      // adaptation (§3.5) would otherwise fine-tune shared models on the
+      // test windows they misfit and mask a broken variant (notably C2).
       config.incremental_updates = false;
       variant.tweak(config);
       NodeSentry sentry(config);

@@ -5,6 +5,7 @@
 // (cluster_result.txt, cluster_adjust.txt, labels/, annotation_history.txt).
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "cluster/hac.hpp"
 #include "features/extract.hpp"
@@ -58,8 +59,11 @@ int main() {
   FeatureScaler scaler;
   scaler.fit(features);
   scaler.transform_in_place(features);
-  Hac hac(features, Linkage::kWard);
-  const auto distances = DistanceMatrix::build(features);
+  // One distance build, as in fit(): Ward merges on the squared distances
+  // and the silhouette reads their square roots.
+  DistanceMatrix squared = DistanceMatrix::build(features, true);
+  const DistanceMatrix distances = squared.square_roots();
+  Hac hac(std::move(squared), Linkage::kWard);
   const auto auto_k = choose_k_by_silhouette(hac, distances, 2,
                                              std::min<std::size_t>(10,
                                                                    segments.size()));

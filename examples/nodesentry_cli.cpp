@@ -84,8 +84,8 @@ int cmd_run(int argc, char** argv) {
               fit.total_seconds);
 
   const auto det = sentry.detect();
-  std::printf("detected: %zu points scored, %zu matched / %zu new patterns, "
-              "%.2f s\n",
+  std::printf("detected: %zu points scored, %zu matched / %zu unmatched "
+              "segments, %.2f s\n",
               det.scored_points, det.segments_matched,
               det.segments_unmatched, det.total_seconds);
 

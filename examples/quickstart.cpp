@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   // 3. Online detection over the held-out 40% of the timeline.
   auto detect = sentry.detect();
   std::printf("detect: %zu points scored in %.2f s "
-              "(%zu matched / %zu new patterns)\n",
+              "(%zu matched / %zu unmatched segments)\n",
               detect.scored_points, detect.total_seconds,
               detect.segments_matched, detect.segments_unmatched);
 

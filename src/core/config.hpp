@@ -109,12 +109,14 @@ struct NodeSentryConfig {
   /// Bound on attention sequence length.
   static constexpr std::size_t detect_chunk = 96;
   /// A segment matches a cluster when its centroid distance is below
-  /// factor * cluster radius; otherwise it is treated as a new pattern.
+  /// factor * cluster radius; otherwise it is an unmatched pattern, scored
+  /// on its nearest cluster and never fine-tuned.
   double match_threshold_factor = 2.5;
 
   // ---- incremental training (§3.5, RQ3)
-  /// Spawn a new cluster + model (trained on the matching window) for test
-  /// patterns that match no existing cluster.
+  /// detect()'s adaptation switch: targeted fine-tuning of matched
+  /// segments' shared models (finetune_trigger below). The serve engine
+  /// never adapts.
   bool incremental_updates = true;
   /// Targeted incremental fine-tuning: when a *matched* segment's matching
   /// window reconstructs worse than this multiple of the cluster baseline,
@@ -126,21 +128,16 @@ struct NodeSentryConfig {
   /// benign pattern shift, and must not be learned.
   static constexpr double finetune_ceiling = 10.0;
   /// Epochs of every warm-start update of a fitted model: detect()'s
-  /// fine-tune and spawned models, and each serve Retrainer clone.
+  /// fine-tune and each serve Retrainer clone.
   std::size_t finetune_epochs = 4;
 
   // ---- crash-safe checkpointing
   /// When non-empty, fit() checkpoints the cluster library into this
-  /// directory as training progresses and incremental updates checkpoint
-  /// after spawning new clusters; a restart resumes from the last good
-  /// library via NodeSentry::restore(). Empty disables checkpointing.
+  /// directory as training progresses; a restart resumes from the last
+  /// good library via NodeSentry::restore(). Empty disables checkpointing.
   std::string checkpoint_dir;
   /// Clusters trained between mid-fit checkpoints (0 = checkpoint only
-  /// after the final cluster). Also the stride, in new clusters, between
-  /// checkpoints during incremental detection (0 acts as 1). Those are
-  /// written once the spawned models are trained and before any fine-tune:
-  /// a detect-time checkpoint holds the fitted clusters as fit() left them
-  /// plus the spawned ones, so base-cluster fine-tunes are not in it.
+  /// after the final cluster).
   std::size_t checkpoint_every = 0;
   /// Keep numbered step_<n> snapshots instead of overwriting one
   /// directory (each snapshot is a complete, loadable library).

@@ -387,8 +387,7 @@ void NodeSentry::train_cluster(ClusterEntry& entry,
 std::vector<std::uint8_t> ksigma_flags(const std::vector<float>& scores,
                                        std::size_t begin, std::size_t end,
                                        std::size_t window, double k_sigma,
-                                       double sigma_floor_fraction,
-                                       double min_score, double hard_score) {
+                                       double sigma_floor_fraction) {
   NS_REQUIRE(begin <= end && end <= scores.size(),
              "ksigma_flags: bad range");
   NS_REQUIRE(window >= 1, "ksigma_flags: window must be >= 1");
@@ -416,8 +415,7 @@ std::vector<std::uint8_t> ksigma_flags(const std::vector<float>& scores,
       const double sigma = std::max(std::sqrt(var),
                                     sigma_floor_fraction * std::abs(mu)) +
                            1e-9;
-      if (score > mu + k_sigma * sigma && score >= min_score) flags[t] = 1;
-      if (hard_score > 0.0 && score >= hard_score) flags[t] = 1;
+      if (score > mu + k_sigma * sigma) flags[t] = 1;
     }
     // Slide the window: add current, evict the oldest if full.
     if (count == window) {
@@ -584,21 +582,22 @@ NodeSentry::DetectReport NodeSentry::detect() {
       {{"stage", "score"}}, 4096);
   ThreadPool& pool = ThreadPool::global();
 
-  // What the first two passes learn about one test segment.
+  // What pass 1 learns about one test segment.
   struct Route {
     SegmentStatus status = SegmentStatus::kScored;
     double valid_fraction = 1.0;
-    CoreSegment window;           ///< matching window after the transition
-    std::vector<float> features;  ///< its scaled features
-    double match_seconds = 0.0;   ///< feature extraction + matching
+    CoreSegment window;          ///< matching window after the transition
+    double match_seconds = 0.0;  ///< feature extraction + matching
     bool matched = false;
-    std::size_t cluster = 0;  ///< the cluster that scores the segment
+    std::size_t cluster = 0;  ///< the nearest cluster: it scores the segment
     std::size_t member = 0;   ///< its nearest member: the segment id
   };
   std::vector<Route> routes(segments.size());
 
-  // ---- Pass 1, parallel per segment: the data-quality gate and the
-  // matching-window features.
+  // ---- Pass 1, parallel per segment: the data-quality gate, the
+  // matching-window features and centroid matching. Matching only reads the
+  // fitted library, so an unmatched pattern scores on its nearest cluster,
+  // as in the serve engine.
   pool.parallel_for(0, segments.size(), 1, [&](std::size_t i) {
     const CoreSegment& seg = segments[i];
     Route& route = routes[i];
@@ -610,7 +609,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
       route.status = SegmentStatus::kInsufficientData;
       return;
     }
-    Stopwatch extract_sw;
+    Stopwatch match_sw;
     route.window = seg;
     route.window.end = std::min(seg.end, seg.begin + config_.match_period);
     // Metrics dead within the matching window are excluded from the
@@ -629,78 +628,27 @@ NodeSentry::DetectReport NodeSentry::detect() {
             feature_valid.begin() + static_cast<std::ptrdiff_t>((m + 1) * fpm),
             static_cast<std::uint8_t>(0));
     }
-    route.features = library_.scale_masked(segment_features(route.window),
-                                           feature_valid);
-    route.match_seconds = extract_sw.elapsed_s();
+    const std::vector<float> features = library_.scale_masked(
+        segment_features(route.window), feature_valid);
+    const MatchResult match =
+        library_.match(features, config_.match_threshold_factor);
+    route.matched = match.matched;
+    route.cluster = match.cluster;
+    route.member = library_.nearest_member(match.cluster, features);
+    route.match_seconds = match_sw.elapsed_s();
+    detect_match_hist.observe(route.match_seconds);
   });
-
-  // ---- Pass 2, serial in segment order: matching. It reads only centroids
-  // and radii, so an unmatched pattern's cluster joins the library at once
-  // (centroid, radius, member, MAC weights; the model follows in pass 3)
-  // and later segments can match it.
-  const std::size_t fitted_clusters = library_.size();
-  std::vector<std::size_t> spawned_by;  // segment index per new cluster
   double match_seconds = 0.0;
   for (std::size_t i = 0; i < segments.size(); ++i) {
-    Route& route = routes[i];
+    const Route& route = routes[i];
     report.outcomes.push_back(
         SegmentOutcome{segments[i], route.status, route.valid_fraction});
     if (route.status == SegmentStatus::kInsufficientData) {
       ++report.segments_insufficient;
       continue;
     }
-    Stopwatch match_sw;
-    const MatchResult match =
-        library_.match(route.features, config_.match_threshold_factor);
-    route.match_seconds += match_sw.elapsed_s();
-    detect_match_hist.observe(route.match_seconds);
     match_seconds += route.match_seconds;
-    route.matched = match.matched;
-    route.cluster = match.cluster;
-    if (match.matched) {
-      ++report.segments_matched;
-    } else {
-      ++report.segments_unmatched;
-      if (config_.incremental_updates) {
-        // New pattern: spawn a cluster trained on the matching window.
-        ClusterEntry entry;
-        entry.centroid = route.features;
-        entry.radius =
-            std::max(1e-6, library_.clusters()[match.cluster].radius);
-        entry.members.push_back(route.window);
-        entry.member_features.push_back(route.features);
-        entry.metric_weights = mac_weights(processed_, entry.members);
-        library_.clusters().push_back(std::move(entry));
-        route.cluster = library_.size() - 1;
-        spawned_by.push_back(i);
-      }
-    }
-    route.member = library_.nearest_member(route.cluster, route.features);
-  }
-  report.incremental_new_clusters = spawned_by.size();
-
-  // ---- Pass 3, parallel: train the spawned models. Each one is seeded by
-  // its own segment.
-  pool.parallel_for(0, spawned_by.size(), 1, [&](std::size_t k) {
-    const CoreSegment& seg = segments[spawned_by[k]];
-    ClusterEntry& entry = library_.clusters()[fitted_clusters + k];
-    Rng model_rng(config_.seed ^ (0xBEEF + seg.node * 131 + seg.begin));
-    entry.model =
-        std::make_shared<TransformerReconstructor>(model_config(), model_rng);
-    train_cluster(entry, member_chunks(entry), config_.finetune_epochs,
-                  config_.seed ^ (seg.begin * 17 + seg.node));
-  });
-  // Checkpoint the grown library every checkpoint_every spawns, so a crash
-  // mid-detection resumes with the incrementally-learned patterns intact.
-  if (!config_.checkpoint_dir.empty()) {
-    const std::size_t stride =
-        std::max<std::size_t>(config_.checkpoint_every, 1);
-    std::vector<const ClusterEntry*> grown;
-    for (std::size_t k = stride; k <= spawned_by.size(); k += stride) {
-      for (std::size_t c = grown.size(); c < fitted_clusters + k; ++c)
-        grown.push_back(&library_.clusters()[c]);
-      write_checkpoint(grown, grown.size());
-    }
+    ++(route.matched ? report.segments_matched : report.segments_unmatched);
   }
 
   // Eval-mode reconstruction of a segment's leading token rows (offsets
@@ -844,7 +792,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
     return points;
   };
 
-  // ---- Pass 4, parallel over clusters, largest first: each cluster walks
+  // ---- Pass 2, parallel over clusters, largest first: each cluster walks
   // its own segments in test order — fine-tune trigger, optional fine-tune,
   // then scoring. A cluster's model changes only through its own segments
   // and eval forwards draw no randomness, so every score equals that of
@@ -874,16 +822,11 @@ NodeSentry::DetectReport NodeSentry::detect() {
       const CoreSegment& seg = segments[i];
       const Route& route = routes[i];
       if (route.matched && config_.incremental_updates) {
-        bool tune = false;
-        if (config_.finetune_trigger > 0.0) {
-          // Targeted adaptation: only when the shared model visibly misfits
-          // this segment's matching window — but not when the window looks
-          // outright anomalous (learning it would mask the fault).
-          const double err = window_error(entry, plan, route, ws);
-          tune = err > config_.finetune_trigger &&
-                 err < config_.finetune_ceiling;
-        }
-        if (tune) {
+        // Targeted adaptation: only when the shared model visibly misfits
+        // this segment's matching window — but not when the window looks
+        // outright anomalous (learning it would mask the fault).
+        const double err = window_error(entry, plan, route, ws);
+        if (err > config_.finetune_trigger && err < config_.finetune_ceiling) {
           finetune(entry, plan, seg, route, ws);
           // The plan packs q|k|v into its own copy of the weights, so it
           // is recompiled from the tuned model.
@@ -900,14 +843,13 @@ NodeSentry::DetectReport NodeSentry::detect() {
     report.incremental_finetunes += finetunes[c];
   }
 
-  // ---- Dynamic k-sigma thresholding per node (§3.5). The reference level
-  // and flag rules live in score_reference_levels / detection_flags, shared
-  // with the serve engine so both paths threshold identically.
+  // ---- Pass 3, parallel per node: dynamic k-sigma thresholding (§3.5).
+  // The reference level and flag rules live in score_reference_levels /
+  // detection_flags, shared with the serve engine so both paths threshold
+  // identically. Each iteration only touches its own node's record.
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> ranges(N);
   for (const CoreSegment& seg : segments)
     ranges[seg.node].emplace_back(seg.begin, seg.end);
-  // Per-node thresholding is embarrassingly parallel: each iteration only
-  // touches its own node's detection record.
   pool.parallel_for(0, N, 1, [&](std::size_t n) {
     const std::vector<float> reference =
         score_reference_levels(report.detections[n].scores, ranges[n]);

@@ -11,9 +11,9 @@
 // Online (detect): for every test segment, extract features from a short
 // matching window after the job transition, match the nearest cluster,
 // reconstruct with its shared model, score by weighted reconstruction
-// error, and flag anomalies with a sliding k-sigma threshold. Unmatched
-// patterns optionally spawn new clusters; matched ones can be fine-tuned
-// incrementally.
+// error, and flag anomalies with a sliding k-sigma threshold. A pattern
+// that matches no cluster scores on its nearest one; a matched segment
+// the shared model misfits can fine-tune it incrementally.
 #pragma once
 
 #include <cstddef>
@@ -70,7 +70,7 @@ class NodeSentry {
   /// library is checkpointed as training progresses (see config).
   FitReport fit(const MtsDataset& raw, std::size_t train_end);
 
-  /// Resumes from a checkpoint written during a previous fit()/detect():
+  /// Resumes from a checkpoint written during a previous fit():
   /// re-runs the (deterministic) preprocessing on the same raw data and
   /// loads the checkpointed library, after which detect() behaves as if
   /// fit() had produced those clusters. Throws ns::ParseError when the
@@ -91,19 +91,19 @@ class NodeSentry {
     std::size_t segments_unmatched = 0;
     /// Segments skipped as kInsufficientData (degraded telemetry).
     std::size_t segments_insufficient = 0;
-    std::size_t incremental_new_clusters = 0;
     std::size_t incremental_finetunes = 0;
     /// Per-segment status, one per test segment, in test-segment order.
     std::vector<SegmentOutcome> outcomes;
   };
 
   /// Runs online detection over the test region of the fitted dataset.
-  /// With config.incremental_updates, unmatched patterns spawn new clusters
-  /// and matched patterns fine-tune their shared model (mutates the
-  /// library). Segments are matched in test order; the clusters then adapt
-  /// and score concurrently on the global pool, each walking its own
-  /// segments in test order, and the result does not depend on the thread
-  /// count.
+  /// Segments are matched concurrently against the fitted library, which
+  /// never grows: an unmatched pattern scores on its nearest cluster, as in
+  /// the serve engine. With config.incremental_updates, a matched segment
+  /// whose matching window the shared model misfits fine-tunes that model
+  /// (mutates the library). The clusters then adapt and score concurrently
+  /// on the global pool, each walking its own segments in test order, and
+  /// the result does not depend on the thread count.
   DetectReport detect();
 
   const ClusterLibrary& library() const { return library_; }
@@ -256,9 +256,7 @@ std::vector<std::uint8_t> detection_flags(const std::vector<float>& scores,
 std::vector<std::uint8_t> ksigma_flags(const std::vector<float>& scores,
                                        std::size_t begin, std::size_t end,
                                        std::size_t window, double k_sigma,
-                                       double sigma_floor_fraction = 0.0,
-                                       double min_score = 0.0,
-                                       double hard_score = 0.0);
+                                       double sigma_floor_fraction = 0.0);
 
 /// Causal median filter: out[t] = median(scores[t-w+1 .. t]) (clipped at the
 /// front). Width 1 returns the input unchanged. Non-finite samples are

@@ -407,10 +407,10 @@ void ServeEngine::match_segment(std::size_t node) {
       library.scale_masked(raw_feats, feature_valid);
   const MatchResult match =
       library.match(feats, cfg.match_threshold_factor);
-  // Unmatched patterns fall back to the nearest cluster — the serve engine
-  // runs without incremental updates (spawning/fine-tuning models belongs
-  // to an offline maintenance pass), matching batch detect() with
-  // config.incremental_updates off.
+  // An unmatched pattern scores on its nearest cluster, as in batch
+  // detect(). The engine never fine-tunes a model (drift is the
+  // Retrainer's job), matching detect() with config.incremental_updates
+  // off.
   seg.cluster = match.cluster;
   seg.segment_id = library.nearest_member(match.cluster, feats);
   seg.center_mu.assign(M, 0.0f);

@@ -236,32 +236,6 @@ TEST_F(CorruptionTest, MissingClusterFileRejected) {
   expect_load_rejected("missing cluster file");
 }
 
-TEST_F(CorruptionTest, IncrementalDetectionCheckpointsNewClusters) {
-  // With a tiny match threshold every test pattern is "new"; incremental
-  // detection must spawn clusters and checkpoint the grown library.
-  NodeSentryConfig config = fast_config();
-  config.incremental_updates = true;
-  config.finetune_epochs = 1;
-  config.match_threshold_factor = 0.05;
-  const std::string grow_dir = temp_dir("ns_ckpt_grow");
-  fs::remove_all(grow_dir);
-  config.checkpoint_dir = grow_dir;
-  config.checkpoint_every = 1;
-  NodeSentry grower(config);
-  grower.restore(sim_->data, sim_->train_end, scratch_);
-  const std::size_t before = grower.library().size();
-  const auto report = grower.detect();
-  ASSERT_GT(report.incremental_new_clusters, 0u);
-  ASSERT_TRUE(fs::exists(fs::path(grow_dir) / "index.bin"));
-  // With a stride of one spawn, the last checkpoint holds every spawned
-  // cluster: the reloaded library is exactly the grown one.
-  NodeSentry reloaded(fast_config());
-  reloaded.restore(sim_->data, sim_->train_end, grow_dir);
-  EXPECT_GT(reloaded.library().size(), before);
-  EXPECT_EQ(reloaded.library().size(), grower.library().size());
-  fs::remove_all(grow_dir);
-}
-
 TEST(FramedFile, RoundTripAndCorruptionPrimitives) {
   const std::string path = temp_dir("ns_framed_rt.bin");
   const std::string payload = "framed payload \x01\x02\x03 with bytes";

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 
 #include "core/nodesentry.hpp"
@@ -71,9 +72,8 @@ TEST_F(NodeSentryFixture, FitBuildsClusters) {
   EXPECT_LT(fit_report_.metrics_after_reduction,
             sim_->data.num_metrics() / 2);
   EXPECT_GT(fit_report_.silhouette, 0.0);
-  // detect() ran with incremental updates, so the library may have grown
-  // beyond the clusters found during fit.
-  EXPECT_GE(sentry_->library().size(), fit_report_.num_clusters);
+  // detect() ran with incremental updates, which never add a cluster.
+  EXPECT_EQ(sentry_->library().size(), fit_report_.num_clusters);
 }
 
 TEST_F(NodeSentryFixture, ClustersHaveModelsWeightsMembers) {
@@ -315,9 +315,9 @@ TEST(PinnedClustering, D2Sim) {
 
 // Golden detect() runs with §3.5 adaptation on: a 64-bit FNV-1a hash over
 // every node's score bytes, then its prediction bytes, plus the report's
-// counters. Matching, spawn order, fine-tune triggers and the scoring
-// arithmetic all feed the hash, so a change to any of them (or to the
-// order adaptation runs in) must reproduce these or update them knowingly.
+// counters. Matching, fine-tune triggers and the scoring arithmetic all
+// feed the hash, so a change to any of them (or to the order adaptation
+// runs in) must reproduce these or update them knowingly.
 // The hashes hold for -O2 builds (the default RelWithDebInfo and the
 // sanitizer presets): the batched trainer's AVX2/FMA kernels round
 // differently at -O3.
@@ -325,7 +325,6 @@ struct ExpectedDetection {
   std::uint64_t hash = 0;
   std::size_t matched = 0;
   std::size_t unmatched = 0;
-  std::size_t new_clusters = 0;
   std::size_t finetunes = 0;
   std::size_t scored_points = 0;
 };
@@ -365,27 +364,70 @@ void expect_pinned_detection(const SimDatasetConfig& sim_config,
       << std::hex << detection_hash(report.detections);
   EXPECT_EQ(report.segments_matched, want.matched);
   EXPECT_EQ(report.segments_unmatched, want.unmatched);
-  EXPECT_EQ(report.incremental_new_clusters, want.new_clusters);
   EXPECT_EQ(report.incremental_finetunes, want.finetunes);
   EXPECT_EQ(report.scored_points, want.scored_points);
 }
 
 TEST(PinnedDetect, D2Sim) {
   expect_pinned_detection(d2_sim_config(0.25, 5), bench_config(),
-                          {0xcc9942f351f706b8ull, 26, 3, 3, 3, 958});
+                          {0x23fc6b5ea6575391ull, 26, 3, 3, 958});
 }
 
-TEST(PinnedDetect, D2SimManySpawnsAndTunes) {
+TEST(PinnedDetect, D2SimManyUnmatchedAndTunes) {
   NodeSentryConfig config = bench_config();
   config.match_threshold_factor = 1.0;
   config.finetune_trigger = 1.5;
   expect_pinned_detection(d2_sim_config(0.25, 5), config,
-                          {0x5c4ed5030a42f297ull, 16, 13, 13, 3, 958});
+                          {0xc332fbc96372108dull, 15, 14, 3, 958});
 }
 
 TEST(PinnedDetect, DeploymentSimMaskedCells) {
   expect_pinned_detection(deployment_sim_config(33), bench_config(),
-                          {0xa8e6f92a8f87e85dull, 65, 8, 8, 9, 7679});
+                          {0x8fd4d9be94c7f540ull, 66, 7, 9, 7679});
+}
+
+// A tight match threshold leaves many test patterns unmatched. detect()
+// scores them on their nearest cluster and adds nothing to the library:
+// the fitted clusters and their centroids are exactly as fit() left them.
+TEST(IncrementalDetect, DetectNeverGrowsTheLibrary) {
+  const SimDataset sim = build_sim_dataset(d2_sim_config(0.25, 5));
+  NodeSentryConfig config = bench_config();
+  config.match_threshold_factor = 1.0;
+  NodeSentry sentry(config);
+  sentry.fit(sim.data, sim.train_end);
+  std::vector<std::vector<float>> centroids;
+  for (const ClusterEntry& entry : sentry.library().clusters())
+    centroids.push_back(entry.centroid);
+  const NodeSentry::DetectReport report = sentry.detect();
+  ASSERT_GT(report.segments_unmatched, 0u);
+  ASSERT_EQ(sentry.library().size(), centroids.size());
+  for (std::size_t c = 0; c < centroids.size(); ++c)
+    EXPECT_EQ(sentry.library().clusters()[c].centroid, centroids[c])
+        << "cluster " << c;
+}
+
+// With a fine-tune trigger no matching window reaches, adaptation on has
+// nothing left to do: unmatched segments score on their nearest cluster
+// exactly as with adaptation off.
+TEST(IncrementalDetect, UnmatchedSegmentsScoreLikeAdaptationOff) {
+  const SimDataset sim = build_sim_dataset(d2_sim_config(0.25, 5));
+  NodeSentryConfig on = bench_config();
+  on.match_threshold_factor = 1.0;
+  on.incremental_updates = true;
+  on.finetune_trigger = std::numeric_limits<double>::infinity();
+  NodeSentryConfig off = on;
+  off.incremental_updates = false;
+  NodeSentry adapting(on), frozen(off);
+  adapting.fit(sim.data, sim.train_end);
+  frozen.fit(sim.data, sim.train_end);
+  const NodeSentry::DetectReport a = adapting.detect();
+  const NodeSentry::DetectReport b = frozen.detect();
+  ASSERT_GT(a.segments_unmatched, 0u);
+  EXPECT_EQ(a.incremental_finetunes, 0u);
+  EXPECT_EQ(a.segments_matched, b.segments_matched);
+  EXPECT_EQ(a.segments_unmatched, b.segments_unmatched);
+  EXPECT_EQ(a.scored_points, b.scored_points);
+  EXPECT_EQ(detection_hash(a.detections), detection_hash(b.detections));
 }
 
 TEST(KSigma, FlagsSpikeAboveThreshold) {
