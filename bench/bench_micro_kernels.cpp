@@ -98,9 +98,11 @@ BENCHMARK(BM_FeatureExtraction)->Arg(64)->Arg(256)->Arg(1024);
 
 // PCA's eigensolve on a dense PSD Gram matrix X X^T (X n x n, Gaussian).
 // 440 is the D1-sim segment Gram, 640 the ISC'20 covariance (40 features x
-// 16 metrics).
+// 16 metrics). The second argument is the eigenvector count: 16, as
+// Pca::fit asks for its kept components, or n for the whole decomposition.
 void BM_SymmetricEigen(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = static_cast<std::size_t>(state.range(1));
   Rng rng(6);
   std::vector<double> x(n * n);
   for (double& v : x) v = rng.gaussian();
@@ -108,18 +110,22 @@ void BM_SymmetricEigen(benchmark::State& state) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i; j < n; ++j) {
       double dot = 0.0;
-      for (std::size_t k = 0; k < n; ++k) dot += x[i * n + k] * x[j * n + k];
+      for (std::size_t t = 0; t < n; ++t) dot += x[i * n + t] * x[j * n + t];
       gram[i * n + j] = dot;
       gram[j * n + i] = dot;
     }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(symmetric_eigen(gram, n));
+    benchmark::DoNotOptimize(symmetric_eigen(gram, n, k));
   }
 }
 BENCHMARK(BM_SymmetricEigen)
-    ->Arg(128)
-    ->Arg(440)
-    ->Arg(640)
+    ->ArgNames({"n", "k"})
+    ->Args({128, 16})
+    ->Args({128, 128})
+    ->Args({440, 16})
+    ->Args({440, 440})
+    ->Args({640, 16})
+    ->Args({640, 640})
     ->Unit(benchmark::kMillisecond);
 
 // The fit stages ahead of training, on D1-sim shapes. Series are offset

@@ -15,14 +15,22 @@ namespace {
 // shifts converge cubically, so a handful is typical (EISPACK uses 30).
 constexpr std::size_t kMaxQlIterations = 30;
 
+// Output rows per task of the covariance build: the block's rows stay in
+// cache while every sample streams past once.
+constexpr std::size_t kCovRowBlock = 16;
+
 // Householder reduction of the symmetric matrix in `w` (row-major n*n) to
-// tridiagonal form, EISPACK's tred2 as laid out in JAMA. On return `d` holds
-// the diagonal, e[1..n) the subdiagonal, and row k of `w` column k of the
-// accumulated orthogonal transformation. The textbook algorithm walks
-// columns; here every index pair is swapped (the input is symmetric, so it
-// is its own transpose) and each O(n^3) loop runs along a row.
+// tridiagonal form, the reduction half of EISPACK's tred2 as laid out in
+// JAMA. On return `d` holds the diagonal and e[1..n) the subdiagonal. For
+// i >= 1, row i of `w` keeps reflector i's vector u_i in its first i
+// entries and reflector_h[i] its h: P_i = I - u_i u_i^T / h acts on
+// coordinates [0, i) (h == 0: no reflection), and the matrix equals
+// P_{n-1} ... P_1 T P_1 ... P_{n-1}. The textbook algorithm walks columns;
+// here every index pair is swapped (the input is symmetric, so it is its
+// own transpose) and each O(n^3) loop runs along a row.
 void tridiagonalize(std::vector<double>& w, std::size_t n,
-                    std::vector<double>& d, std::vector<double>& e) {
+                    std::vector<double>& d, std::vector<double>& e,
+                    std::vector<double>& reflector_h) {
   const auto row = [&](std::size_t r) { return w.data() + r * n; };
   for (std::size_t j = 0; j < n; ++j) d[j] = row(j)[n - 1];
 
@@ -80,42 +88,28 @@ void tridiagonalize(std::vector<double>& w, std::size_t n,
         wj[i] = 0.0;
       }
     }
-    d[i] = h;
+    reflector_h[i] = h;
   }
-
-  // Accumulate the reflections into the transformation.
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    double* wi = row(i);
-    const double* u = row(i + 1);
-    wi[n - 1] = wi[i];
-    wi[i] = 1.0;
-    const double h = d[i + 1];
-    if (h != 0.0) {
-      for (std::size_t k = 0; k <= i; ++k) d[k] = u[k] / h;
-      for (std::size_t j = 0; j <= i; ++j) {
-        double* wj = row(j);
-        double g = 0.0;
-        for (std::size_t k = 0; k <= i; ++k) g += u[k] * wj[k];
-        for (std::size_t k = 0; k <= i; ++k) wj[k] -= g * d[k];
-      }
-    }
-    std::fill(row(i + 1), row(i + 1) + i + 1, 0.0);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    d[j] = row(j)[n - 1];
-    row(j)[n - 1] = 0.0;
-  }
-  row(n - 1)[n - 1] = 1.0;
+  // The reduction leaves T's diagonal on w's.
+  for (std::size_t j = 0; j < n; ++j) d[j] = row(j)[j];
   e[0] = 0.0;
 }
 
-// Implicit-shift QL on the tridiagonal (d, e) from tridiagonalize(),
-// EISPACK's tql2 as laid out in JAMA. Leaves the eigenvalues in `d` and
-// applies every Givens rotation to two rows of `w`, so row k ends as the
-// eigenvector of d[k]. Throws ns::Error when an eigenvalue fails to
-// converge within kMaxQlIterations sweeps.
-void tridiagonal_ql(std::vector<double>& w, std::size_t n,
-                    std::vector<double>& d, std::vector<double>& e) {
+// One Givens rotation of the QL sweep, on coordinates (i, i + 1).
+struct Givens {
+  std::size_t i = 0;
+  double c = 1.0;
+  double s = 0.0;
+};
+
+// Implicit-shift QL on the tridiagonal (d, e) from tridiagonalize(), the
+// eigenvalue half of EISPACK's tql2 as laid out in JAMA. Leaves the
+// eigenvalues in `d` and records every Givens rotation in `rotations` in
+// the order applied, so that column j of G_1 G_2 ... G_m is the
+// tridiagonal's eigenvector of d[j]. Throws ns::Error when an eigenvalue
+// fails to converge within kMaxQlIterations sweeps.
+void tridiagonal_ql(std::size_t n, std::vector<double>& d,
+                    std::vector<double>& e, std::vector<Givens>& rotations) {
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
 
@@ -161,14 +155,7 @@ void tridiagonal_ql(std::vector<double>& w, std::size_t n,
         c = p / r;
         p = c * d[i] - s * g;
         d[i + 1] = h + s * (c * g + s * d[i]);
-        double* lo = w.data() + i * n;
-        double* hi = lo + n;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double a = lo[k];
-          const double b = hi[k];
-          hi[k] = s * a + c * b;
-          lo[k] = c * a - s * b;
-        }
+        rotations.push_back({i, c, s});
       }
       p = -s * s2 * c3 * el1 * e[l] / dl1;
       e[l] = s * p;
@@ -179,27 +166,77 @@ void tridiagonal_ql(std::vector<double>& w, std::size_t n,
   }
 }
 
+// Eigenvectors of the original matrix for the tridiagonal eigenvalues
+// d[cols[0..k)], returned as the columns of a row-major n x k matrix, so
+// every update below runs along the k vectors at once. Starting from unit vectors, the
+// recorded rotations are applied last to first (G_1 (G_2 (... G_m e_j))),
+// then the reflectors P_1 first (P_{n-1} (... (P_1 z))). Each vector's
+// arithmetic is independent of the others, so its bits do not depend on k.
+std::vector<double> back_transform(const std::vector<double>& w,
+                                   std::size_t n,
+                                   const std::vector<double>& reflector_h,
+                                   const std::vector<Givens>& rotations,
+                                   const std::vector<std::size_t>& cols) {
+  const std::size_t k = cols.size();
+  std::vector<double> x(n * k, 0.0);
+  for (std::size_t j = 0; j < k; ++j) x[cols[j] * k + j] = 1.0;
+  for (auto it = rotations.rbegin(); it != rotations.rend(); ++it) {
+    double* lo = x.data() + it->i * k;
+    double* hi = lo + k;
+    for (std::size_t j = 0; j < k; ++j) {
+      const double a = lo[j];
+      const double b = hi[j];
+      lo[j] = it->c * a + it->s * b;
+      hi[j] = it->c * b - it->s * a;
+    }
+  }
+  std::vector<double> g(k);
+  std::vector<double> scaled(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    const double h = reflector_h[i];
+    if (h == 0.0) continue;
+    const double* u = w.data() + i * n;
+    for (std::size_t t = 0; t < i; ++t) scaled[t] = u[t] / h;
+    std::fill(g.begin(), g.end(), 0.0);
+    for (std::size_t t = 0; t < i; ++t) {
+      const double* xt = x.data() + t * k;
+      for (std::size_t j = 0; j < k; ++j) g[j] += u[t] * xt[j];
+    }
+    for (std::size_t t = 0; t < i; ++t) {
+      double* xt = x.data() + t * k;
+      for (std::size_t j = 0; j < k; ++j) xt[j] -= g[j] * scaled[t];
+    }
+  }
+  return x;
+}
+
 }  // namespace
 
-EigenDecomposition symmetric_eigen(std::vector<double> a, std::size_t n) {
+EigenDecomposition symmetric_eigen(std::vector<double> a, std::size_t n,
+                                   std::size_t k) {
   NS_REQUIRE(a.size() == n * n, "symmetric_eigen: matrix size mismatch");
+  NS_REQUIRE(k <= n, "symmetric_eigen: " << k << " vectors of an " << n
+                                         << " x " << n << " matrix");
   EigenDecomposition out;
   if (n == 0) return out;
-  std::vector<double> d(n), e(n);
-  tridiagonalize(a, n, d, e);
-  tridiagonal_ql(a, n, d, e);
+  std::vector<double> d(n), e(n), reflector_h(n, 0.0);
+  tridiagonalize(a, n, d, e, reflector_h);
+  std::vector<Givens> rotations;
+  tridiagonal_ql(n, d, e, rotations);
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](std::size_t x, std::size_t y) { return d[x] > d[y]; });
   out.values.resize(n);
-  out.vectors.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    out.values[r] = d[order[r]];
-    const double* v = a.data() + order[r] * n;
-    out.vectors[r].assign(v, v + n);
-  }
+  for (std::size_t r = 0; r < n; ++r) out.values[r] = d[order[r]];
+
+  order.resize(k);
+  const std::vector<double> x =
+      back_transform(a, n, reflector_h, rotations, order);
+  out.vectors.assign(k, std::vector<double>(n));
+  for (std::size_t t = 0; t < n; ++t)
+    for (std::size_t j = 0; j < k; ++j) out.vectors[j][t] = x[t * k + j];
   return out;
 }
 
@@ -227,9 +264,7 @@ void Pca::fit(const std::vector<std::vector<float>>& matrix,
       std::min({components, rows > 1 ? rows - 1 : 1, dims});
   components_.clear();
 
-  double total_variance = 0.0;
-  double kept_variance = 0.0;
-
+  EigenDecomposition eig;
   if (rows <= dims) {
     // Gram trick: eigen of G = X X^T (rows x rows); principal direction
     // w_i = X^T u_i / sqrt(lambda_i).
@@ -248,43 +283,54 @@ void Pca::fit(const std::vector<std::vector<float>>& matrix,
     for (std::size_t i = 1; i < rows; ++i)
       for (std::size_t j = 0; j < i; ++j)
         gram[i * rows + j] = gram[j * rows + i];
-    const EigenDecomposition eig = symmetric_eigen(std::move(gram), rows);
-    for (double l : eig.values) total_variance += std::max(0.0, l);
-    for (std::size_t c = 0; c < keep; ++c) {
-      const double lambda = eig.values[c];
-      if (lambda <= 1e-12) break;
-      kept_variance += lambda;
-      std::vector<float> direction(dims, 0.0f);
-      const double inv_sqrt = 1.0 / std::sqrt(lambda);
+    eig = symmetric_eigen(std::move(gram), rows, keep);
+  } else {
+    // Covariance route (dims x dims). Each task owns a block of output
+    // rows and sums every entry over the samples in ascending order, as a
+    // serial sample-major loop would; the lower triangle is mirrored after.
+    std::vector<double> cov(dims * dims, 0.0);
+    const std::size_t blocks = (dims + kCovRowBlock - 1) / kCovRowBlock;
+    parallel_for(0, blocks, [&](std::size_t b) {
+      const std::size_t first = b * kCovRowBlock;
+      const std::size_t last = std::min(dims, first + kCovRowBlock);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* x = centered[r].data();
+        for (std::size_t i = first; i < last; ++i) {
+          double* out = cov.data() + i * dims;
+          for (std::size_t j = i; j < dims; ++j) out[j] += x[i] * x[j];
+        }
+      }
+    });
+    for (std::size_t i = 0; i < dims; ++i)
+      for (std::size_t j = i; j < dims; ++j) {
+        cov[j * dims + i] = cov[i * dims + j];
+      }
+    eig = symmetric_eigen(std::move(cov), dims, keep);
+  }
+  double total_variance = 0.0;
+  for (double l : eig.values) total_variance += std::max(0.0, l);
+  // The leading eigenpairs with a non-negligible eigenvalue become the
+  // components, one task per direction; values[] is descending, so they
+  // are a prefix.
+  double kept_variance = 0.0;
+  std::size_t kept = 0;
+  while (kept < keep && !(eig.values[kept] <= 1e-12))
+    kept_variance += eig.values[kept++];
+  components_.assign(kept, std::vector<float>(dims, 0.0f));
+  parallel_for(0, kept, [&](std::size_t c) {
+    std::vector<float>& direction = components_[c];
+    if (rows <= dims) {
+      const double inv_sqrt = 1.0 / std::sqrt(eig.values[c]);
       for (std::size_t r = 0; r < rows; ++r) {
         const double coeff = eig.vectors[c][r] * inv_sqrt;
         for (std::size_t d = 0; d < dims; ++d)
           direction[d] += static_cast<float>(coeff * centered[r][d]);
       }
-      components_.push_back(std::move(direction));
-    }
-  } else {
-    // Covariance route (dims x dims).
-    std::vector<double> cov(dims * dims, 0.0);
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t i = 0; i < dims; ++i)
-        for (std::size_t j = i; j < dims; ++j)
-          cov[i * dims + j] += centered[r][i] * centered[r][j];
-    for (std::size_t i = 0; i < dims; ++i)
-      for (std::size_t j = i; j < dims; ++j) {
-        cov[j * dims + i] = cov[i * dims + j];
-      }
-    const EigenDecomposition eig = symmetric_eigen(std::move(cov), dims);
-    for (double l : eig.values) total_variance += std::max(0.0, l);
-    for (std::size_t c = 0; c < keep; ++c) {
-      if (eig.values[c] <= 1e-12) break;
-      kept_variance += eig.values[c];
-      std::vector<float> direction(dims);
+    } else {
       for (std::size_t d = 0; d < dims; ++d)
         direction[d] = static_cast<float>(eig.vectors[c][d]);
-      components_.push_back(std::move(direction));
     }
-  }
+  });
   if (components_.empty()) {
     // Degenerate data (all rows identical): a single arbitrary direction so
     // transform() still produces a well-formed (all-zero) projection.
@@ -309,7 +355,8 @@ std::vector<float> Pca::transform(const std::vector<float>& features) const {
 }
 
 void Pca::transform_in_place(std::vector<std::vector<float>>& matrix) const {
-  for (auto& row : matrix) row = transform(row);
+  parallel_for(0, matrix.size(),
+               [&](std::size_t r) { matrix[r] = transform(matrix[r]); });
 }
 
 void Pca::restore(std::vector<float> mean,

@@ -7,9 +7,12 @@
 // feature columns (the usual case: hundreds of segments x thousands of
 // features), so the eigen-decomposition runs on an n x n matrix. Its rows
 // are built in parallel, each dot product summed in one fixed order, so the
-// bits do not depend on the thread count. The symmetric eigensolver is
-// Householder tridiagonalization followed by implicit-shift QL (EISPACK
-// tred2/tql2), O(n^3) with no sweep count, on one thread.
+// bits do not depend on the thread count; so are the covariance of the
+// other route, the kept directions and transform_in_place(). The symmetric
+// eigensolver is Householder tridiagonalization followed by implicit-shift
+// QL (EISPACK tred2/tql2), on one thread: O(n^3) for the reduction and
+// O(n^2) for the eigenvalues, plus O(n^2) per eigenvector asked for, so the
+// k kept directions cost O(k n^2) where the full set costs O(n^3).
 #pragma once
 
 #include <cstddef>
@@ -17,17 +20,23 @@
 
 namespace ns {
 
-/// Eigenvalues in descending order and the matching unit eigenvectors.
+/// All eigenvalues in descending order and the unit eigenvectors of the
+/// leading ones.
 struct EigenDecomposition {
-  std::vector<double> values;
+  std::vector<double> values;                // all n
   std::vector<std::vector<double>> vectors;  // vectors[i] pairs values[i]
 };
 
-/// Eigen-decomposition of a dense symmetric matrix (row-major n*n) by
-/// Householder tridiagonalization and implicit-shift QL. Single-threaded
-/// and deterministic; eigenvector signs are arbitrary. Throws ns::Error if
-/// an eigenvalue needs more than 30 QL sweeps.
-EigenDecomposition symmetric_eigen(std::vector<double> matrix, std::size_t n);
+/// Eigenvalues of a dense symmetric matrix (row-major n*n) and the
+/// eigenvectors of its k largest (k <= n; k = n gives the whole
+/// decomposition), by Householder tridiagonalization and implicit-shift QL.
+/// The QL rotations are recorded and replayed onto k unit vectors, which
+/// then go back through the reflectors, so each vector is the one the full
+/// decomposition computes (up to rounding) and its bits do not depend on k.
+/// Single-threaded and deterministic; eigenvector signs are arbitrary.
+/// Throws ns::Error if an eigenvalue needs more than 30 QL sweeps.
+EigenDecomposition symmetric_eigen(std::vector<double> matrix, std::size_t n,
+                                   std::size_t k);
 
 class Pca {
  public:

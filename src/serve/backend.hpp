@@ -77,10 +77,11 @@ struct ServeStats {
 /// (DESIGN.md §15). Enabled by ServeConfig::attribution; num_metrics == 0
 /// means the run did not record attribution. Per node, contrib is the
 /// flattened [t * num_metrics + m] matrix aligned to [0, timeline_end)
-/// exactly like NodeDetection::scores: each row's terms sum to the point's
-/// score (up to float rounding) and are all-zero wherever the point was
-/// never scored. The incident correlator (src/correlate) consumes this to
-/// rank root-cause metrics; the score path itself never reads it.
+/// exactly like NodeDetection::scores (and empty where that record is):
+/// each row's terms sum to the point's score (up to float rounding) and
+/// are all-zero wherever the point was never scored. The incident
+/// correlator (src/correlate) consumes this to rank root-cause metrics;
+/// the score path itself never reads it.
 struct ResidualAttribution {
   std::size_t num_metrics = 0;
   std::vector<std::vector<float>> contrib;  ///< [node][t * num_metrics + m]
@@ -89,7 +90,13 @@ struct ResidualAttribution {
 
 struct ServeResult {
   /// Per node, aligned to [0, timeline_end) like batch detect() (zeros
-  /// before the serving start).
+  /// before the serving start). A standalone `ServeEngine` leaves the
+  /// record of a node it never committed a row for empty, so readers
+  /// bound-check each record (compare_detections zero-pads, the incident
+  /// correlator skips). A `FleetEngine` shard's engine does this for every
+  /// node another shard owns; the fleet takes each node's record from its
+  /// owner and stretches it to the fleet-wide timeline, so fleet results
+  /// are never short.
   std::vector<NodeDetection> detections;
   std::size_t timeline_end = 0;
   ServeStats stats;

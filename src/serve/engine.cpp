@@ -751,8 +751,11 @@ ServeResult ServeEngine::finalize() {
     result.attribution.contrib.assign(nodes_.size(), {});
   }
   // Per-node thresholding writes disjoint detection records; fan it out
-  // across the engine's pool (all scoring tasks have drained by now).
+  // across the engine's pool (all scoring tasks have drained by now). A
+  // node that never committed a row (another fleet shard's) keeps an empty
+  // record and gets no attribution plane.
   pool_->parallel_for(0, nodes_.size(), 1, [&](std::size_t n) {
+    if (nodes_[n].next_t == start_t_) return;
     NodeDetection& det = result.detections[n];
     if (config_.attribution) {
       // Same alignment as the scores: one [t, M] plane per node, zero

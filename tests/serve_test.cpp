@@ -214,6 +214,28 @@ TEST_F(ServeFixture, FinalizeIsSingleShot) {
   EXPECT_THROW(engine.ingest(sample), Error);
 }
 
+// A node no sample reaches commits no row, so finalize() leaves its record
+// and its attribution plane empty (a fleet shard's view of the nodes other
+// shards own); every fed node's cover the whole timeline.
+TEST_F(ServeFixture, UnfedNodeGetsAnEmptyRecord) {
+  const std::size_t silent = sim_->data.num_nodes() - 1;
+  ServeEngine engine(*sentry_, ServeConfig{.attribution = true});
+  TelemetryReplaySource source(sim_->data, sim_->train_end);
+  StreamSample sample;
+  while (source.next(sample))
+    if (sample.node != silent) engine.ingest(sample);
+  const ServeResult result = engine.finalize();
+  ASSERT_EQ(result.detections.size(), sim_->data.num_nodes());
+  ASSERT_TRUE(result.attribution.enabled());
+  const std::size_t M = result.attribution.num_metrics;
+  for (std::size_t n = 0; n < sim_->data.num_nodes(); ++n) {
+    const std::size_t len = n == silent ? 0 : result.timeline_end;
+    EXPECT_EQ(result.detections[n].scores.size(), len) << "node " << n;
+    EXPECT_EQ(result.detections[n].predictions.size(), len) << "node " << n;
+    EXPECT_EQ(result.attribution.contrib[n].size(), len * M) << "node " << n;
+  }
+}
+
 TEST_F(ServeFixture, WarmStartFromCheckpointMatchesBatch) {
   const std::string dir =
       (fs::temp_directory_path() /
