@@ -158,4 +158,72 @@ DetectionMetrics aggregate_nodes(
   return out;
 }
 
+EventRecall event_recall(
+    const std::vector<NodeDetection>& detections,
+    const std::vector<std::vector<std::uint8_t>>& labels,
+    const std::vector<std::vector<std::uint8_t>>& masks) {
+  NS_REQUIRE(detections.size() == labels.size() &&
+                 labels.size() == masks.size(),
+             "event_recall: node count mismatch");
+  EventRecall out;
+  for (std::size_t n = 0; n < labels.size(); ++n) {
+    const std::vector<std::uint8_t>& label = labels[n];
+    const std::vector<std::uint8_t>& mask = masks[n];
+    const std::vector<std::uint8_t>& flag = detections[n].predictions;
+    NS_REQUIRE(flag.size() == label.size() && label.size() == mask.size(),
+               "event_recall: length mismatch");
+    std::size_t t = 0;
+    while (t < label.size()) {
+      if (!label[t]) {
+        ++t;
+        continue;
+      }
+      bool scored = false, hit = false;
+      for (; t < label.size() && label[t]; ++t) {
+        scored = scored || mask[t];
+        hit = hit || (mask[t] && flag[t]);
+      }
+      out.events += scored;
+      out.hit += hit;
+    }
+  }
+  return out;
+}
+
+CleanNodeAlarms clean_node_alarms(
+    const std::vector<NodeDetection>& detections,
+    const std::vector<std::vector<std::uint8_t>>& labels,
+    const std::vector<std::vector<std::uint8_t>>& masks,
+    double interval_seconds) {
+  NS_REQUIRE(detections.size() == labels.size() &&
+                 labels.size() == masks.size(),
+             "clean_node_alarms: node count mismatch");
+  std::size_t points = 0, flagged = 0, runs = 0;
+  for (std::size_t n = 0; n < labels.size(); ++n) {
+    const std::vector<std::uint8_t>& label = labels[n];
+    const std::vector<std::uint8_t>& mask = masks[n];
+    const std::vector<std::uint8_t>& flag = detections[n].predictions;
+    NS_REQUIRE(flag.size() == label.size() && label.size() == mask.size(),
+               "clean_node_alarms: length mismatch");
+    bool clean = true;
+    for (std::size_t t = 0; t < label.size() && clean; ++t)
+      clean = !(mask[t] && label[t]);
+    if (!clean) continue;
+    bool in_run = false;
+    for (std::size_t t = 0; t < label.size(); ++t) {
+      const bool alarm = mask[t] && flag[t];
+      points += mask[t];
+      flagged += alarm;
+      runs += alarm && !in_run;
+      in_run = alarm;
+    }
+  }
+  CleanNodeAlarms out;
+  if (points == 0) return out;
+  out.flagged_share = static_cast<double>(flagged) / points;
+  out.runs_per_node_hour =
+      static_cast<double>(runs) / (points * interval_seconds / 3600.0);
+  return out;
+}
+
 }  // namespace ns

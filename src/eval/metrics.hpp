@@ -69,4 +69,40 @@ DetectionMetrics aggregate_nodes(
     const std::vector<std::vector<std::uint8_t>>& labels,
     const std::vector<std::vector<std::uint8_t>>& masks);
 
+// Operator-facing counts that the paper's metric does not show: point
+// adjustment credits a whole event for one flag, and aggregate_nodes skips
+// every node without a labelled anomaly, so neither sees how many events
+// were missed outright or how often a clean node raises an alarm.
+
+struct EventRecall {
+  std::size_t events = 0;  ///< maximal labelled runs with a masked-in point
+  std::size_t hit = 0;     ///< of those, events with a flagged masked-in point
+  double recall() const {
+    return events > 0 ? static_cast<double>(hit) / events : 0.0;
+  }
+};
+
+/// Counts ground-truth events over all nodes. An event is a maximal run of
+/// labelled points holding at least one masked-in point; it is hit when a
+/// masked-in point inside it is flagged (point_adjust's hit rule).
+EventRecall event_recall(
+    const std::vector<NodeDetection>& detections,
+    const std::vector<std::vector<std::uint8_t>>& labels,
+    const std::vector<std::vector<std::uint8_t>>& masks);
+
+struct CleanNodeAlarms {
+  double flagged_share = 0.0;       ///< flagged share of masked-in points
+  double runs_per_node_hour = 0.0;  ///< alarm runs per masked-in node-hour
+};
+
+/// False alarms on the nodes aggregate_nodes skips: those with no masked-in
+/// labelled point. An alarm run is a maximal run of flagged masked-in
+/// points, so a masked-out point ends a run. Hours count masked-in points
+/// at `interval_seconds` each (MtsDataset::interval_seconds).
+CleanNodeAlarms clean_node_alarms(
+    const std::vector<NodeDetection>& detections,
+    const std::vector<std::vector<std::uint8_t>>& labels,
+    const std::vector<std::vector<std::uint8_t>>& masks,
+    double interval_seconds);
+
 }  // namespace ns

@@ -147,5 +147,74 @@ TEST(Aggregate, EmptyInput) {
   EXPECT_EQ(m.f1, 0.0);
 }
 
+// One node per label/prediction/mask triple; scores are unused here.
+std::vector<NodeDetection> flags(const std::vector<U8>& predictions) {
+  std::vector<NodeDetection> detections(predictions.size());
+  for (std::size_t n = 0; n < predictions.size(); ++n)
+    detections[n].predictions = predictions[n];
+  return detections;
+}
+
+TEST(EventRecall, CountsEventsAcrossNodes) {
+  // Node 0: two events, the first hit. Node 1: one event, hit at its end.
+  const std::vector<U8> labels{{0, 1, 1, 0, 1, 0}, {1, 1, 1, 0}};
+  const std::vector<U8> preds{{0, 0, 1, 0, 0, 1}, {0, 0, 1, 0}};
+  const std::vector<U8> masks{U8(6, 1), U8(4, 1)};
+  const EventRecall r = event_recall(flags(preds), labels, masks);
+  EXPECT_EQ(r.events, 3u);
+  EXPECT_EQ(r.hit, 2u);
+  EXPECT_NEAR(r.recall(), 2.0 / 3.0, 1e-12);
+}
+
+TEST(EventRecall, HitOnlyAtMaskedOutPointIsNotRecalled) {
+  const std::vector<U8> labels{{0, 1, 1, 1, 0}};
+  const std::vector<U8> preds{{1, 0, 1, 0, 1}};
+  const std::vector<U8> masks{{1, 1, 0, 1, 1}};
+  const EventRecall r = event_recall(flags(preds), labels, masks);
+  EXPECT_EQ(r.events, 1u);
+  EXPECT_EQ(r.hit, 0u);
+  // The same rule as point adjustment: nothing in the event is credited.
+  const U8 adjusted = point_adjust(preds[0], labels[0], masks[0]);
+  EXPECT_EQ(adjusted[1], 0);
+  EXPECT_EQ(adjusted[3], 0);
+}
+
+TEST(EventRecall, FullyMaskedEventIsNotCounted) {
+  const std::vector<U8> labels{{1, 1, 0, 0, 1, 0}};
+  const std::vector<U8> preds{{1, 1, 0, 0, 1, 0}};
+  const std::vector<U8> masks{{0, 0, 1, 1, 1, 1}};
+  const EventRecall r = event_recall(flags(preds), labels, masks);
+  EXPECT_EQ(r.events, 1u);
+  EXPECT_EQ(r.hit, 1u);
+  EXPECT_EQ(event_recall({}, {}, {}).recall(), 0.0);
+}
+
+TEST(CleanNodeAlarms, FlagRunSplitByMaskedOutPointCountsTwice) {
+  // 8 masked-in points at 15 s = 2 node-minutes; flags at 1, 2 | 4, 5.
+  const std::vector<U8> labels{U8(9, 0)};
+  const std::vector<U8> preds{{0, 1, 1, 1, 1, 1, 0, 0, 0}};
+  const std::vector<U8> masks{{1, 1, 1, 0, 1, 1, 1, 1, 1}};
+  const CleanNodeAlarms a =
+      clean_node_alarms(flags(preds), labels, masks, 15.0);
+  EXPECT_NEAR(a.flagged_share, 4.0 / 8.0, 1e-12);
+  EXPECT_NEAR(a.runs_per_node_hour, 2.0 / (8.0 * 15.0 / 3600.0), 1e-9);
+}
+
+TEST(CleanNodeAlarms, NodeWithLabelledPointIsExcluded) {
+  // Node 0 holds a masked-in label and flags everything, so only node 1
+  // counts; its only label is masked out, so it is clean.
+  const std::vector<U8> labels{{0, 1, 0, 0}, {1, 0, 0, 0}};
+  const std::vector<U8> preds{{1, 1, 1, 1}, {0, 1, 0, 0}};
+  const std::vector<U8> masks{U8(4, 1), {0, 1, 1, 1}};
+  const CleanNodeAlarms a =
+      clean_node_alarms(flags(preds), labels, masks, 3600.0);
+  EXPECT_NEAR(a.flagged_share, 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(a.runs_per_node_hour, 1.0 / 3.0, 1e-12);
+  const CleanNodeAlarms none =
+      clean_node_alarms(flags({preds[0]}), {labels[0]}, {masks[0]}, 15.0);
+  EXPECT_EQ(none.flagged_share, 0.0);
+  EXPECT_EQ(none.runs_per_node_hour, 0.0);
+}
+
 }  // namespace
 }  // namespace ns

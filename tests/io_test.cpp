@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -66,6 +67,21 @@ TEST(Table, RendersAligned) {
   EXPECT_NE(out.find("---"), std::string::npos);
   // Header row and each data row end with newline.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
+}
+
+TEST(Table, AlignsCellsByDisplayWidth) {
+  // "±" is two bytes but one terminal column.
+  TablePrinter table({"Method", "F1"});
+  table.add_row({"0.5 ± 0.1", "x"});
+  table.add_row({"0.5 + 0.1", "y"});
+  const std::string out = table.render();
+  const auto column_of = [&](char mark) {
+    const std::size_t at = out.find(mark);
+    const std::size_t line = out.rfind('\n', at) + 1;
+    return std::count_if(out.begin() + line, out.begin() + at,
+                         [](char c) { return (c & 0xC0) != 0x80; });
+  };
+  EXPECT_EQ(column_of('x'), column_of('y'));
 }
 
 }  // namespace
