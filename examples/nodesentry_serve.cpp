@@ -1,7 +1,7 @@
 // nodesentry_serve — online serving front end: fit (or warm-start from a
-// checkpoint), then replay the test region through a ServeBackend (a lone
-// ServeEngine, or a sharded FleetEngine with --shards > 1) the way a live
-// collector would deliver it, and report streaming statistics. All serving
+// checkpoint), then replay the test region through a FleetEngine (one
+// shard unless --shards says more) the way a live collector would deliver
+// it, and report streaming statistics. All serving
 // flags funnel into one ServeSessionConfig (serve/session.hpp) — the CLI
 // only parses, the session wires.
 //
@@ -30,8 +30,8 @@
 //                   fully warm restart
 //   --train-end     explicit train/test split tick for --data-dir or
 //                   --from-store runs (0 = use --train-fraction)
-//   --shards        serve through a FleetEngine with N consistent-hashed
-//                   engine shards (1 = the classic single engine)
+//   --shards        serve through N consistent-hashed engine shards (1 =
+//                   bitwise the classic single engine)
 //   --ring-capacity per-shard SPSC ingest ring capacity (samples)
 //   --speedup       pace replay at F x real time (0 = as fast as possible)
 //   --strict-replay score through the canonical model forwards (bitwise

@@ -1,34 +1,27 @@
 #include "baselines/detector.hpp"
 
+#include <algorithm>
+
 #include "common/mathutil.hpp"
 #include "core/nodesentry.hpp"
 
 namespace ns {
 
 std::vector<std::uint8_t> baseline_threshold(const std::vector<float>& scores,
-                                             std::size_t train_end,
-                                             std::size_t total) {
+                                             std::size_t train_end) {
   const NodeSentryConfig defaults;  // same thresholding knobs as NodeSentry
-  const std::vector<float> smoothed =
-      causal_median_filter(scores, defaults.score_median_window);
-  const std::vector<std::uint8_t> base =
-      ksigma_flags(smoothed, train_end, total, defaults.threshold_window,
-                   defaults.k_sigma, defaults.sigma_floor_fraction);
-  double med = 0.0;
-  if (total > train_end) {
-    std::vector<float> test(smoothed.begin() +
-                                static_cast<std::ptrdiff_t>(train_end),
-                            smoothed.end());
-    med = std::max(1e-9, median(std::move(test)));
+  // A baseline has no segments, so one reference level covers the whole
+  // test region: the median of its smoothed scores.
+  float reference = 1.0f;
+  if (scores.size() > train_end) {
+    const std::vector<float> smoothed = smooth_scores(scores, defaults);
+    reference = static_cast<float>(std::max(
+        1e-9, median(std::vector<float>(
+                  smoothed.begin() + static_cast<std::ptrdiff_t>(train_end),
+                  smoothed.end()))));
   }
-  std::vector<std::uint8_t> flags(total, 0);
-  for (std::size_t t = train_end; t < total; ++t) {
-    const bool above_floor =
-        smoothed[t] >= defaults.min_score_factor * med;
-    const bool hard_hit = smoothed[t] >= defaults.hard_score_factor * med;
-    if ((base[t] && above_floor) || hard_hit) flags[t] = 1;
-  }
-  return flags;
+  return detection_flags(scores, std::vector<float>(scores.size(), reference),
+                         train_end, defaults);
 }
 
 }  // namespace ns

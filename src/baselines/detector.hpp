@@ -32,10 +32,10 @@ class Detector {
                              std::size_t train_end) = 0;
 };
 
-/// Shared thresholding used by every baseline: causal median smoothing,
-/// sliding k-sigma with relative floors (same defaults as NodeSentry).
+/// Shared thresholding used by every baseline: NodeSentry's
+/// detection_flags with its default knobs, flagging [train_end, T), against
+/// one reference level, the median of the smoothed test-region scores.
 std::vector<std::uint8_t> baseline_threshold(const std::vector<float>& scores,
-                                             std::size_t train_end,
-                                             std::size_t total);
+                                             std::size_t train_end);
 
 }  // namespace ns

@@ -63,7 +63,7 @@ DetectorReport Examon::run(const MtsDataset& processed,
         det.scores[t] = static_cast<float>(err / static_cast<double>(M));
       }
     }
-    det.predictions = baseline_threshold(det.scores, train_end, T);
+    det.predictions = baseline_threshold(det.scores, train_end);
     detect_seconds[n] = detect_sw.elapsed_s();
   });
   for (std::size_t n = 0; n < N; ++n) {

@@ -71,7 +71,7 @@ DetectorReport Isc20::run(const MtsDataset& processed, std::size_t train_end) {
     }
     for (std::size_t t = train_end; t < T; ++t)
       if (counts[t] > 0.0f) det.scores[t] /= counts[t];
-    det.predictions = baseline_threshold(det.scores, train_end, T);
+    det.predictions = baseline_threshold(det.scores, train_end);
   });
   report.detect_seconds = detect_sw.elapsed_s();
   return report;

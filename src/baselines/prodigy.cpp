@@ -80,7 +80,7 @@ DetectorReport Prodigy::run(const MtsDataset& processed,
         det.scores[t] = static_cast<float>(err / static_cast<double>(M));
       }
     }
-    det.predictions = baseline_threshold(det.scores, train_end, T);
+    det.predictions = baseline_threshold(det.scores, train_end);
   });
   report.detect_seconds = detect_sw.elapsed_s();
   return report;

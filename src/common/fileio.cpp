@@ -133,4 +133,27 @@ std::string read_framed_file(const std::string& path) {
   return raw.substr(kFrameHeaderSize);
 }
 
+void write_floats(std::ostream& os, std::span<const float> xs) {
+  const std::uint32_t n = static_cast<std::uint32_t>(xs.size());
+  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  os.write(reinterpret_cast<const char*>(xs.data()),
+           static_cast<std::streamsize>(xs.size() * sizeof(float)));
+}
+
+void read_bytes(std::istream& is, void* out, std::size_t size,
+                const char* context, const char* what) {
+  is.read(static_cast<char*>(out), static_cast<std::streamsize>(size));
+  if (!is.good())
+    throw ParseError(std::string(context) + ": truncated " + what);
+}
+
+std::vector<float> read_floats(std::istream& is, const char* context,
+                               const char* what) {
+  std::uint32_t n = 0;
+  read_pod(is, n, context, what);
+  std::vector<float> xs(n);
+  read_bytes(is, xs.data(), n * sizeof(float), context, what);
+  return xs;
+}
+
 }  // namespace ns

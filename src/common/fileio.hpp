@@ -11,8 +11,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace ns {
 
@@ -50,5 +53,24 @@ std::string read_framed_file(const std::string& path);
 /// Reads a whole (unframed) file into a string. Throws ns::ParseError when
 /// the file cannot be opened.
 std::string read_file(const std::string& path);
+
+// Checkpoint payload streams (the cluster library and the generation
+// registry). A float block is a u32 count followed by that many floats. A
+// read past the end of the payload throws ns::ParseError
+// "<context>: truncated <what>".
+
+void write_floats(std::ostream& os, std::span<const float> xs);
+
+std::vector<float> read_floats(std::istream& is, const char* context,
+                               const char* what);
+
+void read_bytes(std::istream& is, void* out, std::size_t size,
+                const char* context, const char* what);
+
+template <typename T>
+void read_pod(std::istream& is, T& out, const char* context,
+              const char* what) {
+  read_bytes(is, &out, sizeof(out), context, what);
+}
 
 }  // namespace ns

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 
 namespace ns {
@@ -81,7 +82,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
 }
 
-ThreadPool::~ThreadPool() { shutdown(ShutdownMode::kDrain); }
+ThreadPool::~ThreadPool() { shutdown(); }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
@@ -95,52 +96,20 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-void ThreadPool::post(std::function<void()> task) {
-  // The wrapper catches here so the exception survives the discarded future.
-  submit([this, task = std::move(task)] {
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_post_error_) first_post_error_ = std::current_exception();
-    }
-  });
-}
-
-void ThreadPool::rethrow_pending() {
-  std::exception_ptr error;
+void ThreadPool::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::swap(error, first_post_error_);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-std::size_t ThreadPool::shutdown(ShutdownMode mode) {
-  // Discarded tasks are destroyed outside the lock: destroying a
-  // packaged_task fulfills its future with broken_promise, and observers of
-  // that future may themselves touch the pool.
-  std::deque<std::packaged_task<void()>> discarded;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_ && workers_.empty()) return 0;  // already shut down
+    if (stopping_ && workers_.empty()) return;  // already shut down
     stopping_ = true;
-    if (mode == ShutdownMode::kDiscard) discarded.swap(queue_);
   }
   cv_.notify_all();
   for (auto& worker : workers_) worker.join();
   workers_.clear();
-  return discarded.size();
 }
 
 bool ThreadPool::stopped() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stopping_;
-}
-
-std::size_t ThreadPool::queued() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 ThreadPool& ThreadPool::global() {

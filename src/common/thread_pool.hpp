@@ -7,14 +7,13 @@
 // identical results.
 //
 // Exception policy: a task exception never terminates the process. submit()
-// returns a future that rethrows the task's exception; post() is
-// fire-and-forget and captures the first exception for rethrow_pending().
+// returns a future that rethrows the task's exception; parallel_for()
+// rethrows the first exception of its iterations.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -42,41 +41,15 @@ class ThreadPool {
   /// Throws ns::InvalidArgument after shutdown().
   std::future<void> submit(std::function<void()> task);
 
-  /// Fire-and-forget enqueue: the task's exception (if any) is captured and
-  /// surfaced by the next rethrow_pending() instead of being lost with a
-  /// discarded future.
-  void post(std::function<void()> task);
+  /// Stops accepting work, lets the workers finish every queued task, and
+  /// joins them. Idempotent; also invoked by the destructor.
+  void shutdown();
 
-  /// Rethrows the first exception captured from a post() task since the
-  /// last call (and clears it). No-op when none occurred.
-  void rethrow_pending();
-
-  /// How shutdown() treats work still sitting in the queue.
-  enum class ShutdownMode {
-    kDrain,    ///< workers finish every queued task before exiting
-    kDiscard,  ///< queued tasks are dropped; their futures report
-               ///< std::future_errc::broken_promise
-  };
-
-  /// Stops accepting work and joins all workers. Idempotent; also invoked
-  /// (in kDrain mode) by the destructor. Tasks already running always
-  /// complete; kDiscard only affects tasks that never started.
-  /// Returns the number of tasks discarded (0 under kDrain).
-  std::size_t shutdown(ShutdownMode mode = ShutdownMode::kDrain);
-
-  /// True once shutdown() has begun; submit()/post() will throw.
+  /// True once shutdown() has begun; submit() will throw.
   bool stopped() const;
-
-  /// Tasks currently waiting in the queue (excludes running tasks).
-  std::size_t queued() const;
 
   /// Process-wide shared pool (lazily constructed).
   static ThreadPool& global();
-
-  /// True when the calling thread is one of this pool's workers. Nested
-  /// data-parallel calls use this to degrade to sequential execution
-  /// instead of deadlocking on their own pool.
-  bool on_worker_thread() const;
 
   /// Runs fn(i) for i in [begin, end), splitting the range into fixed
   /// `grain`-sized chunks claimed from a shared atomic cursor by the
@@ -96,13 +69,15 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// True when the calling thread is one of this pool's workers: a nested
+  /// parallel_for then runs sequentially instead of deadlocking.
+  bool on_worker_thread() const;
 
   std::vector<std::thread> workers_;
   std::deque<std::packaged_task<void()>> queue_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-  std::exception_ptr first_post_error_;
 };
 
 /// Convenience wrapper over ThreadPool::parallel_for on the given pool

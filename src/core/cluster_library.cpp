@@ -61,32 +61,8 @@ std::size_t ClusterLibrary::nearest_member(
 
 namespace {
 
-void write_floats(std::ostream& os, const std::vector<float>& xs) {
-  const std::uint32_t n = static_cast<std::uint32_t>(xs.size());
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(reinterpret_cast<const char*>(xs.data()),
-           static_cast<std::streamsize>(xs.size() * sizeof(float)));
-}
-
-std::vector<float> read_floats(std::istream& is, const char* what) {
-  std::uint32_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!is.good())
-    throw ParseError(std::string("cluster library: truncated ") + what);
-  std::vector<float> xs(n);
-  is.read(reinterpret_cast<char*>(xs.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!is.good())
-    throw ParseError(std::string("cluster library: truncated ") + what);
-  return xs;
-}
-
-template <typename T>
-void read_pod(std::istream& is, T& out, const char* what) {
-  is.read(reinterpret_cast<char*>(&out), sizeof(out));
-  if (!is.good())
-    throw ParseError(std::string("cluster library: truncated ") + what);
-}
+/// Context of every truncation error a library checkpoint raises.
+constexpr const char* kErrorContext = "cluster library";
 
 std::string cluster_file(std::size_t c) {
   return "cluster_" + std::to_string(c) + ".bin";
@@ -119,12 +95,8 @@ void ClusterLibrary::save(const std::string& directory) const {
     os.write(reinterpret_cast<const char*>(&radius), sizeof(radius));
     os.write(reinterpret_cast<const char*>(&entry.baseline_error),
              sizeof(entry.baseline_error));
-    std::vector<float> weights(entry.metric_weights.flat().begin(),
-                               entry.metric_weights.flat().end());
-    write_floats(os, weights);
-    std::vector<float> resid(entry.residual_scale.flat().begin(),
-                             entry.residual_scale.flat().end());
-    write_floats(os, resid);
+    write_floats(os, entry.metric_weights.flat());
+    write_floats(os, entry.residual_scale.flat());
     const std::uint32_t member_count =
         static_cast<std::uint32_t>(entry.member_features.size());
     os.write(reinterpret_cast<const char*>(&member_count),
@@ -153,21 +125,22 @@ void ClusterLibrary::load(const std::string& directory,
     std::istringstream is(
         read_framed_file((fs::path(directory) / "index.bin").string()),
         std::ios::binary);
-    read_pod(is, count, "index");
+    read_pod(is, count, kErrorContext, "index");
   }
   {
     std::istringstream is(
         read_framed_file((fs::path(directory) / "scaler.bin").string()),
         std::ios::binary);
-    std::vector<float> means = read_floats(is, "scaler means");
-    std::vector<float> stds = read_floats(is, "scaler stddevs");
+    std::vector<float> means = read_floats(is, kErrorContext, "scaler means");
+    std::vector<float> stds = read_floats(is, kErrorContext, "scaler stddevs");
     if (!means.empty()) scaler_.restore(std::move(means), std::move(stds));
     std::uint32_t pca_rows = 0;
     is.read(reinterpret_cast<char*>(&pca_rows), sizeof(pca_rows));
     if (is.good() && pca_rows > 0) {
-      std::vector<float> pca_mean = read_floats(is, "pca mean");
+      std::vector<float> pca_mean = read_floats(is, kErrorContext, "pca mean");
       std::vector<std::vector<float>> components(pca_rows);
-      for (auto& row : components) row = read_floats(is, "pca row");
+      for (auto& row : components)
+        row = read_floats(is, kErrorContext, "pca row");
       pca_.restore(std::move(pca_mean), std::move(components));
     }
   }
@@ -179,18 +152,18 @@ void ClusterLibrary::load(const std::string& directory,
         read_framed_file((fs::path(directory) / cluster_file(c)).string()),
         std::ios::binary);
     ClusterEntry& entry = clusters_[c];
-    entry.centroid = read_floats(is, "centroid");
-    read_pod(is, entry.radius, "radius");
-    read_pod(is, entry.baseline_error, "baseline error");
-    const std::vector<float> weights = read_floats(is, "metric weights");
-    entry.metric_weights = Tensor::from_vector(weights);
+    entry.centroid = read_floats(is, kErrorContext, "centroid");
+    read_pod(is, entry.radius, kErrorContext, "radius");
+    read_pod(is, entry.baseline_error, kErrorContext, "baseline error");
+    entry.metric_weights =
+        Tensor::from_vector(read_floats(is, kErrorContext, "metric weights"));
     entry.residual_scale =
-        Tensor::from_vector(read_floats(is, "residual scale"));
+        Tensor::from_vector(read_floats(is, kErrorContext, "residual scale"));
     std::uint32_t member_count = 0;
-    read_pod(is, member_count, "member block");
+    read_pod(is, member_count, kErrorContext, "member block");
     entry.member_features.resize(member_count);
     for (auto& mf : entry.member_features)
-      mf = read_floats(is, "member features");
+      mf = read_floats(is, kErrorContext, "member features");
     entry.model =
         std::make_shared<TransformerReconstructor>(model_config, rng);
     load_parameters(*entry.model, is);

@@ -72,6 +72,47 @@ void center_tokens_leading(Tensor& tokens, std::size_t match_period) {
   }
 }
 
+SegmentRoute route_segment(const ClusterLibrary& library,
+                           const std::vector<std::vector<float>>& window,
+                           const ValidityMask& mask, std::size_t mask_node,
+                           std::size_t mask_begin,
+                           const NodeSentryConfig& config) {
+  const std::size_t M = window.size();
+  NS_REQUIRE(M > 0 && !window.front().empty() && mask.num_metrics() == M,
+             "route_segment: empty window or metric count mismatch");
+  const std::size_t mask_end = mask_begin + window.front().size();
+  SegmentRoute route;
+  // A mostly-masked window cannot be matched honestly: the segment is
+  // reported kInsufficientData and its points keep score 0.
+  route.valid_fraction =
+      mask.segment_valid_fraction(mask_node, mask_begin, mask_end);
+  if (route.valid_fraction < config.quality.min_segment_valid_fraction) {
+    route.status = SegmentStatus::kInsufficientData;
+    return route;
+  }
+  // Metrics dead within the window are excluded from the feature distance
+  // (their feature blocks are mean-imputed), so a dying sensor degrades
+  // the match instead of dominating it.
+  std::vector<std::uint8_t> feature_valid;
+  const std::size_t fpm = features_per_metric();
+  for (std::size_t m = 0; m < M; ++m) {
+    if (mask.valid_fraction(mask_node, m, mask_begin, mask_end) >=
+        config.quality.min_metric_valid_fraction)
+      continue;
+    if (feature_valid.empty()) feature_valid.assign(M * fpm, 1);
+    std::fill_n(feature_valid.begin() + static_cast<std::ptrdiff_t>(m * fpm),
+                fpm, static_cast<std::uint8_t>(0));
+  }
+  const std::vector<float> features =
+      library.scale_masked(extract_segment_features(window), feature_valid);
+  const MatchResult match =
+      library.match(features, config.match_threshold_factor);
+  route.matched = match.matched;
+  route.cluster = match.cluster;
+  route.member = library.nearest_member(match.cluster, features);
+  return route;
+}
+
 TrainOptions NodeSentry::train_options(std::size_t epochs) const {
   TrainOptions options;
   options.epochs = epochs;
@@ -91,13 +132,27 @@ TransformerConfig NodeSentry::model_config() const {
   return mc;
 }
 
+QualityReport NodeSentry::adopt_preprocess(const MtsDataset& raw,
+                                           std::size_t train_end) {
+  PreprocessOutput pre =
+      preprocess(raw, train_end, config_.correlation_threshold,
+                 config_.standardize_trim, config_.standardize_clip);
+  train_end_ = train_end;
+  processed_ = std::move(pre.dataset);
+  mask_ = std::move(pre.mask);
+  standardizer_ = std::move(pre.standardizer);
+  aggregation_sources_ = std::move(pre.aggregation_sources);
+  kept_metrics_ = std::move(pre.kept_metrics);
+  raw_metrics_ = raw.num_metrics();
+  return std::move(pre.quality);
+}
+
 NodeSentry::FitReport NodeSentry::fit(const MtsDataset& raw,
                                       std::size_t train_end) {
   NS_REQUIRE(train_end > 0 && train_end <= raw.num_timestamps(),
              "fit: train_end out of range");
   FitReport report;
   Stopwatch total;
-  train_end_ = train_end;
   // Stage durations also land in the shared metrics registry so one
   // exposition (obs/export.hpp) covers offline fit next to the serve path.
   obs::Registry& metrics = obs::Registry::global();
@@ -109,16 +164,7 @@ NodeSentry::FitReport NodeSentry::fit(const MtsDataset& raw,
 
   // ---- Preprocessing (§3.2) behind the data-quality guard
   Stopwatch sw;
-  PreprocessOutput pre =
-      preprocess(raw, train_end, config_.correlation_threshold,
-                 config_.standardize_trim, config_.standardize_clip);
-  processed_ = std::move(pre.dataset);
-  mask_ = std::move(pre.mask);
-  standardizer_ = std::move(pre.standardizer);
-  aggregation_sources_ = std::move(pre.aggregation_sources);
-  kept_metrics_ = std::move(pre.kept_metrics);
-  raw_metrics_ = raw.num_metrics();
-  report.quality = std::move(pre.quality);
+  report.quality = adopt_preprocess(raw, train_end);
   report.preprocess_seconds = sw.elapsed_s();
   fit_stage_hist("preprocess").observe(report.preprocess_seconds);
   report.metrics_after_reduction = processed_.num_metrics();
@@ -314,16 +360,7 @@ void NodeSentry::restore(const MtsDataset& raw, std::size_t train_end,
                          const std::string& checkpoint_directory) {
   NS_REQUIRE(train_end > 0 && train_end <= raw.num_timestamps(),
              "restore: train_end out of range");
-  train_end_ = train_end;
-  PreprocessOutput pre =
-      preprocess(raw, train_end, config_.correlation_threshold,
-                 config_.standardize_trim, config_.standardize_clip);
-  processed_ = std::move(pre.dataset);
-  mask_ = std::move(pre.mask);
-  standardizer_ = std::move(pre.standardizer);
-  aggregation_sources_ = std::move(pre.aggregation_sources);
-  kept_metrics_ = std::move(pre.kept_metrics);
-  raw_metrics_ = raw.num_metrics();
+  adopt_preprocess(raw, train_end);
   library_ = ClusterLibrary{};
   library_.load(checkpoint_directory, model_config(), config_.seed);
   NS_REQUIRE(!library_.empty(), "restore: checkpoint holds no clusters");
@@ -533,6 +570,11 @@ std::vector<float> score_reference_levels(
   return reference;
 }
 
+std::vector<float> smooth_scores(const std::vector<float>& scores,
+                                 const NodeSentryConfig& config) {
+  return causal_median_filter(scores, config.score_median_window);
+}
+
 std::vector<std::uint8_t> detection_flags(const std::vector<float>& scores,
                                           const std::vector<float>& reference,
                                           std::size_t begin,
@@ -540,8 +582,7 @@ std::vector<std::uint8_t> detection_flags(const std::vector<float>& scores,
   const std::size_t T = scores.size();
   NS_REQUIRE(reference.size() == T,
              "detection_flags: reference/scores size mismatch");
-  const std::vector<float> smoothed =
-      causal_median_filter(scores, config.score_median_window);
+  const std::vector<float> smoothed = smooth_scores(scores, config);
   const std::vector<std::uint8_t> base_flags =
       ksigma_flags(smoothed, begin, T, config.threshold_window,
                    config.k_sigma, config.sigma_floor_fraction);
@@ -582,72 +623,36 @@ NodeSentry::DetectReport NodeSentry::detect() {
       {{"stage", "score"}}, 4096);
   ThreadPool& pool = ThreadPool::global();
 
-  // What pass 1 learns about one test segment.
-  struct Route {
-    SegmentStatus status = SegmentStatus::kScored;
-    double valid_fraction = 1.0;
-    CoreSegment window;          ///< matching window after the transition
-    double match_seconds = 0.0;  ///< feature extraction + matching
-    bool matched = false;
-    std::size_t cluster = 0;  ///< the nearest cluster: it scores the segment
-    std::size_t member = 0;   ///< its nearest member: the segment id
+  // A segment's matching window: its first match_period ticks.
+  const auto matching_window = [this](const CoreSegment& seg) {
+    CoreSegment window = seg;
+    window.end = std::min(seg.end, seg.begin + config_.match_period);
+    return window;
   };
-  std::vector<Route> routes(segments.size());
 
-  // ---- Pass 1, parallel per segment: the data-quality gate, the
-  // matching-window features and centroid matching. Matching only reads the
-  // fitted library, so an unmatched pattern scores on its nearest cluster,
-  // as in the serve engine.
+  // ---- Pass 1, parallel per segment: route_segment gates and matches each
+  // segment on its matching window, as the serve engine does. Matching only
+  // reads the fitted library, so an unmatched pattern scores on its nearest
+  // cluster.
+  std::vector<SegmentRoute> routes(segments.size());
+  std::vector<double> route_seconds(segments.size(), 0.0);
   pool.parallel_for(0, segments.size(), 1, [&](std::size_t i) {
-    const CoreSegment& seg = segments[i];
-    Route& route = routes[i];
-    // A mostly-masked segment cannot be scored honestly: it is reported
-    // kInsufficientData (scores stay 0) instead of matched.
-    route.valid_fraction =
-        mask_.segment_valid_fraction(seg.node, seg.begin, seg.end);
-    if (route.valid_fraction < config_.quality.min_segment_valid_fraction) {
-      route.status = SegmentStatus::kInsufficientData;
-      return;
-    }
     Stopwatch match_sw;
-    route.window = seg;
-    route.window.end = std::min(seg.end, seg.begin + config_.match_period);
-    // Metrics dead within the matching window are excluded from the
-    // feature distance (their feature blocks are mean-imputed), so a
-    // dying sensor degrades the match instead of dominating it.
-    std::vector<std::uint8_t> feature_valid;
-    const std::size_t fpm = features_per_metric();
-    for (std::size_t m = 0; m < M; ++m) {
-      const bool alive = mask_.valid_fraction(seg.node, m, route.window.begin,
-                                              route.window.end) >=
-                         config_.quality.min_metric_valid_fraction;
-      if (!alive && feature_valid.empty()) feature_valid.assign(M * fpm, 1);
-      if (!alive)
-        std::fill(
-            feature_valid.begin() + static_cast<std::ptrdiff_t>(m * fpm),
-            feature_valid.begin() + static_cast<std::ptrdiff_t>((m + 1) * fpm),
-            static_cast<std::uint8_t>(0));
-    }
-    const std::vector<float> features = library_.scale_masked(
-        segment_features(route.window), feature_valid);
-    const MatchResult match =
-        library_.match(features, config_.match_threshold_factor);
-    route.matched = match.matched;
-    route.cluster = match.cluster;
-    route.member = library_.nearest_member(match.cluster, features);
-    route.match_seconds = match_sw.elapsed_s();
-    detect_match_hist.observe(route.match_seconds);
+    const CoreSegment window = matching_window(segments[i]);
+    routes[i] = route_segment(library_, core_segment_values(processed_, window),
+                              mask_, window.node, window.begin, config_);
+    route_seconds[i] = match_sw.elapsed_s();
+    detect_match_hist.observe(route_seconds[i]);
   });
-  double match_seconds = 0.0;
   for (std::size_t i = 0; i < segments.size(); ++i) {
-    const Route& route = routes[i];
+    const SegmentRoute& route = routes[i];
     report.outcomes.push_back(
         SegmentOutcome{segments[i], route.status, route.valid_fraction});
+    report.match_seconds += route_seconds[i];
     if (route.status == SegmentStatus::kInsufficientData) {
       ++report.segments_insufficient;
       continue;
     }
-    match_seconds += route.match_seconds;
     ++(route.matched ? report.segments_matched : report.segments_unmatched);
   }
 
@@ -669,15 +674,15 @@ NodeSentry::DetectReport NodeSentry::detect() {
   // fine-tuning. Masked (invalid) cells carry no weight; the error
   // renormalizes over the valid cells' weight mass.
   const auto window_error = [&](const ClusterEntry& entry,
-                                const ScoringPlan& plan, const Route& route,
+                                const ScoringPlan& plan,
+                                const CoreSegment& window, std::size_t member,
                                 Workspace& ws) {
-    const Tensor tokens = model_tokens(route.window, config_.detect_chunk);
-    const Tensor out = reconstruct(plan, tokens, route.member, {}, ws);
+    const Tensor tokens = model_tokens(window, config_.detect_chunk);
+    const Tensor out = reconstruct(plan, tokens, member, {}, ws);
     double err = 0.0, weight = 0.0;
     for (std::size_t t = 0; t < tokens.size(0); ++t)
       for (std::size_t m = 0; m < M; ++m) {
-        if (!mask_.valid(route.window.node, m, route.window.begin + t))
-          continue;
+        if (!mask_.valid(window.node, m, window.begin + t)) continue;
         const double d = out.at(t, m) - tokens.at(t, m);
         err += entry.metric_weights.at(m) * d * d /
                entry.residual_scale.at(m);
@@ -691,10 +696,9 @@ NodeSentry::DetectReport NodeSentry::detect() {
   // (the cluster's other members are already fitted; retraining them here
   // would dominate online cost). Positional metadata matches scoring.
   const auto finetune = [&](ClusterEntry& entry, const ScoringPlan& plan,
-                            const CoreSegment& seg, const Route& route,
+                            const CoreSegment& window, std::size_t member,
                             Workspace& ws) {
-    const CoreSegment& window = route.window;
-    Rng tune_rng(config_.seed ^ (seg.begin * 31 + seg.node));
+    Rng tune_rng(config_.seed ^ (window.begin * 31 + window.node));
     Adam optimizer(entry.model->parameters(), config_.learning_rate);
     const Tensor tokens = model_tokens(window, config_.max_tokens_per_segment);
     // Robust (trimmed) fine-tuning: tokens in the top error quartile under
@@ -703,7 +707,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
     // the fault for the rest of the segment.
     std::vector<float> token_weight(tokens.size(0), 1.0f);
     {
-      const Tensor probe = reconstruct(plan, tokens, route.member, {}, ws);
+      const Tensor probe = reconstruct(plan, tokens, member, {}, ws);
       std::vector<float> errs(tokens.size(0));
       for (std::size_t t = 0; t < tokens.size(0); ++t) {
         double e = 0.0;
@@ -720,7 +724,7 @@ NodeSentry::DetectReport NodeSentry::detect() {
         if (errs[t] > cut) token_weight[t] = 0.0f;
     }
     const std::vector<TrainChunk> pieces =
-        train_chunks(tokens, config_.train_window, route.member);
+        train_chunks(tokens, config_.train_window, member);
     for (std::size_t epoch = 0; epoch < config_.finetune_epochs; ++epoch) {
       for (const TrainChunk& piece : pieces) {
         const std::size_t start = piece.offsets.front();
@@ -820,14 +824,15 @@ NodeSentry::DetectReport NodeSentry::detect() {
     ScoringPlan plan = ScoringPlan::canonical(*entry.model);
     for (const std::size_t i : walks[c]) {
       const CoreSegment& seg = segments[i];
-      const Route& route = routes[i];
+      const SegmentRoute& route = routes[i];
       if (route.matched && config_.incremental_updates) {
         // Targeted adaptation: only when the shared model visibly misfits
         // this segment's matching window — but not when the window looks
         // outright anomalous (learning it would mask the fault).
-        const double err = window_error(entry, plan, route, ws);
+        const CoreSegment window = matching_window(seg);
+        const double err = window_error(entry, plan, window, route.member, ws);
         if (err > config_.finetune_trigger && err < config_.finetune_ceiling) {
-          finetune(entry, plan, seg, route, ws);
+          finetune(entry, plan, window, route.member, ws);
           // The plan packs q|k|v into its own copy of the weights, so it
           // is recompiled from the tuned model.
           plan = ScoringPlan::canonical(*entry.model);
@@ -856,7 +861,6 @@ NodeSentry::DetectReport NodeSentry::detect() {
     report.detections[n].predictions = detection_flags(
         report.detections[n].scores, reference, train_end_, config_);
   });
-  report.match_seconds = match_seconds;
   report.total_seconds = total.elapsed_s();
   return report;
 }

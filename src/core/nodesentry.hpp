@@ -42,7 +42,17 @@ enum class SegmentStatus : std::uint8_t {
 struct SegmentOutcome {
   CoreSegment segment;
   SegmentStatus status = SegmentStatus::kScored;
+  double valid_fraction = 1.0;  ///< of the segment's matching window
+};
+
+/// Where §3.5 sends one segment, decided on its matching window alone.
+struct SegmentRoute {
+  SegmentStatus status = SegmentStatus::kScored;
+  /// Valid cells over all cells of the matching window.
   double valid_fraction = 1.0;
+  bool matched = false;     ///< within the match radius of `cluster`
+  std::size_t cluster = 0;  ///< the nearest cluster: it scores the segment
+  std::size_t member = 0;   ///< its nearest member: the segment id
 };
 
 class NodeSentry {
@@ -82,9 +92,8 @@ class NodeSentry {
     /// Per node, aligned to the full timeline (zeros before train_end).
     std::vector<NodeDetection> detections;
     double total_seconds = 0.0;
-    /// Per-segment matching-window feature extraction plus centroid
-    /// matching, summed over segments (and so over threads: it can exceed
-    /// total_seconds).
+    /// Per-segment routing (route_segment on the matching window), summed
+    /// over segments (and so over threads: it can exceed total_seconds).
     double match_seconds = 0.0;
     std::size_t scored_points = 0;
     std::size_t segments_matched = 0;
@@ -97,13 +106,14 @@ class NodeSentry {
   };
 
   /// Runs online detection over the test region of the fitted dataset.
-  /// Segments are matched concurrently against the fitted library, which
-  /// never grows: an unmatched pattern scores on its nearest cluster, as in
-  /// the serve engine. With config.incremental_updates, a matched segment
-  /// whose matching window the shared model misfits fine-tunes that model
-  /// (mutates the library). The clusters then adapt and score concurrently
-  /// on the global pool, each walking its own segments in test order, and
-  /// the result does not depend on the thread count.
+  /// Segments are routed concurrently (route_segment on each matching
+  /// window) against the fitted library, which never grows: an unmatched
+  /// pattern scores on its nearest cluster, as in the serve engine. With
+  /// config.incremental_updates, a matched segment whose matching window
+  /// the shared model misfits fine-tunes that model (mutates the library).
+  /// The clusters then adapt and score concurrently on the global pool,
+  /// each walking its own segments in test order, and the result does not
+  /// depend on the thread count.
   DetectReport detect();
 
   const ClusterLibrary& library() const { return library_; }
@@ -153,6 +163,10 @@ class NodeSentry {
   TrainOptions train_options(std::size_t epochs) const;
 
  private:
+  /// Runs preprocess() on `raw` with config's cleaning knobs and adopts its
+  /// output: the processed dataset, its mask and the fitted artifacts.
+  /// fit() and restore() both start here. Returns the quality report.
+  QualityReport adopt_preprocess(const MtsDataset& raw, std::size_t train_end);
   /// A cluster without its model: centroid and radius over
   /// `member_indices`, its config.segments_per_cluster members nearest the
   /// centroid and their MAC metric weights.
@@ -194,6 +208,23 @@ class NodeSentry {
 /// Shared by the batch model_tokens() path and the serve engine so both
 /// feed the model bit-identical inputs.
 void center_tokens_leading(Tensor& tokens, std::size_t match_period);
+
+/// The §3.5 route of one segment, from its matching window (its first
+/// min(length, match_period) ticks): `window` holds the window's processed
+/// values as [M][len] series, and the cell (m, t) is valid at
+/// (mask_node, m, mask_begin + t) of `mask`. A window whose valid-cell
+/// fraction is below quality.min_segment_valid_fraction is
+/// kInsufficientData. Otherwise the feature blocks of metrics valid on
+/// less than quality.min_metric_valid_fraction of the window are masked,
+/// and the window's features are matched against `library`; an unmatched
+/// pattern still routes to its nearest cluster. Batch detect() and the
+/// serve engine both route through here, so whether and where a segment
+/// is scored never depends on ticks past its matching window.
+SegmentRoute route_segment(const ClusterLibrary& library,
+                           const std::vector<std::vector<float>>& window,
+                           const ValidityMask& mask, std::size_t mask_node,
+                           std::size_t mask_begin,
+                           const NodeSentryConfig& config);
 
 /// Per-point scores of one scored chunk: `out` is the model reconstruction
 /// and `chunk` the clean tokens, both [len, M]. Writes out_scores[0..len)
@@ -237,9 +268,15 @@ std::vector<float> score_reference_levels(
     const std::vector<float>& scores,
     std::span<const std::pair<std::size_t, std::size_t>> segment_ranges);
 
-/// Final §3.5 anomaly flags for one node: causal median smoothing, sliding
-/// k-sigma, then the relative floor / hard-ceiling rules against the
-/// reference level. Flags cover [begin, scores.size()); zeros before.
+/// §3.5 score smoothing: the causal median over config.score_median_window.
+/// detection_flags thresholds the smoothed scores; a detector without
+/// segments takes its reference level from them (baseline_threshold).
+std::vector<float> smooth_scores(const std::vector<float>& scores,
+                                 const NodeSentryConfig& config);
+
+/// Final §3.5 anomaly flags for one node: smooth_scores, sliding k-sigma,
+/// then the relative floor / hard-ceiling rules against the reference
+/// level. Flags cover [begin, scores.size()); zeros before.
 std::vector<std::uint8_t> detection_flags(const std::vector<float>& scores,
                                           const std::vector<float>& reference,
                                           std::size_t begin,

@@ -7,7 +7,6 @@
 #include "common/mathutil.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
-#include "features/extract.hpp"
 #include "nn/scoring.hpp"
 #include "obs/timer.hpp"
 #include "serve/model_registry.hpp"
@@ -241,17 +240,8 @@ void ServeEngine::ingest(const StreamSample& sample) {
 void ServeEngine::advance_node(std::size_t node) {
   NodeState& st = nodes_[node];
   while (true) {
-    auto it = st.stash.find(st.next_t);
-    if (it != st.stash.end()) {
-      const std::int64_t job = it->second.job_id;
-      StreamPreprocessor::Row row = std::move(it->second.row);
-      std::vector<float> raw = std::move(it->second.raw);
-      st.stash.erase(it);
-      st.gap_run = 0;
-      if (config_.store_writer != nullptr)
-        retain_sample(node, st.next_t, job, std::move(raw), row);
-      commit_row(node, st.next_t, job, std::move(row));
-      ++st.next_t;
+    if (!st.stash.empty() && st.stash.begin()->first == st.next_t) {
+      commit_stashed(node);
       continue;
     }
     // The frontier tick is missing. Once the newest arrival is more than
@@ -264,6 +254,20 @@ void ServeEngine::advance_node(std::size_t node) {
     }
     break;
   }
+}
+
+void ServeEngine::commit_stashed(std::size_t node) {
+  NodeState& st = nodes_[node];
+  auto it = st.stash.begin();
+  const std::int64_t job = it->second.job_id;
+  StreamPreprocessor::Row row = std::move(it->second.row);
+  std::vector<float> raw = std::move(it->second.raw);
+  st.stash.erase(it);
+  st.gap_run = 0;
+  if (config_.store_writer != nullptr)
+    retain_sample(node, st.next_t, job, std::move(raw), row);
+  commit_row(node, st.next_t, job, std::move(row));
+  ++st.next_t;
 }
 
 void ServeEngine::fill_gap_row(std::size_t node) {
@@ -371,62 +375,40 @@ void ServeEngine::match_segment(std::size_t node) {
   const NodeSentryConfig& cfg = sentry_->config();
   const std::size_t win = std::min(seg.rows.size(), cfg.match_period);
   const std::size_t M = num_metrics_;
-  // Streaming counterpart of detect()'s data-quality gate, evaluated on the
-  // matching window (the future of the segment is not visible yet).
-  std::size_t valid_cells = 0;
+  // The matching window in route_segment's layout; the rest of the segment
+  // is not visible yet.
+  std::vector<std::vector<float>> values(M, std::vector<float>(win));
+  ValidityMask valid(1, M, win);
   for (std::size_t r = 0; r < win; ++r)
-    for (std::size_t m = 0; m < M; ++m) valid_cells += seg.valid[r][m];
-  const double vf =
-      static_cast<double>(valid_cells) / static_cast<double>(win * M);
-  if (vf < cfg.quality.min_segment_valid_fraction) {
+    for (std::size_t m = 0; m < M; ++m) {
+      values[m][r] = seg.rows[r][m];
+      valid.at(0, m, r) = seg.valid[r][m];
+    }
+  const SegmentRoute route =
+      route_segment(sentry_->library(), values, valid, 0, 0, cfg);
+  if (route.status == SegmentStatus::kInsufficientData) {
     seg.insufficient = true;
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.segments_insufficient;
     return;
   }
-  std::vector<std::vector<float>> values(M, std::vector<float>(win));
-  for (std::size_t r = 0; r < win; ++r)
-    for (std::size_t m = 0; m < M; ++m) values[m][r] = seg.rows[r][m];
-  const std::vector<float> raw_feats = extract_segment_features(values);
-  std::vector<std::uint8_t> feature_valid;
-  const std::size_t fpm = features_per_metric();
-  for (std::size_t m = 0; m < M; ++m) {
-    std::size_t ok = 0;
-    for (std::size_t r = 0; r < win; ++r) ok += seg.valid[r][m];
-    const bool alive = static_cast<double>(ok) / static_cast<double>(win) >=
-                       cfg.quality.min_metric_valid_fraction;
-    if (!alive && feature_valid.empty()) feature_valid.assign(M * fpm, 1);
-    if (!alive)
-      std::fill(
-          feature_valid.begin() + static_cast<std::ptrdiff_t>(m * fpm),
-          feature_valid.begin() + static_cast<std::ptrdiff_t>((m + 1) * fpm),
-          static_cast<std::uint8_t>(0));
-  }
-  const ClusterLibrary& library = sentry_->library();
-  const std::vector<float> feats =
-      library.scale_masked(raw_feats, feature_valid);
-  const MatchResult match =
-      library.match(feats, cfg.match_threshold_factor);
-  // An unmatched pattern scores on its nearest cluster, as in batch
-  // detect(). The engine never fine-tunes a model (drift is the
-  // Retrainer's job), matching detect() with config.incremental_updates
-  // off.
-  seg.cluster = match.cluster;
-  seg.segment_id = library.nearest_member(match.cluster, feats);
+  // The engine never fine-tunes a model (drift is the Retrainer's job),
+  // matching detect() with config.incremental_updates off.
+  seg.cluster = route.cluster;
+  seg.segment_id = route.member;
   seg.center_mu.assign(M, 0.0f);
   if (cfg.center_tokens) {
     // Same arithmetic as center_tokens_leading: double accumulation over
     // the leading window, subtracted as float.
     for (std::size_t m = 0; m < M; ++m) {
       double mu = 0.0;
-      for (std::size_t r = 0; r < win; ++r) mu += seg.rows[r][m];
-      mu /= static_cast<double>(win);
-      seg.center_mu[m] = static_cast<float>(mu);
+      for (const float v : values[m]) mu += v;
+      seg.center_mu[m] = static_cast<float>(mu / static_cast<double>(win));
     }
   }
   seg.matched = true;
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  if (match.matched)
+  if (route.matched)
     ++stats_.segments_matched;
   else
     ++stats_.segments_unmatched;
@@ -718,18 +700,8 @@ ServeResult ServeEngine::finalize() {
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     NodeState& st = nodes_[n];
     while (!st.stash.empty()) {
-      const std::size_t next_stashed = st.stash.begin()->first;
-      while (st.next_t < next_stashed) fill_gap_row(n);
-      auto it = st.stash.begin();
-      const std::int64_t job = it->second.job_id;
-      StreamPreprocessor::Row row = std::move(it->second.row);
-      std::vector<float> raw = std::move(it->second.raw);
-      st.stash.erase(it);
-      st.gap_run = 0;
-      if (config_.store_writer != nullptr)
-        retain_sample(n, st.next_t, job, std::move(raw), row);
-      commit_row(n, st.next_t, job, std::move(row));
-      ++st.next_t;
+      while (st.next_t < st.stash.begin()->first) fill_gap_row(n);
+      commit_stashed(n);
     }
     if (st.open) close_segment(n, st.next_t);
   }

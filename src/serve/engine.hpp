@@ -5,8 +5,8 @@
 // out-of-order tolerance, and segmented on job transitions. Every committed
 // cell carries a validity bit: a non-finite value (replaced by the last
 // good one) and a gap-filled row past max_interpolation_gap are invalid.
-// Once a segment's matching window settles, the data-quality gate and
-// masked matching run on it against the cluster library (§3.5), and its
+// Once a segment's matching window settles, route_segment gates and matches
+// it against the cluster library (§3.5), as batch detect() does, and its
 // token chunks are queued as scoring units, each with its cells' validity,
 // which the WMSE score renormalizes over (the one validity path of batch
 // detect()). pump()
@@ -278,6 +278,9 @@ class ServeEngine final : public ServeBackend {
                      std::vector<float> raw,
                      const StreamPreprocessor::Row& row);
   void advance_node(std::size_t node);
+  /// Commits the node's oldest stashed row, which sits at its frontier
+  /// tick (advance_node, and finalize's flush after gap-filling up to it).
+  void commit_stashed(std::size_t node);
   void fill_gap_row(std::size_t node);
   void open_segment(std::size_t node, std::size_t t, std::int64_t job_id);
   void close_segment(std::size_t node, std::size_t end);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <span>
 #include <sstream>
 #include <utility>
 
@@ -14,32 +13,8 @@ namespace ns {
 
 namespace {
 
-void write_floats(std::ostream& os, std::span<const float> xs) {
-  const std::uint32_t n = static_cast<std::uint32_t>(xs.size());
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(reinterpret_cast<const char*>(xs.data()),
-           static_cast<std::streamsize>(xs.size() * sizeof(float)));
-}
-
-std::vector<float> read_floats(std::istream& is, const char* what) {
-  std::uint32_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!is.good())
-    throw ParseError(std::string("generation registry: truncated ") + what);
-  std::vector<float> xs(n);
-  is.read(reinterpret_cast<char*>(xs.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  if (!is.good())
-    throw ParseError(std::string("generation registry: truncated ") + what);
-  return xs;
-}
-
-template <typename T>
-void read_pod(std::istream& is, T& out, const char* what) {
-  is.read(reinterpret_cast<char*>(&out), sizeof(out));
-  if (!is.good())
-    throw ParseError(std::string("generation registry: truncated ") + what);
-}
+/// Context of every truncation error a registry checkpoint raises.
+constexpr const char* kErrorContext = "generation registry";
 
 std::string gens_file(std::size_t c) {
   return "gens_" + std::to_string(c) + ".bin";
@@ -209,13 +184,13 @@ void GenerationRegistry::load(const std::string& directory,
     std::istringstream is(
         read_framed_file((fs::path(directory) / "gens_index.bin").string()),
         std::ios::binary);
-    read_pod(is, version, "index version");
+    read_pod(is, version, kErrorContext, "index version");
     if (version != kCheckpointVersion)
       throw ParseError("generation registry: checkpoint format version " +
                        std::to_string(version) + ", expected " +
                        std::to_string(kCheckpointVersion));
-    read_pod(is, clusters, "index");
-    read_pod(is, cap, "index cap");
+    read_pod(is, clusters, kErrorContext, "index");
+    read_pod(is, cap, kErrorContext, "index cap");
   }
   if (clusters != slots_.size())
     throw ParseError("generation registry: checkpoint has " +
@@ -227,7 +202,7 @@ void GenerationRegistry::load(const std::string& directory,
         read_framed_file((fs::path(directory) / gens_file(c)).string()),
         std::ios::binary);
     std::uint32_t count = 0;
-    read_pod(is, count, "generation count");
+    read_pod(is, count, kErrorContext, "generation count");
     if (count == 0)
       throw ParseError("generation registry: cluster " + std::to_string(c) +
                        " has no generations");
@@ -236,11 +211,11 @@ void GenerationRegistry::load(const std::string& directory,
     std::uint64_t max_id = 0;
     for (std::uint32_t g = 0; g < count; ++g) {
       ModelGeneration gen;
-      read_pod(is, gen.gen_id, "gen id");
-      read_pod(is, gen.trained_cycle, "trained cycle");
-      read_pod(is, gen.baseline_error, "baseline error");
+      read_pod(is, gen.gen_id, kErrorContext, "gen id");
+      read_pod(is, gen.trained_cycle, kErrorContext, "trained cycle");
+      read_pod(is, gen.baseline_error, kErrorContext, "baseline error");
       gen.residual_scale =
-          Tensor::from_vector(read_floats(is, "residual scale"));
+          Tensor::from_vector(read_floats(is, kErrorContext, "residual scale"));
       gen.model =
           std::make_shared<TransformerReconstructor>(model_config, rng);
       load_parameters(*gen.model, is);

@@ -45,7 +45,8 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
              "session: fitted dataset has no nodes — no standardization "
              "profile to serve from");
 
-  ServeConfig engine_config = config_.fleet.engine;
+  FleetConfig fleet_config = config_.fleet;
+  ServeConfig& engine_config = fleet_config.engine;
   engine_config.retrainer = nullptr;
   engine_config.store_writer = nullptr;
 
@@ -79,17 +80,7 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
     engine_config.store_writer = store_writer_.get();
   }
 
-  if (config_.fleet.shards > 1) {
-    FleetConfig fleet_config = config_.fleet;
-    fleet_config.engine = engine_config;
-    fleet_ = std::make_unique<FleetEngine>(sentry, fleet_config);
-    backend_ = fleet_.get();
-  } else {
-    // One shard = the historic single-engine path: no ring, no worker
-    // thread, bit-for-bit what pre-fleet deployments ran.
-    engine_ = std::make_unique<ServeEngine>(sentry, engine_config);
-    backend_ = engine_.get();
-  }
+  fleet_ = std::make_unique<FleetEngine>(sentry, fleet_config);
 }
 
 ServeSession::~ServeSession() {
@@ -117,7 +108,7 @@ ReplayReport ServeSession::run() {
     };
   }
 
-  ReplayReport report = serve_replay(*backend_, *dataset_, train_end_, replay);
+  ReplayReport report = serve_replay(*fleet_, *dataset_, train_end_, replay);
   if (retrainer_) retrainer_->stop();
   if (!config_.metrics.out_prefix.empty())
     obs::write_metrics_files(*registry, config_.metrics.out_prefix);
@@ -125,7 +116,7 @@ ReplayReport ServeSession::run() {
 }
 
 void ServeSession::save_generations(const std::string& dir) {
-  backend_->checkpoint((std::filesystem::path(dir) / "generations").string());
+  fleet_->checkpoint((std::filesystem::path(dir) / "generations").string());
 }
 
 }  // namespace ns

@@ -6,13 +6,12 @@
 // config — fleet (with its engine template) + generations + store +
 // replay + metrics — with one validate() that cross-checks the knobs
 // BEFORE any resource is built.
-// ServeSession then owns the whole serving phase: it constructs the right
-// backend (a lone ServeEngine for shards == 1; a FleetEngine otherwise),
-// the generation registry every backend scores through (plus the optional
-// background retrainer), and the store writer, wires them together,
-// replays the dataset, and tears everything down in order. The CLI, the
-// replay harness and tests all construct the same struct instead of
-// re-implementing the wiring.
+// ServeSession then owns the whole serving phase: it constructs the
+// FleetEngine backend (one shard by default), the generation registry it
+// scores through (plus the optional background retrainer), and the store
+// writer, wires them together, replays the dataset, and tears everything
+// down in order. The CLI, the replay harness and tests all construct the
+// same struct instead of re-implementing the wiring.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +20,6 @@
 #include <string>
 
 #include "serve/backend.hpp"
-#include "serve/engine.hpp"
 #include "serve/fleet.hpp"
 #include "serve/replay.hpp"
 #include "serve/retrainer.hpp"
@@ -30,15 +28,14 @@
 namespace ns {
 
 struct ServeSessionConfig {
-  /// The serving backend. `fleet.shards` == 1 serves through a lone
-  /// ServeEngine (the historic single-engine path, no worker thread);
-  /// shards > 1 through a FleetEngine with one SPSC ring + worker per
-  /// shard, each ring `fleet.ring_capacity` samples. `fleet.engine` is the
-  /// template for the (shard) engine(s): threads, reorder slack, batching,
-  /// metrics registry, scoring path and G/Q (`generations`,
-  /// `consensus_quorum`). The session wires its own generation registry
-  /// (compiled in `scoring_path`), retrainer and store writer, so those
-  /// three pointers are ignored here.
+  /// The serving backend: a FleetEngine of `fleet.shards` shards, each
+  /// with one SPSC ring of `fleet.ring_capacity` samples and one worker
+  /// thread (one shard is bitwise a lone ServeEngine, DESIGN.md §14).
+  /// `fleet.engine` is the template for the shard engines: threads, reorder
+  /// slack, batching, metrics registry, scoring path and G/Q
+  /// (`generations`, `consensus_quorum`). The session wires its own
+  /// generation registry (compiled in `scoring_path`), retrainer and store
+  /// writer, so those three pointers are ignored here.
   FleetConfig fleet;
 
   /// Rolling generations (DESIGN.md §12): the session's registry has
@@ -96,12 +93,12 @@ class ServeSession {
   /// returns the report. Single-shot (drives the backend's finalize()).
   ReplayReport run();
 
-  /// The backend serving this session — ServeEngine or FleetEngine.
-  ServeBackend& backend() { return *backend_; }
-  std::size_t num_shards() const { return fleet_ ? fleet_->num_shards() : 1; }
+  /// The fleet serving this session.
+  ServeBackend& backend() { return *fleet_; }
+  std::size_t num_shards() const { return fleet_->num_shards(); }
 
   GenerationRegistry* generation_registry() {
-    return backend_->generation_registry();
+    return fleet_->generation_registry();
   }
   Retrainer* retrainer() { return retrainer_.get(); }
   /// Null unless the store was configured.
@@ -120,9 +117,7 @@ class ServeSession {
   std::unique_ptr<GenerationRegistry> registry_;
   std::unique_ptr<Retrainer> retrainer_;
   std::unique_ptr<StoreWriter> store_writer_;
-  std::unique_ptr<ServeEngine> engine_;  ///< shards == 1
-  std::unique_ptr<FleetEngine> fleet_;   ///< shards > 1
-  ServeBackend* backend_ = nullptr;
+  std::unique_ptr<FleetEngine> fleet_;
 };
 
 }  // namespace ns

@@ -115,7 +115,7 @@ TEST(BaselineThreshold, FlagsObviousSpike) {
   for (std::size_t i = 0; i < scores.size(); ++i)
     scores[i] += 0.05f * static_cast<float>(i % 7);
   for (std::size_t i = 120; i < 132; ++i) scores[i] = 25.0f;
-  const auto flags = baseline_threshold(scores, 50, 200);
+  const auto flags = baseline_threshold(scores, 50);
   bool hit = false;
   for (std::size_t i = 120; i < 132; ++i) hit = hit || flags[i];
   EXPECT_TRUE(hit);
@@ -124,7 +124,7 @@ TEST(BaselineThreshold, FlagsObviousSpike) {
 
 TEST(BaselineThreshold, QuietSeriesStaysQuiet) {
   std::vector<float> scores(200, 0.5f);
-  const auto flags = baseline_threshold(scores, 50, 200);
+  const auto flags = baseline_threshold(scores, 50);
   for (auto f : flags) EXPECT_EQ(f, 0);
 }
 

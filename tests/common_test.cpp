@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <future>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -234,60 +232,22 @@ TEST(ThreadPool, ZeroThreadRequestStillGetsAWorker) {
   EXPECT_EQ(ran.load(), 1);
 }
 
-TEST(ThreadPool, PostErrorSurfacesViaRethrowPending) {
-  ThreadPool pool(1);
-  pool.post([] { throw Error("fire and forget"); });
-  pool.post([] {});  // a clean task must not clear the pending error
-  pool.shutdown();   // drain: both posts have finished afterwards
-  EXPECT_THROW(pool.rethrow_pending(), Error);
-  pool.rethrow_pending();  // cleared by the previous rethrow
-}
-
 TEST(ThreadPool, ShutdownDrainRunsEveryQueuedTask) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
   for (int i = 0; i < 20; ++i)
-    pool.post([&counter] { counter++; });
-  const std::size_t discarded = pool.shutdown(ThreadPool::ShutdownMode::kDrain);
-  EXPECT_EQ(discarded, 0u);
+    pool.submit([&counter] { counter++; });
+  pool.shutdown();
   EXPECT_EQ(counter.load(), 20);
   EXPECT_TRUE(pool.stopped());
-}
-
-TEST(ThreadPool, ShutdownDiscardBreaksQueuedPromises) {
-  ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::promise<void> started;
-  auto running = pool.submit([&started, opened] {
-    started.set_value();
-    opened.wait();
-  });
-  started.get_future().get();  // worker is now blocked inside the task
-  std::future<void> queued = pool.submit([] {});
-  EXPECT_EQ(pool.queued(), 1u);
-
-  // Release the running task only after a beat, so shutdown() discards the
-  // queued one before the worker could ever reach it.
-  std::thread opener([&gate] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    gate.set_value();
-  });
-  const std::size_t discarded =
-      pool.shutdown(ThreadPool::ShutdownMode::kDiscard);
-  opener.join();
-  EXPECT_EQ(discarded, 1u);
-  EXPECT_NO_THROW(running.get());  // already-running tasks always complete
-  EXPECT_THROW(queued.get(), std::future_error);
 }
 
 TEST(ThreadPool, SubmitAfterShutdownThrows) {
   ThreadPool pool(1);
   pool.shutdown();
   EXPECT_THROW(pool.submit([] {}), InvalidArgument);
-  EXPECT_THROW(pool.post([] {}), InvalidArgument);
   // shutdown() is idempotent.
-  EXPECT_EQ(pool.shutdown(), 0u);
+  pool.shutdown();
 }
 
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {

@@ -272,7 +272,7 @@ TEST(ThreadPoolParallelFor, PropagatesTaskException) {
 void park_workers(ThreadPool& pool, const std::shared_future<void>& gate) {
   std::atomic<std::size_t> parked{0};
   for (std::size_t w = 0; w < pool.size(); ++w)
-    pool.post([&parked, gate] {
+    pool.submit([&parked, gate] {
       parked.fetch_add(1);
       gate.wait();
     });

@@ -1,10 +1,12 @@
-// Online serving engine tests: replay/batch equivalence, batched-vs-
-// sequential scoring, late-sample tolerance, backpressure accounting,
-// gap handling, and warm-start from a checkpoint.
+// Online serving engine tests: replay/batch equivalence (also on a segment
+// whose matching window is dead), batched-vs-sequential scoring,
+// late-sample tolerance, backpressure accounting, gap handling, and
+// warm-start from a checkpoint.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <limits>
@@ -18,6 +20,7 @@
 #include "serve/engine.hpp"
 #include "serve/replay.hpp"
 #include "sim/dataset_builder.hpp"
+#include "sim/telemetry_faults.hpp"
 
 namespace ns {
 namespace fs = std::filesystem;
@@ -95,6 +98,62 @@ TEST_F(ServeFixture, ReplayMatchesBatchDetect) {
   EXPECT_EQ(stats.segments_opened, stats.segments_closed);
   EXPECT_GT(stats.points_scored, 0u);
   EXPECT_GT(stats.batches_run, 0u);
+}
+
+// Batch and serve route a segment on its matching window alone
+// (route_segment). A segment whose first match_period ticks are a node
+// dropout, while its whole span stays above the segment gate, is
+// kInsufficientData on both paths: unscored, and counted the same.
+TEST_F(ServeFixture, DeadMatchingWindowIsInsufficientInBatchAndServe) {
+  SimDatasetConfig sim_config = d2_sim_config(0.3, 7);
+  sim_config.missing_rate = 0.0;
+  sim_config.anomaly_ratio = 0.01;
+  SimDataset sim = build_sim_dataset(sim_config);
+  const NodeSentryConfig config = fast_config();
+  const double gate = config.quality.min_segment_valid_fraction;
+  const std::vector<CoreSegment> segments =
+      test_segments(sim.data, sim.train_end, config);
+  const auto target = std::find_if(
+      segments.begin(), segments.end(), [&](const CoreSegment& seg) {
+        return (1.0 - gate) * static_cast<double>(seg.length()) >=
+               static_cast<double>(config.match_period);
+      });
+  ASSERT_NE(target, segments.end());
+  const std::vector<TelemetryFaultEvent> dropout{
+      {target->node, 0, target->begin, target->begin + config.match_period,
+       TelemetryFaultType::kNodeDropout, 1.0}};
+  apply_telemetry_faults(sim.data, dropout);
+
+  NodeSentry sentry(config);
+  sentry.fit(sim.data, sim.train_end);
+  EXPECT_GE(sentry.mask().segment_valid_fraction(target->node, target->begin,
+                                                 target->end),
+            gate);
+  const NodeSentry::DetectReport batch = sentry.detect();
+  ServeEngine engine(sentry);
+  const ReplayReport rep = serve_replay(engine, sim.data, sim.train_end);
+
+  const auto outcome = std::find_if(
+      batch.outcomes.begin(), batch.outcomes.end(),
+      [&](const SegmentOutcome& o) {
+        return o.segment.node == target->node &&
+               o.segment.begin == target->begin;
+      });
+  ASSERT_NE(outcome, batch.outcomes.end());
+  EXPECT_EQ(outcome->segment.end, target->end);
+  EXPECT_EQ(outcome->status, SegmentStatus::kInsufficientData);
+  EXPECT_EQ(outcome->valid_fraction, 0.0);
+  for (std::size_t t = target->begin; t < target->end; ++t) {
+    EXPECT_EQ(batch.detections[target->node].scores[t], 0.0f) << t;
+    EXPECT_EQ(rep.result.detections[target->node].scores[t], 0.0f) << t;
+  }
+  EXPECT_GE(batch.segments_insufficient, 1u);
+  EXPECT_EQ(rep.result.stats.segments_insufficient,
+            batch.segments_insufficient);
+  const DetectionDelta delta =
+      compare_detections(rep.result.detections, batch.detections);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);
+  EXPECT_EQ(delta.prediction_mismatches, 0u);
 }
 
 TEST_F(ServeFixture, SequentialEqualsBatchedBitwise) {
