@@ -19,6 +19,53 @@ constexpr std::size_t kMaxQlIterations = 30;
 // cache while every sample streams past once.
 constexpr std::size_t kCovRowBlock = 16;
 
+// Rows of tridiagonalize's p = A u pass that run side by side.
+constexpr std::size_t kPassRows = 4;
+
+// Rows [j, j + R) of tridiagonalize's p = A u pass over the leading i x i
+// block: row r stores u_r into row i, sums its dot product g in its own
+// column order, and adds its share to every e[k] right of it. Row r starts
+// once the rows above it added theirs to e[j + r], and each e[k] takes
+// the rows' shares in row order, so the bits are those of R passes one row
+// at a time; the R dependent add chains overlap instead of queueing. The
+// row loops unroll so each g[r] stays in a register (at -O2 GCC would
+// otherwise keep g in memory, and the chains would not overlap).
+template <std::size_t R>
+void accumulate_rows(std::vector<double>& w, std::size_t n, std::size_t i,
+                     std::size_t j, const std::vector<double>& d,
+                     std::vector<double>& e) {
+  const double* wr[R];
+  double f[R];
+  double g[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    wr[r] = w.data() + (j + r) * n;
+    f[r] = d[j + r];
+    w[i * n + j + r] = f[r];
+  }
+  g[0] = e[j] + wr[0][j] * f[0];
+  for (std::size_t s = 1; s < R; ++s) {
+    const std::size_t k = j + s;
+    double ek = e[k];
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < s; ++r) {
+      g[r] += wr[r][k] * d[k];
+      ek += wr[r][k] * f[r];
+    }
+    g[s] = ek + wr[s][k] * f[s];
+  }
+  for (std::size_t k = j + R; k < i; ++k) {
+    const double dk = d[k];
+    double ek = e[k];
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      g[r] += wr[r][k] * dk;
+      ek += wr[r][k] * f[r];
+    }
+    e[k] = ek;
+  }
+  for (std::size_t r = 0; r < R; ++r) e[j + r] = g[r];
+}
+
 // Householder reduction of the symmetric matrix in `w` (row-major n*n) to
 // tridiagonal form, the reduction half of EISPACK's tred2 as laid out in
 // JAMA. On return `d` holds the diagonal and e[1..n) the subdiagonal. For
@@ -59,18 +106,11 @@ void tridiagonalize(std::vector<double>& w, std::size_t n,
       d[i - 1] = f - g;
       std::fill(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
       // p = A u / h over the leading i x i block, read from its upper
-      // triangle.
-      for (std::size_t j = 0; j < i; ++j) {
-        const double* wj = row(j);
-        f = d[j];
-        row(i)[j] = f;
-        g = e[j] + wj[j] * f;
-        for (std::size_t k = j + 1; k < i; ++k) {
-          g += wj[k] * d[k];
-          e[k] += wj[k] * f;
-        }
-        e[j] = g;
-      }
+      // triangle, kPassRows rows at a time.
+      std::size_t j0 = 0;
+      for (; j0 + kPassRows <= i; j0 += kPassRows)
+        accumulate_rows<kPassRows>(w, n, i, j0, d, e);
+      for (; j0 < i; ++j0) accumulate_rows<1>(w, n, i, j0, d, e);
       f = 0.0;
       for (std::size_t j = 0; j < i; ++j) {
         e[j] /= h;

@@ -200,7 +200,7 @@ ServeEngine::~ServeEngine() {
 }
 
 void ServeEngine::ingest(const StreamSample& sample) {
-  NS_REQUIRE(!finalized_, "serve: ingest after finalize");
+  NS_REQUIRE(!flushed_, "serve: ingest after flush");
   NS_REQUIRE(sample.node < nodes_.size(),
              "serve: node " << sample.node << " out of range");
   Stopwatch sw;
@@ -693,9 +693,9 @@ void ServeEngine::close_segment(std::size_t node, std::size_t end) {
   ++stats_.segments_closed;
 }
 
-ServeResult ServeEngine::finalize() {
-  NS_REQUIRE(!finalized_, "serve: finalize called twice");
-  finalized_ = true;
+void ServeEngine::flush() {
+  if (flushed_) return;
+  flushed_ = true;
   // Stream is over: everything stashed is as settled as it will ever get.
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     NodeState& st = nodes_[n];
@@ -709,6 +709,12 @@ ServeResult ServeEngine::finalize() {
   for (auto& f : inflight_) f.get();
   inflight_.clear();
   drain_scored();
+}
+
+ServeResult ServeEngine::finalize() {
+  NS_REQUIRE(!finalized_, "serve: finalize called twice");
+  finalized_ = true;
+  flush();
 
   // Every committed tick is on the timeline, scored or not.
   std::size_t timeline_end = start_t_;

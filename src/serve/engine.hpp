@@ -19,25 +19,30 @@
 // staying bit-identical to scoring each chunk alone. The engine never
 // compiles a plan: the registry compiles each generation once, in the
 // engine's ScoringPath, and every shard of a fleet shares it. finalize()
-// closes open segments, drains the pool, and applies the shared
-// thresholding path (score_reference_levels / detection_flags) per
-// generation lane, then the >= Q vote — on clean data the default
-// G = Q = 1 result reproduces batch detect() (with incremental updates
-// off) within float round-off (in practice: bit-identical).
+// is flush() + assembly: flush() commits the stashes, closes open
+// segments and drains the pool; assembly applies the shared thresholding
+// path (score_reference_levels / detection_flags) per generation lane,
+// then the >= Q vote — on clean data the default G = Q = 1 result
+// reproduces batch detect() (with incremental updates off) within float
+// round-off (in practice: bit-identical).
 //
 // ServeEngine is one implementation of the ServeBackend contract
 // (serve/backend.hpp); FleetEngine (serve/fleet.hpp) shards a node
 // population across many of these behind the same contract.
 //
-// Threading contract: ingest/pump/finalize are called from one thread (the
-// collector loop); pool tasks only touch the completed-unit queue and the
-// stats block, each behind its own mutex; stats() may be polled from any
-// monitor thread (it reads only the mutex-guarded stats block and the
-// atomic obs histograms — never ingest-owned state). Scoring never runs an
-// autograd module and never mutates a model: plans are immutable, so any
-// number of forwards through one cluster model — from this engine's tasks
-// or from other fleet shards — run at the same time, with no lock between
-// them, and a task finds its plans in the snapshot it already holds.
+// Threading contract: ingest/pump/flush are called from one thread (the
+// collector loop, or a fleet shard's worker). finalize() runs there too,
+// or on another thread once that one has been joined: its flush() is then
+// a no-op, and the assembly reads only state the join published (a fleet
+// flushes every shard on its worker, then assembles on the caller). Pool
+// tasks only touch the completed-unit queue and the stats block, each
+// behind its own mutex; stats() may be polled from any monitor thread (it
+// reads only the mutex-guarded stats block and the atomic obs histograms
+// — never ingest-owned state). Scoring never runs an autograd module and
+// never mutates a model: plans are immutable, so any number of forwards
+// through one cluster model — from this engine's tasks or from other
+// fleet shards — run at the same time, with no lock between them, and a
+// task finds its plans in the snapshot it already holds.
 // Ingest never blocks on scoring, and it does not shed load either:
 // ingest() pumps once pump_watermark units are pending, and pump() hands
 // every pending unit to the pool. The pending queue's drop-oldest cap
@@ -184,8 +189,14 @@ class ServeEngine final : public ServeBackend {
   /// packed into batched forwards). Returns the number of units dispatched.
   std::size_t pump() override;
 
-  /// Closes all open segments, drains in-flight work, and computes final
-  /// scores + thresholded predictions. Call once, after the stream ends.
+  /// Ends the stream: commits every stashed row, closes all open segments,
+  /// dispatches their closing chunks and waits until every scored unit has
+  /// folded into the timelines. Idempotent; ingest() is rejected after it.
+  void flush();
+
+  /// flush(), then computes final scores + thresholded predictions (and
+  /// attribution planes and store batches). Call once, after the stream
+  /// ends.
   ServeResult finalize() override;
 
   /// Snapshot of the running counters (callable any time before finalize,
@@ -279,7 +290,7 @@ class ServeEngine final : public ServeBackend {
                      const StreamPreprocessor::Row& row);
   void advance_node(std::size_t node);
   /// Commits the node's oldest stashed row, which sits at its frontier
-  /// tick (advance_node, and finalize's flush after gap-filling up to it).
+  /// tick (advance_node, and flush() after gap-filling up to it).
   void commit_stashed(std::size_t node);
   void fill_gap_row(std::size_t node);
   void open_segment(std::size_t node, std::size_t t, std::int64_t job_id);
@@ -310,6 +321,7 @@ class ServeEngine final : public ServeBackend {
   /// Fitted node population: node ids at or past it borrow the profile of
   /// (id mod fitted_nodes_) for standardization (see ServeConfig::num_nodes).
   std::size_t fitted_nodes_ = 0;
+  bool flushed_ = false;
   bool finalized_ = false;
 
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -144,8 +144,9 @@ FleetEngine::FleetEngine(NodeSentry& sentry, FleetConfig config)
 
 FleetEngine::~FleetEngine() {
   // finalize() normally joins; an abandoned fleet still must not leak
-  // running threads. Errors die with the shard (destructors cannot throw).
-  closed_.store(true, std::memory_order_release);
+  // running threads, and its workers exit without flushing. Errors die
+  // with the shard (destructors cannot throw).
+  closed_.store(Close::kAbandon, std::memory_order_release);
   for (auto& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
 }
@@ -175,43 +176,43 @@ void FleetEngine::ingest(const StreamSample& sample) {
 }
 
 void FleetEngine::worker_loop(Shard& shard) {
-  StreamSample sample;
-  std::size_t idle_polls = 0;
-  const auto deliver = [&shard](StreamSample& s) {
-    // After a shard failure, keep draining (and discarding) so the
-    // producer can never wedge on a full ring; the stored error resurfaces
-    // from finalize().
+  // Runs one engine call unless the shard already failed. After a failure
+  // the worker keeps draining (and discarding) so the producer can never
+  // wedge on a full ring; the stored error resurfaces from finalize().
+  const auto guarded = [&shard](auto&& call) {
     if (shard.failed.load(std::memory_order_relaxed)) return;
     try {
-      shard.engine->ingest(s);
+      call();
     } catch (...) {
       shard.error = std::current_exception();
       shard.failed.store(true, std::memory_order_release);
     }
   };
+  StreamSample sample;
+  const auto deliver = [&] {
+    guarded([&] { shard.engine->ingest(sample); });
+  };
+  std::size_t idle_polls = 0;
   while (true) {
     if (shard.ring.try_pop(sample)) {
       idle_polls = 0;
-      deliver(sample);
+      deliver();
       continue;
     }
-    if (closed_.load(std::memory_order_acquire)) {
+    const Close close = closed_.load(std::memory_order_acquire);
+    if (close != Close::kOpen) {
       // The producer stops pushing BEFORE closed_ is set, so one final
-      // drain after the acquire sees everything.
-      while (shard.ring.try_pop(sample)) deliver(sample);
+      // drain after the acquire sees everything. Then the end-of-stream
+      // work runs here, on the thread that ingested, concurrently with
+      // the other shards' flushes.
+      while (shard.ring.try_pop(sample)) deliver();
+      if (close == Close::kFlush) guarded([&] { shard.engine->flush(); });
       return;
     }
     ++idle_polls;
     if (idle_polls >= kWorkerIdlePolls) {
       idle_polls = 0;
-      if (!shard.failed.load(std::memory_order_relaxed)) {
-        try {
-          shard.engine->pump();
-        } catch (...) {
-          shard.error = std::current_exception();
-          shard.failed.store(true, std::memory_order_release);
-        }
-      }
+      guarded([&] { shard.engine->pump(); });
       // Idle shard: nap instead of burning the core other shards need.
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     } else {
@@ -223,14 +224,17 @@ void FleetEngine::worker_loop(Shard& shard) {
 ServeResult FleetEngine::finalize() {
   NS_REQUIRE(!finalized_, "fleet: finalize called twice");
   finalized_ = true;
-  closed_.store(true, std::memory_order_release);
+  // Every worker flushes its own engine after its last drain, so the
+  // shards' segment closes and closing forwards overlap.
+  closed_.store(Close::kFlush, std::memory_order_release);
   for (auto& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
   for (auto& shard : shards_)
     if (shard->failed.load(std::memory_order_acquire))
       std::rethrow_exception(shard->error);
-  // Shard finalizes run sequentially on this thread; each one fans its
-  // per-node thresholding out over the fleet's scoring pool internally.
+  // The joins published every flushed engine to this thread. Assembly
+  // (thresholding, attribution planes, store batches) runs shard by shard
+  // here, each fanning its per-node work out over the scoring pool.
   std::vector<ServeResult> results;
   results.reserve(shards_.size());
   for (auto& shard : shards_) results.push_back(shard->engine->finalize());

@@ -16,12 +16,15 @@
 // compiled once per generation, so every shard runs the same plan of a
 // cluster model at the same time without any fleet-wide lock.
 //
-// finalize() closes the rings, joins the workers, finalizes each shard,
-// and merges: detections come from each node's owner shard (the others
-// never saw its samples), counters sum, latency summaries read the shared
-// instruments. With one shard the fleet is bitwise-identical to driving a
-// lone ServeEngine: the ring preserves order, the shard engine is
-// constructed with the same config, and scoring is packing-independent.
+// finalize() closes the rings; each worker drains its ring and flushes its
+// own engine (ServeEngine::flush: commit, close, score), so the shards'
+// end-of-stream work overlaps. It then joins the workers, assembles each
+// shard's result on the calling thread, and merges: detections come from
+// each node's owner shard (the others never saw its samples), counters
+// sum, latency summaries read the shared instruments. With one shard the
+// fleet is bitwise-identical to driving a lone ServeEngine: the ring
+// preserves order, the shard engine is constructed with the same config,
+// and scoring is packing-independent.
 //
 // Backpressure: a full ingest ring makes the producer WAIT (spin, yield,
 // then short sleeps, each failed push counted in stats().ring_stalls),
@@ -103,9 +106,10 @@ class FleetEngine final : public ServeBackend {
   /// callers can pace any ServeBackend identically.
   std::size_t pump() override { return 0; }
 
-  /// Closes the rings, joins the workers (rethrowing the first shard
-  /// error, if any), finalizes every shard, and merges detections + stats
-  /// into fleet-wide views. Single-shot.
+  /// Closes the rings, lets every worker flush its shard after its last
+  /// drain, joins the workers (rethrowing the first shard error, if any),
+  /// assembles every shard's result on this thread, and merges detections
+  /// + stats into fleet-wide views. Single-shot.
   ServeResult finalize() override;
 
   /// Merged snapshot of every shard's counters (safe from any thread).
@@ -131,10 +135,14 @@ class FleetEngine final : public ServeBackend {
     std::thread worker;
     /// Set by the worker after storing `error`; the worker keeps draining
     /// its ring after a failure so the producer can never wedge on a full
-    /// ring. The error resurfaces from finalize().
+    /// ring, and skips the flush. The error resurfaces from finalize().
     std::atomic<bool> failed{false};
     std::exception_ptr error;
   };
+
+  /// What a worker does once its ring is closed and drained: flush its
+  /// engine (finalize) or just exit (an abandoned fleet's destructor).
+  enum class Close : std::uint8_t { kOpen, kFlush, kAbandon };
 
   void worker_loop(Shard& shard);
 
@@ -154,7 +162,7 @@ class FleetEngine final : public ServeBackend {
   /// outlives the engines that submit to it.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<bool> closed_{false};
+  std::atomic<Close> closed_{Close::kOpen};
   std::atomic<std::uint64_t> ring_stalls_{0};
 };
 

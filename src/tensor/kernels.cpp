@@ -110,6 +110,11 @@ template <class V>
 }
 
 #ifdef NS_X86_64
+bool cpu_has_avx2() {
+  static const bool ok = __builtin_cpu_supports("avx2");
+  return ok;
+}
+
 __attribute__((target("avx2"))) void gemm_rows_avx2(
     const float* a, const float* b, float* c, std::size_t i0, std::size_t i1,
     std::size_t k, std::size_t n) {
@@ -126,8 +131,7 @@ __attribute__((target("avx2"))) void gemm_rows_avx2(
 void gemm_rows(const float* a, const float* b, float* c, std::size_t i0,
                std::size_t i1, std::size_t k, std::size_t n) {
 #ifdef NS_X86_64
-  static const bool avx2 = __builtin_cpu_supports("avx2");
-  if (avx2) {
+  if (cpu_has_avx2()) {
     gemm_rows_avx2(a, b, c, i0, i1, k, n);
     return;
   }
@@ -1000,7 +1004,120 @@ __attribute__((target("avx2"))) void softmax_rows_avx2(const float* in,
                          static_cast<float>(1.0 / denom[r]));
   }
 }
+
+// Columns j..j+3 of 4 rows (row stride `cols`), each widened to doubles:
+// lane r of col[c] is row r's element j + c.
+__attribute__((target("avx2"), always_inline)) inline void load_columns4(
+    const float* in, std::size_t cols, std::size_t j, __m256d col[4]) {
+  __m128 c0 = _mm_loadu_ps(in + j);
+  __m128 c1 = _mm_loadu_ps(in + cols + j);
+  __m128 c2 = _mm_loadu_ps(in + 2 * cols + j);
+  __m128 c3 = _mm_loadu_ps(in + 3 * cols + j);
+  _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+  col[0] = _mm256_cvtps_pd(c0);
+  col[1] = _mm256_cvtps_pd(c1);
+  col[2] = _mm256_cvtps_pd(c2);
+  col[3] = _mm256_cvtps_pd(c3);
+}
+
+// Element j of 4 rows (row stride `cols`) as doubles, lane r = row r.
+__attribute__((target("avx2"), always_inline)) inline __m256d load_column(
+    const float* in, std::size_t cols, std::size_t j) {
+  return _mm256_set_pd(in[3 * cols + j], in[2 * cols + j], in[cols + j],
+                       in[j]);
+}
+
+// The canonical layernorm of rows [0, rows - rows % 4), bit for bit
+// layernorm_row: 4 rows side by side in double lanes, each lane summing
+// its row's mean, then its variance, in column order; then each row
+// normalizes 4 columns at a time. Built without FMA, so every lane rounds
+// the multiply, then the add, like the scalar loop. Returns the rows done.
+__attribute__((target("avx2"))) std::size_t layernorm_rows_avx2(
+    float* out, const float* x, const float* pg, const float* pb,
+    std::size_t rows, std::size_t cols, float eps, float* xhat,
+    float* inv_std) {
+  constexpr std::size_t kRows = 4;
+  const __m256d n = _mm256_set1_pd(static_cast<double>(cols));
+  std::size_t i = 0;
+  for (; i + kRows <= rows; i += kRows) {
+    const float* in = x + i * cols;
+    __m256d col[4];
+    __m256d mu = _mm256_setzero_pd();
+    std::size_t j = 0;
+    for (; j + 4 <= cols; j += 4) {
+      load_columns4(in, cols, j, col);
+      for (const __m256d& c : col) mu = _mm256_add_pd(mu, c);
+    }
+    for (; j < cols; ++j) mu = _mm256_add_pd(mu, load_column(in, cols, j));
+    mu = _mm256_div_pd(mu, n);
+    __m256d var = _mm256_setzero_pd();
+    for (j = 0; j + 4 <= cols; j += 4) {
+      load_columns4(in, cols, j, col);
+      for (const __m256d& c : col) {
+        const __m256d d = _mm256_sub_pd(c, mu);
+        var = _mm256_add_pd(var, _mm256_mul_pd(d, d));
+      }
+    }
+    for (; j < cols; ++j) {
+      const __m256d d = _mm256_sub_pd(load_column(in, cols, j), mu);
+      var = _mm256_add_pd(var, _mm256_mul_pd(d, d));
+    }
+    var = _mm256_div_pd(var, n);
+    const __m256d istd = _mm256_div_pd(
+        _mm256_set1_pd(1.0),
+        _mm256_sqrt_pd(_mm256_add_pd(var, _mm256_set1_pd(eps))));
+    alignas(32) double mus[kRows];
+    alignas(32) double istds[kRows];
+    _mm256_store_pd(mus, mu);
+    _mm256_store_pd(istds, istd);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const float* row = in + r * cols;
+      float* o = out + (i + r) * cols;
+      float* xh = xhat != nullptr ? xhat + (i + r) * cols : nullptr;
+      if (inv_std != nullptr) inv_std[i + r] = static_cast<float>(istds[r]);
+      const __m256d m = _mm256_set1_pd(mus[r]);
+      const __m256d s = _mm256_set1_pd(istds[r]);
+      for (j = 0; j + 4 <= cols; j += 4) {
+        const __m128 h = _mm256_cvtpd_ps(_mm256_mul_pd(
+            _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(row + j)), m), s));
+        if (xh != nullptr) _mm_storeu_ps(xh + j, h);
+        _mm_storeu_ps(o + j, _mm_add_ps(_mm_mul_ps(h, _mm_loadu_ps(pg + j)),
+                                        _mm_loadu_ps(pb + j)));
+      }
+      for (; j < cols; ++j) {
+        const float h = static_cast<float>((row[j] - mus[r]) * istds[r]);
+        if (xh != nullptr) xh[j] = h;
+        o[j] = h * pg[j] + pb[j];
+      }
+    }
+  }
+  return i;
+}
 #endif  // NS_X86_64
+
+// The canonical layernorm of one row: mean and variance summed in double,
+// in column order. `xhat` (the row's normalized values) and `inv_std` (its
+// 1/std slot) may be null.
+void layernorm_row(float* out, const float* in, const float* pg,
+                   const float* pb, std::size_t cols, float eps, float* xhat,
+                   float* inv_std) {
+  double mu = 0.0;
+  for (std::size_t j = 0; j < cols; ++j) mu += in[j];
+  mu /= static_cast<double>(cols);
+  double var = 0.0;
+  for (std::size_t j = 0; j < cols; ++j) {
+    const double d = in[j] - mu;
+    var += d * d;
+  }
+  var /= static_cast<double>(cols);
+  const double istd = 1.0 / std::sqrt(var + eps);
+  if (inv_std != nullptr) *inv_std = static_cast<float>(istd);
+  for (std::size_t j = 0; j < cols; ++j) {
+    const float xh = static_cast<float>((in[j] - mu) * istd);
+    if (xhat != nullptr) xhat[j] = xh;
+    out[j] = xh * pg[j] + pb[j];
+  }
+}
 
 // The canonical softmax of one row on CPUs without AVX2 and FMA: max-shifted
 // libm exp, denominator accumulated in double. `out` may alias `in`.
@@ -1326,26 +1443,18 @@ void layernorm_rows_into(Tensor& dst, const Tensor& x, const Tensor& gain,
     return;
   }
 #endif
-  for (std::size_t i = 0; i < rows; ++i) {
-    const float* in = x.data() + i * cols;
-    float* out = dst.data() + i * cols;
-    double mu = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) mu += in[j];
-    mu /= static_cast<double>(cols);
-    double var = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) {
-      const double d = in[j] - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(cols);
-    const double istd = 1.0 / std::sqrt(var + eps);
-    if (inv_std != nullptr) inv_std->data()[i] = static_cast<float>(istd);
-    for (std::size_t j = 0; j < cols; ++j) {
-      const float xh = static_cast<float>((in[j] - mu) * istd);
-      if (xhat != nullptr) xhat->data()[i * cols + j] = xh;
-      out[j] = xh * pg[j] + pb[j];
-    }
-  }
+  float* px = xhat != nullptr ? xhat->data() : nullptr;
+  float* ps = inv_std != nullptr ? inv_std->data() : nullptr;
+  std::size_t i = 0;
+#ifdef NS_X86_64
+  if (cpu_has_avx2())
+    i = layernorm_rows_avx2(dst.data(), x.data(), pg, pb, rows, cols, eps, px,
+                            ps);
+#endif
+  for (; i < rows; ++i)
+    layernorm_row(dst.data() + i * cols, x.data() + i * cols, pg, pb, cols,
+                  eps, px != nullptr ? px + i * cols : nullptr,
+                  ps != nullptr ? ps + i : nullptr);
 }
 
 void block_attention_into(Tensor& out, const Tensor& q, const Tensor& k,
@@ -1398,14 +1507,23 @@ void block_attention_into(Tensor& out, const Tensor& q, const Tensor& k,
 Tensor Workspace::acquire(const Shape& shape) {
   std::size_t numel = shape.empty() ? 0 : 1;
   for (std::size_t d : shape) numel *= d;
+  if (numel == 0) return Tensor(shape);
+  // Best fit: the smallest pooled storage that holds `numel` (the most
+  // recently released among equals), so variable-length forwards reuse
+  // buffers instead of allocating and zero-filling fresh ones.
+  std::size_t best = pool_.size();
   for (std::size_t i = pool_.size(); i > 0; --i) {
-    if (pool_[i - 1].numel() != numel) continue;
-    Tensor t = std::move(pool_[i - 1]);
-    pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(i - 1));
-    ++reuse_count_;
-    return t.shape() == shape ? t : t.reshape(shape);
+    const std::size_t cap = pool_[i - 1].capacity();
+    if (cap < numel) continue;
+    if (best == pool_.size() || cap < pool_[best].capacity()) best = i - 1;
+    if (cap == numel) break;
   }
-  return Tensor(shape);
+  if (best == pool_.size()) return Tensor(shape);
+  Tensor t = std::move(pool_[best]);
+  pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(best));
+  ++reuse_count_;
+  t.reshape_in_place(shape);
+  return t;
 }
 
 Tensor Workspace::acquire_zero(const Shape& shape) {

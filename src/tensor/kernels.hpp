@@ -157,13 +157,13 @@ void layernorm_rows_into(Tensor& dst, const Tensor& x, const Tensor& gain,
                          Tensor* xhat = nullptr, Tensor* inv_std = nullptr);
 
 /// Arena of reusable tensor buffers for steady-state forward/backward
-/// passes. acquire() returns a tensor of the requested shape, recycling a
-/// previously released buffer of the same element count when available
-/// (contents unspecified); acquire_zero() additionally clears it. release()
-/// returns a buffer to the pool only when its storage is unshared — a
-/// buffer whose storage escaped (e.g. into an autograd graph) is simply
-/// dropped, so recycling can never alias live data. Not thread-safe: use
-/// one Workspace per module or per thread.
+/// passes. acquire() returns a tensor of the requested shape, recycling the
+/// smallest released buffer whose storage holds that many elements,
+/// re-shaped in place (contents unspecified); acquire_zero() additionally
+/// clears it. release() returns a buffer to the pool only when its storage
+/// is unshared — a buffer whose storage escaped (e.g. into an autograd
+/// graph) is simply dropped, so recycling can never alias live data. Not
+/// thread-safe: use one Workspace per module or per thread.
 class Workspace {
  public:
   Tensor acquire(const Shape& shape);

@@ -77,17 +77,25 @@ Tensor Tensor::reshape(Shape new_shape) const {
   return out;
 }
 
+void Tensor::reshape_in_place(Shape new_shape) {
+  const std::size_t numel = shape_numel(new_shape);
+  NS_REQUIRE(numel <= capacity(),
+             "reshape_in_place " << shape_to_string(new_shape)
+                                 << " exceeds capacity " << capacity());
+  NS_REQUIRE(storage_unique(), "reshape_in_place on shared storage");
+  shape_ = std::move(new_shape);
+  numel_ = numel;
+}
+
 Tensor Tensor::clone() const {
   Tensor out;
   out.shape_ = shape_;
   out.numel_ = numel_;
-  out.storage_ = std::make_shared<std::vector<float>>(*storage_);
+  out.storage_ = std::make_shared<std::vector<float>>(data(), data() + numel_);
   return out;
 }
 
-void Tensor::fill(float value) {
-  std::fill(storage_->begin(), storage_->end(), value);
-}
+void Tensor::fill(float value) { std::fill_n(data(), numel_, value); }
 
 // ----------------------------------------------------------------- free ops
 // Allocating wrappers over the `_into` kernels in tensor/kernels.cpp. Kept

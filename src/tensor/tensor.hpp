@@ -79,6 +79,15 @@ class Tensor {
   /// O(1) reshape sharing storage. numel must be preserved.
   Tensor reshape(Shape new_shape) const;
 
+  /// Elements the storage holds: numel(), unless reshape_in_place gave
+  /// this buffer a smaller shape.
+  std::size_t capacity() const { return storage_->size(); }
+
+  /// Gives this tensor any shape whose numel fits capacity(), keeping its
+  /// storage (contents unspecified). Workspace's recycling primitive; the
+  /// storage must not be shared.
+  void reshape_in_place(Shape new_shape);
+
   /// Deep copy.
   Tensor clone() const;
 

@@ -334,6 +334,48 @@ TEST_F(ScoringPlanTest, CanonicalPlanIsBitwiseForwardBlocked) {
   }
 }
 
+// One Workspace reused across a sweep of row counts, up and down as
+// variable-length forwards arrive, hands each forward recycled buffers
+// larger than it asked for; every output must still be byte-identical to
+// the same forward on a fresh Workspace, on every scoring path.
+TEST_F(ScoringPlanTest, ReusedWorkspaceForwardsEqualFreshOnesBytewise) {
+  Rng rng(71);
+  TransformerConfig top2 = small_config();
+  top2.top_k = 2;
+  const TransformerReconstructor model(top2, rng);
+  const std::vector<std::size_t> sweep = {96, 1,  37, 2,  95, 48, 3,
+                                          96, 17, 64, 5,  90, 11, 33};
+  for (const ScoringPath path : {ScoringPath::kStrict, ScoringPath::kRelaxed,
+                                 ScoringPath::kQuantized}) {
+    SCOPED_TRACE(static_cast<int>(path));
+    const ScoringPlan plan = ScoringPlan::compile(model, path);
+    Workspace reused;
+    for (const std::size_t T : sweep) {
+      SCOPED_TRACE(T);
+      Rng data_rng(T);
+      const Tensor x = random_matrix(T, top2.input_dim, data_rng);
+      // Blocks of up to 20 rows, so the attention scratch varies too.
+      std::vector<std::size_t> blocks, offsets, seg_ids;
+      for (std::size_t t = 0; t < T; t += 20) {
+        const std::size_t len = std::min<std::size_t>(20, T - t);
+        for (std::size_t r = 0; r < len; ++r) {
+          offsets.push_back(r);
+          seg_ids.push_back(blocks.size() % top2.max_segments);
+        }
+        blocks.push_back(len);
+      }
+      Workspace fresh;
+      const Tensor want = plan.forward(x, offsets, seg_ids, blocks, fresh);
+      const Tensor got = plan.forward(x, offsets, seg_ids, blocks, reused);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.numel() * sizeof(float)),
+                0);
+    }
+    EXPECT_GT(reused.reuse_count(), 0u);
+  }
+}
+
 TEST_F(ScoringPlanTest, RelaxedPlanMatchesModelToVectorAccuracy) {
   // fp32 plan: same math, different rounding (FMA contraction, vector exp
   // approximations) — agreement to ~1e-4 of the output scale.

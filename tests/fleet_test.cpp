@@ -1,17 +1,20 @@
 // Sharded fleet serving (DESIGN.md §14): N=1 bitwise parity with the lone
-// ServeEngine, multi-shard equivalence on clean data, consistent-hash
-// placement stability under fleet growth, fleet-stats merge == sum of
-// shard stats, one scoring pool per fleet, ServeSession config validation
-// and generation checkpoint round trip, and two race tests (run under TSan
-// via the race label): concurrent ingest/stats polling, and every shard
-// scoring through one shared cluster model at once.
+// ServeEngine, multi-shard equivalence on clean data (with attribution
+// and a store too), consistent-hash placement stability under fleet
+// growth, fleet-stats merge == sum of shard stats, one scoring pool per
+// fleet, a shard error surfacing from finalize(), ServeSession config
+// validation and generation checkpoint round trip, and two race tests (run
+// under TSan via the race label): concurrent ingest/stats polling, and
+// every shard scoring through one shared cluster model at once.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <iterator>
 #include <string>
@@ -19,7 +22,9 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "core/nodesentry.hpp"
+#include "obs/registry.hpp"
 #include "serve/engine.hpp"
 #include "serve/fleet.hpp"
 #include "serve/model_registry.hpp"
@@ -27,6 +32,9 @@
 #include "serve/session.hpp"
 #include "sim/dataset_builder.hpp"
 #include "sim/stream.hpp"
+#include "store/query.hpp"
+#include "store/store.hpp"
+#include "store/writer.hpp"
 
 namespace ns {
 namespace {
@@ -315,6 +323,138 @@ TEST_F(FleetFixture, ShardsShareOneScoringPool) {
   FleetEngine fleet(*sentry_, config);
   EXPECT_EQ(live_threads(), before + config.shards + config.engine.threads);
   fleet.finalize();
+}
+
+// Each worker flushes its own shard after its last drain. A shard whose
+// engine threw (a sample with the wrong raw width) keeps draining, skips
+// its flush and exits; the other shards flush; finalize() joins every
+// worker and rethrows the failed shard's error.
+TEST_F(FleetFixture, ShardErrorResurfacesFromFinalizeAndEveryWorkerExits) {
+  const auto live_threads = [] {
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator{}));
+  };
+  ThreadPool::global();  // scoring runs here; its workers predate `before`
+  FleetConfig config;
+  config.shards = 4;
+  const std::size_t before = live_threads();
+  FleetEngine fleet(*sentry_, config);
+  EXPECT_EQ(live_threads(), before + config.shards);
+  const std::size_t bad_node = 0;
+  const std::size_t bad_shard = fleet.placement().shard_for(bad_node);
+  TelemetryReplaySource source(sim_->data, sim_->train_end);
+  StreamSample sample;
+  std::size_t streamed = 0;
+  while (source.next(sample)) {
+    if (streamed++ == 100) {
+      StreamSample bad = sample;
+      bad.node = bad_node;
+      bad.values.pop_back();
+      fleet.ingest(bad);
+    }
+    fleet.ingest(sample);
+  }
+  try {
+    fleet.finalize();
+    ADD_FAILURE() << "finalize() did not rethrow the shard error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("metrics, expected"),
+              std::string::npos)
+        << e.what();
+  }
+  // finalize() joined every worker before rethrowing; give the kernel a
+  // moment to retire the exited threads.
+  for (int i = 0; i < 200 && live_threads() != before; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(live_threads(), before);
+  for (std::size_t s = 0; s < fleet.num_shards(); ++s) {
+    const ServeStats stats = fleet.shard(s).stats();
+    if (s == bad_shard) {
+      EXPECT_LT(stats.segments_closed, stats.segments_opened)
+          << "the failed shard must not flush";
+    } else {
+      EXPECT_EQ(stats.segments_closed, stats.segments_opened)
+          << "shard " << s << " did not flush";
+    }
+  }
+  EXPECT_THROW(fleet.ingest(sample), Error);
+}
+
+// Attribution planes and sealed anomaly bits are assembled on the caller
+// from shards that flushed on their own workers: four shards must give the
+// one-shard fleet's detections, planes and store bits, bit for bit.
+TEST_F(FleetFixture, FourShardsMatchOneShardWithAttributionAndAStore) {
+  struct Run {
+    ServeResult result;
+    std::vector<std::vector<StoreSample>> sealed;  ///< [node] served region
+  };
+  const auto run = [](std::size_t shards) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("ns_fleet_store_" + std::to_string(shards) + "_" +
+         std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    Run out;
+    {
+      obs::Registry registry;
+      StoreWriter writer(TimeSeriesStore::create(
+                             dir.string(), store_meta_from_dataset(sim_->data)),
+                         StoreWriterConfig{}, &registry);
+      FleetConfig config;
+      config.shards = shards;
+      config.engine.registry = &registry;
+      config.engine.attribution = true;
+      config.engine.store_writer = &writer;
+      FleetEngine fleet(*sentry_, config);
+      out.result = serve_replay(fleet, sim_->data, sim_->train_end).result;
+      writer.drain();
+      const StoreDelta delta = compare_detections_with_store(
+          out.result.detections, writer.store(), sim_->train_end);
+      EXPECT_GT(delta.samples_compared, 0u);
+      EXPECT_EQ(delta.flag_mismatches, 0u);
+      out.sealed.resize(sim_->data.num_nodes());
+      for (std::size_t n = 0; n < out.sealed.size(); ++n) {
+        TimeSeriesStore::Cursor cursor =
+            writer.store().range(n, sim_->train_end, out.result.timeline_end);
+        StoreSample sample;
+        while (cursor.next(sample)) out.sealed[n].push_back(sample);
+      }
+    }
+    std::filesystem::remove_all(dir);
+    return out;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+
+  expect_bitwise_equal(four.result.detections, one.result.detections);
+  ASSERT_TRUE(one.result.attribution.enabled());
+  ASSERT_TRUE(four.result.attribution.enabled());
+  ASSERT_EQ(four.result.attribution.num_metrics,
+            one.result.attribution.num_metrics);
+  ASSERT_EQ(four.result.attribution.contrib.size(),
+            one.result.attribution.contrib.size());
+  for (std::size_t n = 0; n < one.result.attribution.contrib.size(); ++n) {
+    const std::vector<float>& a = four.result.attribution.contrib[n];
+    const std::vector<float>& b = one.result.attribution.contrib[n];
+    ASSERT_EQ(a.size(), b.size()) << "node " << n;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "node " << n;
+  }
+  std::size_t flagged = 0;
+  for (std::size_t n = 0; n < one.sealed.size(); ++n) {
+    ASSERT_EQ(four.sealed[n].size(), one.sealed[n].size()) << "node " << n;
+    ASSERT_FALSE(one.sealed[n].empty()) << "node " << n;
+    for (std::size_t i = 0; i < one.sealed[n].size(); ++i) {
+      const StoreSample& a = four.sealed[n][i];
+      const StoreSample& b = one.sealed[n][i];
+      ASSERT_EQ(a.t, b.t) << "node " << n;
+      ASSERT_EQ(a.anomaly, b.anomaly) << "node " << n << " t " << a.t;
+      ASSERT_EQ(a.valid, b.valid) << "node " << n << " t " << a.t;
+      flagged += b.anomaly ? 1 : 0;
+    }
+  }
+  EXPECT_GT(flagged, 0u);
 }
 
 TEST_F(FleetFixture, SessionRunsAFleetAndMatchesTheSingleEngine) {

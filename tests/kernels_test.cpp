@@ -13,6 +13,7 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -238,6 +239,78 @@ TEST(Workspace, AcquireZeroClearsRecycledBuffer) {
   ws.release(std::move(t));
   Tensor z = ws.acquire_zero(Shape{4});
   for (float v : z.flat()) EXPECT_EQ(v, 0.0f);
+}
+
+TEST(Workspace, ServesTheSmallestPooledBufferThatFits) {
+  Workspace ws;
+  Tensor big = ws.acquire(Shape{10, 10});
+  Tensor mid = ws.acquire(Shape{6, 10});
+  Tensor small = ws.acquire(Shape{2, 3});
+  const float* p_big = big.data();
+  const float* p_mid = mid.data();
+  const float* p_small = small.data();
+  ws.release(std::move(big));
+  ws.release(std::move(mid));
+  ws.release(std::move(small));
+  // 50 elements fit the 60 and the 100: the 60 wins, re-shaped in place.
+  Tensor a = ws.acquire(Shape{5, 10});
+  EXPECT_EQ(a.shape(), (Shape{5, 10}));
+  EXPECT_EQ(a.numel(), 50u);
+  EXPECT_EQ(a.capacity(), 60u);
+  EXPECT_EQ(a.data(), p_mid);
+  Tensor b = ws.acquire(Shape{7, 10});  // only the 100 fits
+  EXPECT_EQ(b.data(), p_big);
+  EXPECT_EQ(b.shape(), (Shape{7, 10}));
+  Tensor c = ws.acquire(Shape{4});
+  EXPECT_EQ(c.data(), p_small);
+  EXPECT_EQ(ws.pooled(), 0u);
+  EXPECT_EQ(ws.reuse_count(), 3u);
+  Tensor d = ws.acquire(Shape{20, 10});  // nothing pooled: fresh storage
+  EXPECT_NE(d.data(), p_big);
+  EXPECT_NE(d.data(), p_mid);
+  EXPECT_NE(d.data(), p_small);
+  EXPECT_EQ(d.capacity(), d.numel());
+  // A recycled buffer's spare capacity is invisible: fill, clone and
+  // acquire_zero touch numel() elements, and a clone holds only those.
+  const Tensor a_copy = a.clone();
+  EXPECT_EQ(a_copy.capacity(), a_copy.numel());
+  ws.release(std::move(a));
+  Tensor z = ws.acquire_zero(Shape{3, 3});
+  EXPECT_EQ(z.data(), p_mid);
+  for (const float v : z.flat()) EXPECT_EQ(v, 0.0f);
+}
+
+// A random acquire/release walk: every acquired tensor has the requested
+// shape, and no two live tensors' storages overlap.
+TEST(Workspace, AcquiredBuffersNeverAliasALiveBuffer) {
+  Workspace ws;
+  Rng rng(5);
+  std::vector<Tensor> live;
+  for (int step = 0; step < 2000; ++step) {
+    if (!live.empty() && rng.uniform() < 0.45) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(live.size()) - 1));
+      ws.release(std::move(live[i]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      continue;
+    }
+    const Shape shape{static_cast<std::size_t>(rng.uniform_int(1, 40)),
+                      static_cast<std::size_t>(rng.uniform_int(1, 12))};
+    Tensor t = ws.acquire(shape);
+    ASSERT_EQ(t.shape(), shape);
+    ASSERT_EQ(t.numel(), shape[0] * shape[1]);
+    ASSERT_GE(t.capacity(), t.numel());
+    ASSERT_TRUE(t.storage_unique());
+    const float* begin = t.data();
+    const float* end = begin + t.capacity();
+    for (const Tensor& other : live) {
+      const float* o_begin = other.data();
+      const float* o_end = o_begin + other.capacity();
+      ASSERT_TRUE(end <= o_begin || o_end <= begin) << "step " << step;
+    }
+    live.push_back(std::move(t));
+  }
+  EXPECT_GT(ws.reuse_count(), 0u);
 }
 
 TEST(ThreadPoolParallelFor, CoversEveryIndexExactlyOnce) {
@@ -652,6 +725,81 @@ TEST(GeluInto, ForwardAndBackwardMatchLibmLoopsBitwise) {
     check(std::vector<float>(windows.end() - static_cast<std::ptrdiff_t>(n),
                              windows.end()));
   check(specials);
+}
+
+// The canonical layernorm's scalar row loop, verbatim: the reference for
+// layernorm_rows_into's 4-rows-at-a-time path.
+void reference_layernorm(Tensor& dst, const Tensor& x, const Tensor& gain,
+                         const Tensor& bias, float eps, Tensor* xhat,
+                         Tensor* inv_std) {
+  const std::size_t rows = x.size(0), cols = x.size(1);
+  dst = Tensor(x.shape());
+  if (xhat != nullptr) *xhat = Tensor(x.shape());
+  if (inv_std != nullptr) *inv_std = Tensor(Shape{rows});
+  const float* pg = gain.data();
+  const float* pb = bias.data();
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* in = x.data() + i * cols;
+    float* out = dst.data() + i * cols;
+    double mu = 0.0;
+    for (std::size_t j = 0; j < cols; ++j) mu += in[j];
+    mu /= static_cast<double>(cols);
+    double var = 0.0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double d = in[j] - mu;
+      var += d * d;
+    }
+    var /= static_cast<double>(cols);
+    const double istd = 1.0 / std::sqrt(var + eps);
+    if (inv_std != nullptr) inv_std->data()[i] = static_cast<float>(istd);
+    for (std::size_t j = 0; j < cols; ++j) {
+      const float xh = static_cast<float>((in[j] - mu) * istd);
+      if (xhat != nullptr) xhat->data()[i * cols + j] = xh;
+      out[j] = xh * pg[j] + pb[j];
+    }
+  }
+}
+
+TEST(LayernormRowsInto, MatchesScalarRowLoopBitwise) {
+  // Widths 24 and 36 are the model's; 1, 5 and 7 run the column tails.
+  // Row counts that are not a multiple of 4 run the scalar row tail.
+  for (const std::size_t cols : {24, 36, 1, 5, 7}) {
+    for (const std::size_t rows : {1, 2, 3, 4, 5, 7, 8, 13, 97}) {
+      SCOPED_TRACE("rows " + std::to_string(rows) + ", cols " +
+                   std::to_string(cols));
+      Tensor x = random_tensor(Shape{rows, cols},
+                               static_cast<unsigned>(31 * rows + cols));
+      // Rows with their own offset and spread. Every third row sits on a
+      // large offset with a spread of a few float ulps, so the output
+      // bits depend on the last bits of the double mean and variance, not
+      // only on their float roundings. The last row is constant: variance
+      // 0, 1/std = 1/sqrt(eps).
+      for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j) {
+          float& v = x.data()[i * cols + j];
+          if (i + 1 == rows && rows > 1)
+            v = 2.5f;
+          else if (i % 3 == 2)
+            v = 1000.0f * static_cast<float>(1 + i % 4) + 1e-4f * v;
+          else
+            v = v * static_cast<float>(1 + i % 5) +
+                0.37f * static_cast<float>(i);
+        }
+      const Tensor gain = random_tensor(Shape{cols}, 7);
+      const Tensor bias = random_tensor(Shape{cols}, 8);
+      Tensor y, xhat, inv_std;
+      layernorm_rows_into(y, x, gain, bias, 1e-5f, &xhat, &inv_std);
+      Tensor y_ref, xhat_ref, inv_std_ref;
+      reference_layernorm(y_ref, x, gain, bias, 1e-5f, &xhat_ref,
+                          &inv_std_ref);
+      EXPECT_TRUE(bitwise_equal(y, y_ref));
+      EXPECT_TRUE(bitwise_equal(xhat, xhat_ref));
+      EXPECT_TRUE(bitwise_equal(inv_std, inv_std_ref));
+      Tensor y_only;
+      layernorm_rows_into(y_only, x, gain, bias);
+      EXPECT_TRUE(bitwise_equal(y_only, y_ref));
+    }
+  }
 }
 
 TEST(SoftmaxRowsInto, ZeroWidthRowsAreANoOp) {
