@@ -26,7 +26,7 @@
 #include "common/stopwatch.hpp"
 #include "core/nodesentry.hpp"
 #include "correlate/incident.hpp"
-#include "serve/engine.hpp"
+#include "serve/fleet.hpp"
 #include "serve/replay.hpp"
 #include "sim/correlated_faults.hpp"
 #include "sim/dataset_builder.hpp"
@@ -158,9 +158,10 @@ int main(int argc, char** argv) {
   sentry.fit(sim.data, sim.train_end);
 
   // ---- parity gate: attribution must not perturb detections
-  ServeEngine reference(sentry);
+  FleetEngine reference(sentry);
   const ReplayReport ref = serve_replay(reference, sim.data, sim.train_end);
-  ServeEngine attributed(sentry, ServeConfig{.attribution = true});
+  FleetEngine attributed(sentry,
+                         FleetConfig{.engine = ServeConfig{.attribution = true}});
   Stopwatch sw;
   const ReplayReport run = serve_replay(attributed, sim.data, sim.train_end);
   const double serve_seconds = sw.elapsed_s();

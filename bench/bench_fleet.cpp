@@ -6,8 +6,8 @@
 //
 // Doubles as a regression gate, twice over:
 //   1. Parity (unconditional): a 1-shard FleetEngine and a 4-shard
-//      FleetEngine must both reproduce the lone ServeEngine's detections
-//      bitwise on clean data.
+//      FleetEngine must both reproduce batch detect()'s detections
+//      bitwise on clean data (incremental updates off).
 //   2. Scaling: with >= 8 hardware threads, 8 shards must sustain >= 3x
 //      the 1-shard throughput. On smaller machines (this includes 1-core
 //      CI boxes, where no thread layout can beat sequential) the gate
@@ -24,7 +24,6 @@
 
 #include "common/stopwatch.hpp"
 #include "core/nodesentry.hpp"
-#include "serve/engine.hpp"
 #include "serve/fleet.hpp"
 #include "serve/replay.hpp"
 #include "sim/dataset_builder.hpp"
@@ -132,9 +131,8 @@ int main(int argc, char** argv) {
   sentry.fit(sim.data, sim.train_end);
   const std::size_t base_nodes = sim.data.num_nodes();
 
-  // ---- parity gate (unconditional): fleet bits == lone-engine bits
-  ServeEngine lone(sentry);
-  const ReplayReport reference = serve_replay(lone, sim.data, sim.train_end);
+  // ---- parity gate (unconditional): fleet bits == batch detect() bits
+  const NodeSentry::DetectReport reference = sentry.detect();
   bool parity_ok = true;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     FleetConfig config;
@@ -142,8 +140,8 @@ int main(int argc, char** argv) {
     FleetEngine fleet(sentry, config);
     const ReplayReport rep = serve_replay(fleet, sim.data, sim.train_end);
     const bool same =
-        bitwise_equal(rep.result.detections, reference.result.detections);
-    std::printf("parity: %zu-shard fleet vs ServeEngine: %s\n", shards,
+        bitwise_equal(rep.result.detections, reference.detections);
+    std::printf("parity: %zu-shard fleet vs batch detect(): %s\n", shards,
                 same ? "bitwise identical" : "MISMATCH");
     parity_ok = parity_ok && same;
   }
@@ -212,8 +210,8 @@ int main(int argc, char** argv) {
   }
 
   if (!parity_ok) {
-    std::fprintf(stderr, "FAIL: fleet detections diverge from the "
-                         "single-engine reference\n");
+    std::fprintf(stderr, "FAIL: fleet detections diverge from batch "
+                         "detect()\n");
     return 1;
   }
   if (speedup < threshold) {

@@ -1,8 +1,8 @@
 // Generation-registry bench (DESIGN.md §12): publish (hot-swap) latency
 // under concurrent snapshot load, consensus scoring cost as G grows
 // (G = 2, 3 as ratios to the default G = 1), and chaos-suite detection
-// quality (FP rate / recall) for the default one-generation engine vs
-// consensus-of-3 serving. Writes BENCH_generations.json (--json=<path>).
+// quality (FP rate / recall) for the default one-generation fleet vs
+// consensus-of-3 serving, each through a one-shard FleetEngine. Writes BENCH_generations.json (--json=<path>).
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -18,8 +18,8 @@
 #include "common/stopwatch.hpp"
 #include "core/nodesentry.hpp"
 #include "nn/module.hpp"
+#include "serve/fleet.hpp"
 #include "serve/model_registry.hpp"
-#include "serve/engine.hpp"
 #include "serve/replay.hpp"
 #include "serve/retrainer.hpp"
 #include "sim/dataset_builder.hpp"
@@ -174,11 +174,11 @@ QualityMetrics score_quality(const SimDataset& sim,
 }
 
 double replay_seconds(NodeSentry& sentry, const SimDataset& sim,
-                      const ServeConfig& config,
+                      const FleetConfig& config,
                       std::vector<NodeDetection>* out = nullptr) {
-  ServeEngine engine(sentry, config);
+  FleetEngine fleet(sentry, config);
   Stopwatch sw;
-  ReplayReport rep = serve_replay(engine, sim.data, sim.train_end);
+  ReplayReport rep = serve_replay(fleet, sim.data, sim.train_end);
   const double seconds = sw.elapsed_s();
   if (out != nullptr) *out = std::move(rep.result.detections);
   return seconds;
@@ -204,20 +204,20 @@ int main(int argc, char** argv) {
               kPublishes, swap.p50_us, swap.p99_us, swap.max_us);
 
   // ---- scoring cost vs G (staged clone generations, same weights)
-  ServeConfig baseline;  // the default engine: G = Q = 1
-  baseline.registry = &obs;
+  FleetConfig baseline;  // the default fleet: G = Q = 1
+  baseline.engine.registry = &obs;
   replay_seconds(sentry, sim, baseline);  // warm-up (pools, allocator)
-  std::vector<ServeConfig> consensus_configs;
+  std::vector<FleetConfig> consensus_configs;
   std::vector<std::unique_ptr<GenerationRegistry>> registries;
   for (std::size_t g = 1; g <= 3; ++g) {
     registries.push_back(std::make_unique<GenerationRegistry>(
         sentry.library().size(), g, &obs));
     registries.back()->seed_from_library(sentry.library());
     stage_generations(*registries.back(), sentry, g);
-    ServeConfig config;
-    config.registry = &obs;
-    config.generations = g;
-    config.consensus_quorum = std::min<std::size_t>(g, 2);
+    FleetConfig config;
+    config.engine.registry = &obs;
+    config.engine.generations = g;
+    config.engine.consensus_quorum = std::min<std::size_t>(g, 2);
     config.generation_registry = registries.back().get();
     consensus_configs.push_back(config);
   }
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
                 per_g_seconds[g - 1], ratio_vs_g1[g - 1]);
   }
 
-  // ---- chaos-suite quality: default engine vs retrained consensus-of-3
+  // ---- chaos-suite quality: default fleet vs retrained consensus-of-3
   std::vector<NodeDetection> g1_det;
   replay_seconds(sentry, sim, baseline, &g1_det);
   const QualityMetrics g1 = score_quality(sim, g1_det);
@@ -246,12 +246,12 @@ int main(int argc, char** argv) {
   RetrainerConfig retrain_config;
   retrain_config.min_segments = 1;
   Retrainer retrainer(registry, sentry, retrain_config, &obs);
-  ServeConfig consensus;
-  consensus.registry = &obs;
-  consensus.generations = 3;
-  consensus.consensus_quorum = 3;
+  FleetConfig consensus;
+  consensus.engine.registry = &obs;
+  consensus.engine.generations = 3;
+  consensus.engine.consensus_quorum = 3;
   consensus.generation_registry = &registry;
-  consensus.retrainer = &retrainer;
+  consensus.engine.retrainer = &retrainer;
   // Two feed/retrain rounds stagger the set to three live generations,
   // then the measured replay serves through it.
   replay_seconds(sentry, sim, consensus);
@@ -263,8 +263,8 @@ int main(int argc, char** argv) {
   const QualityMetrics voted = score_quality(sim, consensus_det);
   std::printf("chaos suite: G=1 FP %.5f recall %.3f | "
               "consensus(%zu,%zu) FP %.5f recall %.3f\n",
-              g1.fp_rate, g1.recall, consensus.generations,
-              consensus.consensus_quorum, voted.fp_rate, voted.recall);
+              g1.fp_rate, g1.recall, consensus.engine.generations,
+              consensus.engine.consensus_quorum, voted.fp_rate, voted.recall);
 
   if (FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(f, "{\n");
@@ -279,9 +279,9 @@ int main(int argc, char** argv) {
                  "  \"consensus_replay_ratio_vs_g1\": [%.3f, %.3f, %.3f],\n",
                  ratio_vs_g1[0], ratio_vs_g1[1], ratio_vs_g1[2]);
     std::fprintf(f, "  \"consensus_generations\": %zu,\n",
-                 consensus.generations);
+                 consensus.engine.generations);
     std::fprintf(f, "  \"consensus_quorum\": %zu,\n",
-                 consensus.consensus_quorum);
+                 consensus.engine.consensus_quorum);
     std::fprintf(f, "  \"g1_fp_rate\": %.6f,\n", g1.fp_rate);
     std::fprintf(f, "  \"g1_recall\": %.4f,\n", g1.recall);
     std::fprintf(f, "  \"consensus_fp_rate\": %.6f,\n", voted.fp_rate);

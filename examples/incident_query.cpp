@@ -2,7 +2,7 @@
 // §15): simulate a fleet, inject *correlated* fault scenarios (a rack-level
 // network partition, a shared-FS stall hitting every node of one job), fit
 // the library on the clean training prefix, stream the test region through
-// a ServeEngine with per-metric residual attribution on, and answer the
+// a FleetEngine with per-metric residual attribution on, and answer the
 // ordered triage queries an operator asks first:
 //
 //   incident_query [--query incidents|metrics|nodes] [--scale F] [--seed N]
@@ -25,7 +25,7 @@
 
 #include "core/nodesentry.hpp"
 #include "correlate/incident.hpp"
-#include "serve/engine.hpp"
+#include "serve/fleet.hpp"
 #include "serve/replay.hpp"
 #include "sim/correlated_faults.hpp"
 #include "sim/dataset_builder.hpp"
@@ -106,8 +106,9 @@ int main(int argc, char** argv) {
   const auto fit = sentry.fit(sim.data, sim.train_end);
   std::printf("trained %zu segments -> %zu clusters in %.1f s\n",
               fit.num_segments, fit.num_clusters, fit.total_seconds);
-  ServeEngine engine(sentry, ServeConfig{.attribution = true});
-  const ReplayReport report = serve_replay(engine, sim.data, sim.train_end);
+  FleetEngine fleet(sentry,
+                    FleetConfig{.engine = ServeConfig{.attribution = true}});
+  const ReplayReport report = serve_replay(fleet, sim.data, sim.train_end);
 
   // ---- Correlate into incidents.
   IncidentConfig inc_config;

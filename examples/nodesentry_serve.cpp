@@ -30,8 +30,8 @@
 //                   fully warm restart
 //   --train-end     explicit train/test split tick for --data-dir or
 //                   --from-store runs (0 = use --train-fraction)
-//   --shards        serve through N consistent-hashed engine shards (1 =
-//                   bitwise the classic single engine)
+//   --shards        serve through N consistent-hashed engine shards (the
+//                   shard count moves no bit; default 1)
 //   --ring-capacity per-shard SPSC ingest ring capacity (samples)
 //   --speedup       pace replay at F x real time (0 = as fast as possible)
 //   --strict-replay score through the canonical model forwards (bitwise
@@ -228,10 +228,10 @@ int main(int argc, char** argv) {
   }
 
   // ---- Serve: every serving flag folds into one ServeSessionConfig; the
-  // session owns the wiring (backend, generations, retrainer, store).
+  // session owns the wiring (fleet, generations, retrainer, store).
   ServeSessionConfig session_config;
   ServeConfig& engine = session_config.fleet.engine;
-  engine.threads = static_cast<std::size_t>(
+  session_config.fleet.threads = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--threads", "0")));
   engine.max_batch_tokens = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--batch-tokens", "384")));

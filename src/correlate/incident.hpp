@@ -3,7 +3,7 @@
 // The serve pipeline flags (node, tick) points; operators triage
 // *incidents*: a leaf switch dying takes a rack with it, a parallel-FS
 // stall takes every node of a job. IncidentEngine is a pure post-finalize
-// stage over any ServeBackend's ServeResult — it never touches the scoring
+// stage over a FleetEngine's ServeResult — it never touches the scoring
 // path, so detections are bitwise identical with or without it:
 //
 //   1. extract per-node anomaly *events* (maximal runs of flagged ticks);

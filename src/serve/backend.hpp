@@ -1,30 +1,16 @@
-// ServeBackend: the one serving contract every caller programs against.
-//
-// A backend is anything that accepts a per-sample telemetry stream and
-// produces the shared §3.5 detection output: today that is the single
-// `ServeEngine` (one reorder stash, one pending queue, one scoring loop)
-// and the sharded `FleetEngine` (N engine shards behind consistent-hash
-// node placement, DESIGN.md §14). Callers — the serve CLI, the replay
-// harness, benches — must not care which one they talk to: `FleetEngine`
-// with one shard is bitwise-identical to `ServeEngine`, and the contract
-// below is everything they are allowed to touch.
-//
-// Threading contract: ingest()/pump()/finalize() are called from exactly
-// one producer thread (the collector loop); stats() may be polled from any
-// monitor thread at any time before finalize(). finalize() is single-shot
-// and ends the stream.
+// The shared §3.5 serving output: what a FleetEngine (serve/fleet.hpp, the
+// one serving front) returns from finalize() and stats(), and what its
+// ServeEngine shards (serve/engine.hpp) return to it for merging. The
+// replay harness, the incident correlator, the benches and the serve CLI
+// read these types; none of them depends on how the fleet is sharded.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "core/nodesentry.hpp"
-#include "ts/stream.hpp"
 
 namespace ns {
-
-class GenerationRegistry;
 
 struct LatencySummary {
   /// Cumulative observations over the engine's lifetime — NOT capped by
@@ -90,54 +76,15 @@ struct ResidualAttribution {
 
 struct ServeResult {
   /// Per node, aligned to [0, timeline_end) like batch detect() (zeros
-  /// before the serving start). A standalone `ServeEngine` leaves the
-  /// record of a node it never committed a row for empty, so readers
-  /// bound-check each record (compare_detections zero-pads, the incident
-  /// correlator skips). A `FleetEngine` shard's engine does this for every
-  /// node another shard owns; the fleet takes each node's record from its
-  /// owner and stretches it to the fleet-wide timeline, so fleet results
-  /// are never short.
+  /// before the serving start). A `ServeEngine` shard leaves the record of
+  /// a node it never committed a row for empty (every node another shard
+  /// owns); the fleet takes each node's record from its owner and
+  /// stretches it to the fleet-wide timeline, so fleet results are never
+  /// short.
   std::vector<NodeDetection> detections;
   std::size_t timeline_end = 0;
   ServeStats stats;
   ResidualAttribution attribution;  ///< empty unless ServeConfig::attribution
-};
-
-/// Abstract serving surface (see file comment for the contract).
-class ServeBackend {
- public:
-  virtual ~ServeBackend() = default;
-
-  /// Feeds one raw sample. Never blocks on scoring work.
-  virtual void ingest(const StreamSample& sample) = 0;
-
-  /// Nudges pending scoring work toward the workers; returns the number of
-  /// units dispatched by THIS call. Backends with their own worker threads
-  /// (the fleet) dispatch continuously and may return 0 — callers use it
-  /// as a pacing hint, never for accounting.
-  virtual std::size_t pump() = 0;
-
-  /// Closes all open segments, drains in-flight work, and computes final
-  /// scores + thresholded predictions. Single-shot: ends the stream.
-  virtual ServeResult finalize() = 0;
-
-  /// Snapshot of the running counters; safe to poll from any thread
-  /// concurrently with ingest.
-  virtual ServeStats stats() const = 0;
-
-  /// Served node population (may exceed the fitted dataset's — see
-  /// ServeConfig::num_nodes).
-  virtual std::size_t num_nodes() const = 0;
-
-  /// First serving tick (the fitted train_end).
-  virtual std::size_t start_t() const = 0;
-
-  /// The generation registry scoring reads; never null.
-  virtual GenerationRegistry* generation_registry() = 0;
-
-  /// Persists the rolling generation sets into `dir` (CRC-framed
-  /// checkpoints, DESIGN.md §12).
-  virtual void checkpoint(const std::string& dir) = 0;
 };
 
 }  // namespace ns

@@ -62,22 +62,18 @@ LatencySummary summarize_histogram(const obs::Histogram& histogram) {
 
 }  // namespace
 
-ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config,
-                         ThreadPool* pool)
+ServeEngine::ServeEngine(NodeSentry& sentry, const ServeConfig& config,
+                         ThreadPool& pool, GenerationRegistry& generations)
     : sentry_(&sentry),
       config_(config),
       preproc_(sentry.raw_metrics(), sentry.aggregation_sources(),
                sentry.kept_metrics(), &sentry.standardizer(),
                sentry.config().standardize_clip),
-      start_t_(sentry.train_end()) {
-  NS_REQUIRE(!sentry.library().empty(), "serve: library has no clusters");
-  num_metrics_ = sentry.processed().num_metrics();
-  fitted_nodes_ = sentry.processed().num_nodes();
-  // Guards the ingest-time profile mapping (sample.node % fitted_nodes_):
-  // a zero-node fitted library would divide by zero on the first sample.
-  NS_REQUIRE(fitted_nodes_ > 0,
-             "serve: fitted dataset has no nodes — no standardization "
-             "profile to serve from");
+      start_t_(sentry.train_end()),
+      num_metrics_(sentry.processed().num_metrics()),
+      fitted_nodes_(sentry.processed().num_nodes()),
+      pool_(&pool),
+      gen_registry_(&generations) {
   const std::size_t N =
       config_.num_nodes > 0 ? config_.num_nodes : fitted_nodes_;
   nodes_.resize(N);
@@ -87,31 +83,7 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config,
   }
   if (config_.attribution) contrib_.assign(N, {});
   ranges_.assign(N, {});
-  if (pool != nullptr) {
-    pool_ = pool;
-  } else if (config_.threads > 0) {
-    owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
-    pool_ = owned_pool_.get();
-  } else {
-    pool_ = &ThreadPool::global();
-  }
-  if (config_.store_writer != nullptr) {
-    const TimeSeriesStore& store = config_.store_writer->store();
-    NS_REQUIRE(store.num_nodes() == N,
-               "serve: store has " << store.num_nodes() << " nodes, engine "
-                                   << N);
-    NS_REQUIRE(store.num_metrics() == sentry.raw_metrics(),
-               "serve: store has " << store.num_metrics()
-                                   << " metrics, raw space is "
-                                   << sentry.raw_metrics());
-    // finalize() hands the writer one batch per node in one burst; a
-    // smaller bound would drop whole node histories.
-    const std::size_t bound = config_.store_writer->queue_capacity();
-    NS_REQUIRE(bound == 0 || bound >= N,
-               "serve: store writer queue_capacity " << bound << " < " << N
-                                                     << " nodes");
-    retained_.resize(N);
-  }
+  if (config_.store_writer != nullptr) retained_.resize(N);
   registry_ = config_.registry ? config_.registry : &obs::Registry::global();
   const std::vector<double> buckets = obs::default_latency_buckets();
   const std::size_t window = std::max<std::size_t>(config_.latency_reservoir, 1);
@@ -137,48 +109,8 @@ ServeEngine::ServeEngine(NodeSentry& sentry, ServeConfig config,
       ->gauge("ns_serve_kernel_tier",
               "Runtime kernel dispatch tier: 0=scalar 1=neon 2=avx2_fma")
       .set(static_cast<double>(static_cast<int>(kernel_dispatch_tier())));
-  const std::size_t G = config_.generations;
-  NS_REQUIRE(G >= 1 && G <= 8, "serve: generations " << G << " out of [1,8]");
-  NS_REQUIRE(config_.consensus_quorum >= 1 && config_.consensus_quorum <= G,
-             "serve: consensus_quorum " << config_.consensus_quorum
-                                        << " out of [1," << G << "]");
-  if (config_.generation_registry != nullptr) {
-    gen_registry_ = config_.generation_registry;
-    const std::size_t clusters = gen_registry_->num_clusters();
-    NS_REQUIRE(clusters == sentry.library().size(),
-               "serve: registry has " << clusters << " clusters, library has "
-                                      << sentry.library().size());
-    NS_REQUIRE(gen_registry_->max_generations() == G,
-               "serve: registry cap " << gen_registry_->max_generations()
-                                      << " != generations " << G);
-    NS_REQUIRE(gen_registry_->scoring_path() == config_.scoring_path,
-               "serve: registry compiles plans for scoring path "
-                   << static_cast<int>(gen_registry_->scoring_path())
-                   << ", engine scores on path "
-                   << static_cast<int>(config_.scoring_path));
-    // An external registry handed over empty gets the seed generations,
-    // same as the engine-owned path; one seeded only in part would leave
-    // clusters with nothing to score.
-    std::size_t empty = 0;
-    for (std::size_t c = 0; c < clusters; ++c)
-      if (gen_registry_->snapshot(c)->generations.empty()) ++empty;
-    NS_REQUIRE(empty == 0 || empty == clusters,
-               "serve: registry has " << empty << " of " << clusters
-                                      << " clusters without generations");
-    if (empty == clusters) gen_registry_->seed_from_library(sentry.library());
-  } else {
-    owned_gen_registry_ = std::make_unique<GenerationRegistry>(
-        sentry.library().size(), G, registry_, config_.scoring_path);
-    owned_gen_registry_->seed_from_library(sentry.library());
-    gen_registry_ = owned_gen_registry_.get();
-  }
-  // A retrainer publishing anywhere else would train generations that are
-  // never served.
-  NS_REQUIRE(config_.retrainer == nullptr ||
-                 &config_.retrainer->registry() == gen_registry_,
-             "serve: the retrainer publishes into a registry this engine "
-             "does not score through (pass it as generation_registry)");
-  lane_scores_.assign(G, std::vector<std::vector<float>>(N));
+  lane_scores_.assign(config_.generations,
+                      std::vector<std::vector<float>>(N));
   spans_.assign(N, {});
   consensus_points_counter_ =
       &registry_->counter("ns_serve_consensus_points_total",
@@ -204,6 +136,13 @@ void ServeEngine::ingest(const StreamSample& sample) {
   NS_REQUIRE(sample.node < nodes_.size(),
              "serve: node " << sample.node << " out of range");
   Stopwatch sw;
+  // Preprocess first: a malformed sample (wrong raw width) throws here,
+  // before it counts as ingested or moves the node's reorder frontier.
+  // Fleet population: node ids past the fitted count borrow the
+  // standardization profile of (id mod fitted count) — identity mapping
+  // whenever the served population is the fitted one.
+  StreamPreprocessor::Row row =
+      preproc_.process(sample.node % fitted_nodes_, sample.values);
   NodeState& st = nodes_[sample.node];
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -223,10 +162,7 @@ void ServeEngine::ingest(const StreamSample& sample) {
   st.max_seen = st.any_seen ? std::max(st.max_seen, sample.t) : sample.t;
   st.any_seen = true;
   StashedRow stashed;
-  // Fleet population: node ids past the fitted count borrow the
-  // standardization profile of (id mod fitted count) — identity mapping
-  // whenever the served population is the fitted one.
-  stashed.row = preproc_.process(sample.node % fitted_nodes_, sample.values);
+  stashed.row = std::move(row);
   stashed.job_id = sample.job_id;
   if (config_.store_writer != nullptr) stashed.raw = sample.values;
   st.stash.insert_or_assign(sample.t, std::move(stashed));
@@ -729,7 +665,7 @@ ServeResult ServeEngine::finalize() {
     result.attribution.contrib.assign(nodes_.size(), {});
   }
   // Per-node thresholding writes disjoint detection records; fan it out
-  // across the engine's pool (all scoring tasks have drained by now). A
+  // across the fleet's pool (all scoring tasks have drained by now). A
   // node that never committed a row (another fleet shard's) keeps an empty
   // record and gets no attribution plane.
   pool_->parallel_for(0, nodes_.size(), 1, [&](std::size_t n) {
@@ -843,10 +779,6 @@ void ServeEngine::consensus_node_predictions(
   }
   *out_points = points;
   *out_disagreements = disagreements;
-}
-
-void ServeEngine::checkpoint(const std::string& dir) {
-  gen_registry_->save(dir);
 }
 
 ServeStats ServeEngine::stats() const {

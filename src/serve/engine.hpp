@@ -1,4 +1,5 @@
-// Online serving engine: the long-running counterpart of NodeSentry::detect.
+// Serve engine shard: the per-node online counterpart of NodeSentry::detect,
+// built and run by a FleetEngine (serve/fleet.hpp), the one serving front.
 //
 // Samples arrive one (node, tick) at a time (ingest), are preprocessed with
 // the artifacts retained from fit()/restore(), buffered per node with
@@ -11,14 +12,14 @@
 // which the WMSE score renormalizes over (the one validity path of batch
 // detect()). pump()
 // packs queued units *across nodes* by matched cluster and submits one
-// thread-pool task per cluster; each task snapshots the cluster's model
-// generations from the GenerationRegistry (DESIGN.md §12 — by default one
-// seed generation: the fitted library model) and runs batched forwards
-// through the ScoringPlan each generation was published with
-// (block-diagonal attention), so one model pass serves many nodes while
-// staying bit-identical to scoring each chunk alone. The engine never
-// compiles a plan: the registry compiles each generation once, in the
-// engine's ScoringPath, and every shard of a fleet shares it. finalize()
+// task per cluster to the fleet's scoring pool; each task snapshots the
+// cluster's model generations from the fleet's GenerationRegistry
+// (DESIGN.md §12 — by default one seed generation: the fitted library
+// model) and runs batched forwards through the ScoringPlan each generation
+// was published with (block-diagonal attention), so one model pass serves
+// many nodes while staying bit-identical to scoring each chunk alone. The
+// engine never compiles a plan: the registry compiles each generation
+// once, in the fleet's ScoringPath, and every shard shares it. finalize()
 // is flush() + assembly: flush() commits the stashes, closes open
 // segments and drains the pool; assembly applies the shared thresholding
 // path (score_reference_levels / detection_flags) per generation lane,
@@ -26,12 +27,12 @@
 // reproduces batch detect() (with incremental updates off) within float
 // round-off (in practice: bit-identical).
 //
-// ServeEngine is one implementation of the ServeBackend contract
-// (serve/backend.hpp); FleetEngine (serve/fleet.hpp) shards a node
-// population across many of these behind the same contract.
+// The engine owns no pool and no registry and checks none of its inputs:
+// FleetEngine validates the config, the sentry, the registry and the
+// store writer once, then builds every shard from the checked parts.
 //
 // Threading contract: ingest/pump/flush are called from one thread (the
-// collector loop, or a fleet shard's worker). finalize() runs there too,
+// fleet shard's worker, or a test's own loop). finalize() runs there too,
 // or on another thread once that one has been joined: its flush() is then
 // a no-op, and the assembly reads only state the join published (a fleet
 // flushes every shard on its worker, then assembles on the caller). Pool
@@ -59,7 +60,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "core/nodesentry.hpp"
@@ -76,11 +76,10 @@ class GenerationRegistry;
 class Retrainer;
 class StoreWriter;
 
+/// Per-shard serving settings: every shard of a fleet runs with the same
+/// copy (FleetConfig::engine). The fleet-level ones — the scoring pool's
+/// size and an external generation registry — live in FleetConfig.
 struct ServeConfig {
-  /// Worker threads for batched scoring and thresholding; 0 = share the
-  /// process-global pool. A FleetEngine builds one pool of this many
-  /// workers and every shard runs on it.
-  std::size_t threads = 0;
   /// How many ticks a sample may lag behind the newest sample of its node
   /// before the gap is filled with hold-last placeholders and later
   /// arrivals for those ticks are dropped as too late.
@@ -114,7 +113,7 @@ struct ServeConfig {
   /// (the serve CLI defaults to kQuantized with --strict-replay opting
   /// back; replay/compare tooling always stays strict). The generation
   /// registry compiles every plan in this path, so an external registry
-  /// must have been constructed with it.
+  /// (FleetConfig::generation_registry) must have been constructed with it.
   ScoringPath scoring_path = ScoringPath::kStrict;
 
   // ---- fleet-scale serving (DESIGN.md §14)
@@ -129,25 +128,21 @@ struct ServeConfig {
   std::size_t num_nodes = 0;
 
   // ---- rolling generations + consensus (DESIGN.md §12)
-  /// Every engine scores through a generation registry. G: staggered model
-  /// generations per cluster (1..8; the per-point lane bitmap is a byte).
-  /// The default G = Q = 1 serves the fitted library's models through the
-  /// registry's seed generation — bitwise batch detect().
+  /// Every shard scores through the fleet's generation registry. G:
+  /// staggered model generations per cluster (1..8; the per-point lane
+  /// bitmap is a byte). The default G = Q = 1 serves the fitted library's
+  /// models through the registry's seed generation — bitwise batch
+  /// detect().
   std::size_t generations = 1;
   /// Q: a point is flagged when >= min(Q, lanes active at that point)
   /// generations flag it — the bootstrap fallback: with fewer than Q
   /// generations published yet, the ones that exist decide.
   std::size_t consensus_quorum = 1;
-  /// External generation registry shared with a Retrainer (or across fleet
-  /// shards); null makes the engine own one, seeded from the fitted
-  /// library. Its cap must equal `generations` and its path
-  /// `scoring_path`. The engine seeds it from the library when every
-  /// cluster is empty and rejects one that is only partly seeded.
-  GenerationRegistry* generation_registry = nullptr;
   /// When set, every matched closed segment's centered tokens are offered
   /// to this retrainer (bounded ring, never blocks ingest). It must publish
-  /// into the registry this engine scores through (`generation_registry`);
-  /// construction rejects any other, whose generations would never serve.
+  /// into the registry the fleet scores through
+  /// (FleetConfig::generation_registry); the fleet rejects any other,
+  /// whose generations would never serve.
   Retrainer* retrainer = nullptr;
 
   // ---- embedded time-series store (DESIGN.md §13)
@@ -158,36 +153,39 @@ struct ServeConfig {
   /// drop-oldest; never blocks the collector loop). Gap-filled placeholder
   /// rows are NOT stored: the store records what actually arrived, and
   /// reconstruction restores the holes as NaN. The writer's store must
-  /// have the engine's node count and the sentry's raw metric count, and
+  /// have the fleet's node count and the sentry's raw metric count, and
   /// its queue_capacity must be 0 or at least the node count (one batch
-  /// per node arrives in one burst).
+  /// per node arrives in one burst); the fleet checks all three.
   StoreWriter* store_writer = nullptr;
 };
 
-class ServeEngine final : public ServeBackend {
+class ServeEngine {
  public:
   /// The engine serves the library `sentry` holds after fit()/restore();
   /// `sentry` must outlive the engine, which only reads it (scoring runs
   /// the registry's compiled plans; a seed plan shares its library model's
   /// weights, so the library must not be retrained or fine-tuned while
   /// the engine serves). The serving timeline starts at sentry.train_end().
-  /// A non-null `pool` (a fleet's shared pool, which must outlive the
-  /// engine) replaces the one config.threads would pick.
-  explicit ServeEngine(NodeSentry& sentry, ServeConfig config = {},
-                       ThreadPool* pool = nullptr);
+  /// Scoring and thresholding run on `pool`; scoring reads `generations`,
+  /// which must hold at least one generation per library cluster, with
+  /// cap config.generations, compiled in config.scoring_path. Both must
+  /// outlive the engine. The engine checks none of this, nor the rest of
+  /// `config`: FleetEngine's constructor does, once for every shard.
+  ServeEngine(NodeSentry& sentry, const ServeConfig& config, ThreadPool& pool,
+              GenerationRegistry& generations);
 
-  ~ServeEngine() override;
+  ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
   /// Feeds one raw sample. Never blocks on scoring work; out-of-order
   /// samples within reorder_slack ticks are reordered transparently.
-  void ingest(const StreamSample& sample) override;
+  void ingest(const StreamSample& sample);
 
   /// Dispatches pending scoring units to the pool (grouped by cluster,
   /// packed into batched forwards). Returns the number of units dispatched.
-  std::size_t pump() override;
+  std::size_t pump();
 
   /// Ends the stream: commits every stashed row, closes all open segments,
   /// dispatches their closing chunks and waits until every scored unit has
@@ -197,21 +195,11 @@ class ServeEngine final : public ServeBackend {
   /// flush(), then computes final scores + thresholded predictions (and
   /// attribution planes and store batches). Call once, after the stream
   /// ends.
-  ServeResult finalize() override;
+  ServeResult finalize();
 
   /// Snapshot of the running counters (callable any time before finalize,
   /// from any thread — safe to poll concurrently with ingest).
-  ServeStats stats() const override;
-
-  std::size_t num_nodes() const override { return nodes_.size(); }
-  std::size_t start_t() const override { return start_t_; }
-
-  const ServeConfig& config() const { return config_; }
-  /// The generation registry scoring reads (the external one, or the
-  /// engine-owned one seeded from the library); never null.
-  GenerationRegistry* generation_registry() override { return gen_registry_; }
-  /// Saves the generation sets into `dir`.
-  void checkpoint(const std::string& dir) override;
+  ServeStats stats() const;
 
  private:
   struct OpenSegment {
@@ -324,17 +312,14 @@ class ServeEngine final : public ServeBackend {
   bool flushed_ = false;
   bool finalized_ = false;
 
-  std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
+  GenerationRegistry* gen_registry_ = nullptr;
 
-  /// Scoring state. The engine owns the registry unless an external one
-  /// was supplied. Each node keeps one score timeline per generation lane
+  /// Scoring state. Each node keeps one score timeline per generation lane
   /// (lane = gen_id % G) and the spans saying which lanes scored which
   /// points; finalize() gathers the reported scores from each span's
   /// primary lane. Pool tasks reach this state ONLY through drain_scored()
   /// (ingest thread).
-  std::unique_ptr<GenerationRegistry> owned_gen_registry_;
-  GenerationRegistry* gen_registry_ = nullptr;
   std::vector<std::vector<std::vector<float>>> lane_scores_;  ///< [G][node][t]
   std::vector<std::vector<ScoredSpan>> spans_;                ///< [node]
 

@@ -7,6 +7,8 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "serve/model_registry.hpp"
+#include "serve/retrainer.hpp"
+#include "store/writer.hpp"
 
 namespace ns {
 
@@ -82,7 +84,6 @@ ServeStats merge_shard_stats(const std::vector<ServeStats>& per_shard,
 
 ConsistentHashRing::ConsistentHashRing(std::size_t shards)
     : shards_(shards) {
-  NS_REQUIRE(shards >= 1, "fleet: ring needs >= 1 shard");
   points_.reserve(shards * kVnodesPerShard);
   for (std::size_t s = 0; s < shards; ++s)
     for (std::size_t v = 0; v < kVnodesPerShard; ++v)
@@ -102,41 +103,105 @@ std::size_t ConsistentHashRing::shard_for(std::size_t node) const {
   return it->shard;
 }
 
+void FleetConfig::validate() const {
+  NS_REQUIRE(shards >= 1, "fleet: shards must be >= 1");
+  NS_REQUIRE(ring_capacity >= 2,
+             "fleet: ring_capacity " << ring_capacity << " < 2");
+  const std::size_t G = engine.generations;
+  NS_REQUIRE(G >= 1 && G <= 8,
+             "fleet: engine.generations " << G << " out of [1,8]");
+  NS_REQUIRE(engine.consensus_quorum >= 1 && engine.consensus_quorum <= G,
+             "fleet: engine.consensus_quorum " << engine.consensus_quorum
+                                               << " out of [1," << G << "]");
+}
+
+// The config is validated before the placement ring is built from it.
 FleetEngine::FleetEngine(NodeSentry& sentry, FleetConfig config)
-    : config_(std::move(config)), ring_(config_.shards) {
-  NS_REQUIRE(config_.shards >= 1, "fleet: shards must be >= 1");
-  NS_REQUIRE(config_.ring_capacity >= 2,
-             "fleet: ring_capacity " << config_.ring_capacity << " < 2");
-  obs::Registry* registry =
-      config_.engine.registry ? config_.engine.registry
-                              : &obs::Registry::global();
-  if (config_.engine.generation_registry != nullptr) {
-    gen_registry_ = config_.engine.generation_registry;
-  } else {
-    // The shards must score through ONE generation set; give them a
-    // fleet-owned registry instead of letting each engine own a private
-    // copy.
-    owned_gen_registry_ = std::make_unique<GenerationRegistry>(
-        sentry.library().size(), config_.engine.generations, registry,
-        config_.engine.scoring_path);
-    owned_gen_registry_->seed_from_library(sentry.library());
-    gen_registry_ = owned_gen_registry_.get();
+    : config_((config.validate(), std::move(config))),
+      ring_(config_.shards),
+      start_t_(sentry.train_end()) {
+  const ServeConfig& engine = config_.engine;
+  const std::size_t clusters = sentry.library().size();
+  NS_REQUIRE(clusters > 0, "fleet: library has no clusters");
+  // Guards the shards' ingest-time profile mapping (node % fitted nodes):
+  // a zero-node fitted library would divide by zero on the first sample.
+  const std::size_t fitted_nodes = sentry.processed().num_nodes();
+  NS_REQUIRE(fitted_nodes > 0,
+             "fleet: fitted dataset has no nodes — no standardization "
+             "profile to serve from");
+  num_nodes_ = engine.num_nodes > 0 ? engine.num_nodes : fitted_nodes;
+
+  GenerationRegistry* external = config_.generation_registry;
+  std::size_t unseeded = 0;
+  if (external != nullptr) {
+    NS_REQUIRE(external->num_clusters() == clusters,
+               "fleet: registry has " << external->num_clusters()
+                                      << " clusters, library has "
+                                      << clusters);
+    NS_REQUIRE(external->max_generations() == engine.generations,
+               "fleet: registry cap " << external->max_generations()
+                                      << " != generations "
+                                      << engine.generations);
+    NS_REQUIRE(external->scoring_path() == engine.scoring_path,
+               "fleet: registry compiles plans for scoring path "
+                   << static_cast<int>(external->scoring_path())
+                   << ", shards score on path "
+                   << static_cast<int>(engine.scoring_path));
+    // One handed over empty gets the seed generations below; one seeded
+    // only in part would leave clusters with nothing to score.
+    for (std::size_t c = 0; c < clusters; ++c)
+      if (external->snapshot(c)->generations.empty()) ++unseeded;
+    NS_REQUIRE(unseeded == 0 || unseeded == clusters,
+               "fleet: registry has " << unseeded << " of " << clusters
+                                      << " clusters without generations");
   }
-  ServeConfig engine_config = config_.engine;
-  engine_config.generation_registry = gen_registry_;
+  // A retrainer publishing anywhere else would train generations that are
+  // never served.
+  NS_REQUIRE(engine.retrainer == nullptr ||
+                 &engine.retrainer->registry() == external,
+             "fleet: the retrainer publishes into a registry the fleet does "
+             "not score through (pass it as generation_registry)");
+  if (engine.store_writer != nullptr) {
+    const TimeSeriesStore& store = engine.store_writer->store();
+    NS_REQUIRE(store.num_nodes() == num_nodes_,
+               "fleet: store has " << store.num_nodes() << " nodes, fleet "
+                                   << num_nodes_);
+    NS_REQUIRE(store.num_metrics() == sentry.raw_metrics(),
+               "fleet: store has " << store.num_metrics()
+                                   << " metrics, raw space is "
+                                   << sentry.raw_metrics());
+    // finalize() hands the writer one batch per node in one burst; a
+    // smaller bound would drop whole node histories.
+    const std::size_t bound = engine.store_writer->queue_capacity();
+    NS_REQUIRE(bound == 0 || bound >= num_nodes_,
+               "fleet: store writer queue_capacity " << bound << " < "
+                                                     << num_nodes_
+                                                     << " nodes");
+  }
+
+  // The shards must score through ONE generation set: the external
+  // registry, or one the fleet owns; either is seeded here if empty.
+  if (external != nullptr) {
+    gen_registry_ = external;
+  } else {
+    owned_gen_registry_ = std::make_unique<GenerationRegistry>(
+        clusters, engine.generations, engine.registry, engine.scoring_path);
+    gen_registry_ = owned_gen_registry_.get();
+    unseeded = clusters;
+  }
+  if (unseeded == clusters) gen_registry_->seed_from_library(sentry.library());
   // One scoring pool for the whole fleet: `threads` workers beside the
   // shard workers, not `threads` per shard (0 keeps the global pool).
-  if (engine_config.threads > 0)
-    pool_ = std::make_unique<ThreadPool>(engine_config.threads);
+  if (config_.threads > 0)
+    pool_ = std::make_unique<ThreadPool>(config_.threads);
+  ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>(config_.ring_capacity);
     shard->engine =
-        std::make_unique<ServeEngine>(sentry, engine_config, pool_.get());
+        std::make_unique<ServeEngine>(sentry, engine, pool, *gen_registry_);
     shards_.push_back(std::move(shard));
   }
-  num_nodes_ = shards_.front()->engine->num_nodes();
-  start_t_ = shards_.front()->engine->start_t();
   for (auto& shard : shards_)
     shard->worker =
         std::thread([this, sh = shard.get()] { worker_loop(*sh); });

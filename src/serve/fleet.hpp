@@ -1,5 +1,6 @@
-// FleetEngine: sharded fleet-scale serving behind the ServeBackend
-// contract (DESIGN.md §14).
+// FleetEngine: the one serving front (DESIGN.md §14). The serve CLI's
+// session, the replay harness, the benches, the examples and perfbench all
+// serve through it; a one-shard fleet is the single-engine deployment.
 //
 // One collector thread ingests the whole fleet's telemetry; a consistent-
 // hash ring places each node on one of N ServeEngine shards; a lock-free
@@ -21,10 +22,16 @@
 // end-of-stream work overlaps. It then joins the workers, assembles each
 // shard's result on the calling thread, and merges: detections come from
 // each node's owner shard (the others never saw its samples), counters
-// sum, latency summaries read the shared instruments. With one shard the
-// fleet is bitwise-identical to driving a lone ServeEngine: the ring
-// preserves order, the shard engine is constructed with the same config,
-// and scoring is packing-independent.
+// sum, latency summaries read the shared instruments. The shard count
+// moves no bit: every node's samples reach one shard in stream order, and
+// scoring is packing-independent, so on clean data any fleet reproduces
+// batch detect() (incremental updates off) bit for bit.
+//
+// The constructor is where serving is validated, once for every shard:
+// FleetConfig::validate(), then the sentry (clusters, fitted nodes), an
+// external registry's shape and seeding, the retrainer's registry and the
+// store writer's shape — all before it builds a registry, a pool or a
+// shard. The shard engines repeat none of it.
 //
 // Backpressure: a full ingest ring makes the producer WAIT (spin, yield,
 // then short sleeps, each failed push counted in stats().ring_stalls),
@@ -50,7 +57,8 @@ namespace ns {
 
 /// Consistent-hash node→shard placement. Each shard projects 64 virtual
 /// points onto a 64-bit ring; a node belongs to the first point clockwise
-/// of its own hash. Growing the fleet by one shard moves ~1/(S+1) of the
+/// of its own hash. Needs shards >= 1 (FleetConfig::validate() checks it
+/// for a fleet). Growing the fleet by one shard moves ~1/(S+1) of the
 /// nodes, every one of them TO the new shard — nodes never shuffle between
 /// surviving shards, so their reorder stashes and score history stay put
 /// on resharding.
@@ -74,53 +82,71 @@ class ConsistentHashRing {
 struct FleetConfig {
   /// Engine shards (>= 1). One worker thread per shard.
   std::size_t shards = 1;
-  /// Capacity of each shard's SPSC ingest ring (rounded up to a power of
-  /// two). Sized in samples; a full ring stalls the producer.
+  /// Capacity of each shard's SPSC ingest ring (>= 2, rounded up to a
+  /// power of two). Sized in samples; a full ring stalls the producer.
   std::size_t ring_capacity = 4096;
+  /// Workers of the ONE scoring pool the fleet builds and every shard
+  /// scores and thresholds on, beside the shard workers; 0 = the
+  /// process-global pool.
+  std::size_t threads = 0;
+  /// External generation registry shared with a Retrainer (or restored
+  /// from a checkpoint); null makes the fleet own one, seeded from the
+  /// fitted library. Its cluster count must be the library's, its cap
+  /// `engine.generations` and its path `engine.scoring_path`. The fleet
+  /// seeds it from the library when every cluster is empty and rejects
+  /// one that is only partly seeded.
+  GenerationRegistry* generation_registry = nullptr;
   /// Template for every shard engine. `num_nodes` is the FLEET population
-  /// (0 = the fitted dataset's). Every shard scores through
-  /// `generation_registry` when it is set, else through one registry the
-  /// fleet owns, compiled in `scoring_path`. `threads` sizes ONE scoring
-  /// pool the fleet builds and every shard scores and thresholds on (0 =
-  /// the process-global pool); everything else passes through verbatim
+  /// (0 = the fitted dataset's); everything passes through verbatim
   /// (registry/store_writer/retrainer are already safe to share — see the
   /// file comment).
   ServeConfig engine;
+
+  /// Checks shards >= 1, ring_capacity >= 2 and
+  /// 1 <= engine.consensus_quorum <= engine.generations <= 8; throws
+  /// ns::InvalidArgument on the first violation. FleetEngine's constructor
+  /// and ServeSessionConfig::validate() call it.
+  void validate() const;
 };
 
-class FleetEngine final : public ServeBackend {
+class FleetEngine {
  public:
-  /// `sentry` must outlive the engine (same contract as ServeEngine).
-  /// Worker threads start immediately.
+  /// `sentry` must be fitted (or restored) and outlive the fleet, which
+  /// only reads it (see ServeEngine). Validates everything it is given
+  /// (file comment), then starts the worker threads.
   FleetEngine(NodeSentry& sentry, FleetConfig config = {});
-  ~FleetEngine() override;
+  ~FleetEngine();
 
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
 
   /// Routes the sample to its owner shard's ring. Never drops; spins
   /// (counted in stats().ring_stalls) when that ring is full.
-  void ingest(const StreamSample& sample) override;
+  void ingest(const StreamSample& sample);
 
-  /// No-op returning 0: the shard workers dispatch continuously. Kept so
-  /// callers can pace any ServeBackend identically.
-  std::size_t pump() override { return 0; }
+  /// No-op returning 0: the shard workers dispatch continuously. Kept only
+  /// because perfbench's serve pass still calls it.
+  std::size_t pump() { return 0; }
 
   /// Closes the rings, lets every worker flush its shard after its last
   /// drain, joins the workers (rethrowing the first shard error, if any),
   /// assembles every shard's result on this thread, and merges detections
   /// + stats into fleet-wide views. Single-shot.
-  ServeResult finalize() override;
+  ServeResult finalize();
 
   /// Merged snapshot of every shard's counters (safe from any thread).
-  ServeStats stats() const override;
+  ServeStats stats() const;
 
-  std::size_t num_nodes() const override { return num_nodes_; }
-  std::size_t start_t() const override { return start_t_; }
-  GenerationRegistry* generation_registry() override { return gen_registry_; }
-  /// Saves the fleet-shared generation sets (once — the shards share one
-  /// registry).
-  void checkpoint(const std::string& dir) override;
+  /// Served node population (may exceed the fitted dataset's — see
+  /// ServeConfig::num_nodes).
+  std::size_t num_nodes() const { return num_nodes_; }
+  /// First serving tick (the fitted train_end).
+  std::size_t start_t() const { return start_t_; }
+  /// The generation registry every shard scores through; never null.
+  GenerationRegistry* generation_registry() { return gen_registry_; }
+  /// Saves the fleet-shared generation sets into `dir` (CRC-framed
+  /// checkpoints, DESIGN.md §12).
+  void checkpoint(const std::string& dir);
 
   std::size_t num_shards() const { return shards_.size(); }
   const ConsistentHashRing& placement() const { return ring_; }
@@ -153,13 +179,13 @@ class FleetEngine final : public ServeBackend {
   bool finalized_ = false;
 
   /// The one generation registry every shard scores through: borrowed
-  /// from config.engine, or owned.
+  /// from config.generation_registry, or owned.
   std::unique_ptr<GenerationRegistry> owned_gen_registry_;
   GenerationRegistry* gen_registry_ = nullptr;
 
-  /// The scoring pool every shard shares (config.engine.threads workers);
-  /// null = the process-global pool. Declared before shards_ so it
-  /// outlives the engines that submit to it.
+  /// The scoring pool every shard shares (config.threads workers); null =
+  /// the process-global pool. Declared before shards_ so it outlives the
+  /// engines that submit to it.
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<Close> closed_{Close::kOpen};

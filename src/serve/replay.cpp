@@ -10,12 +10,7 @@
 
 namespace ns {
 
-namespace {
-/// Samples between explicit backend.pump() calls.
-constexpr std::size_t kPumpEvery = 256;
-}  // namespace
-
-ReplayReport serve_replay(ServeBackend& backend, const MtsDataset& raw,
+ReplayReport serve_replay(FleetEngine& fleet, const MtsDataset& raw,
                           std::size_t begin_t, const ReplayOptions& options) {
   NS_REQUIRE(options.speedup >= 0.0, "serve_replay: negative speedup");
   TelemetryReplaySource source(raw, begin_t, options.jitter);
@@ -25,14 +20,9 @@ ReplayReport serve_replay(ServeBackend& backend, const MtsDataset& raw,
   ReplayReport report;
   Stopwatch wall;
   StreamSample sample;
-  std::size_t since_pump = 0;
   while (source.next(sample)) {
-    backend.ingest(sample);
+    fleet.ingest(sample);
     ++report.samples_streamed;
-    if (++since_pump >= kPumpEvery) {
-      backend.pump();
-      since_pump = 0;
-    }
     if (options.progress_every > 0 && options.on_progress &&
         report.samples_streamed % options.progress_every == 0)
       options.on_progress(report.samples_streamed);
@@ -46,7 +36,7 @@ ReplayReport serve_replay(ServeBackend& backend, const MtsDataset& raw,
           ? static_cast<double>(report.samples_streamed) /
                 report.ingest_seconds
           : 0.0;
-  report.result = backend.finalize();
+  report.result = fleet.finalize();
   return report;
 }
 

@@ -1,16 +1,15 @@
-// serve_replay: streams a materialized dataset through any ServeBackend
-// (a lone ServeEngine or a sharded FleetEngine) the way a collector would
-// deliver it — per-sample, optionally jittered and paced in (accelerated)
-// real time — and finalizes the backend. This is the equivalence harness:
-// on clean data the result must reproduce batch detect() (incremental
-// updates off) within float round-off.
+// serve_replay: streams a materialized dataset through a FleetEngine the
+// way a collector would deliver it — per-sample, optionally jittered and
+// paced in (accelerated) real time — and finalizes the fleet. This is the
+// equivalence harness: on clean data the result must reproduce batch
+// detect() (incremental updates off) within float round-off.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "serve/backend.hpp"
+#include "serve/fleet.hpp"
 #include "sim/stream.hpp"
 #include "store/store.hpp"
 
@@ -36,9 +35,8 @@ struct ReplayReport {
 };
 
 /// Streams every sample of `raw` from begin_t (normally the fitted
-/// train_end) through `backend`, pumps it every 256 samples, and
-/// finalizes. Accepts any ServeBackend — single engine or fleet.
-ReplayReport serve_replay(ServeBackend& backend, const MtsDataset& raw,
+/// train_end) through `fleet` and finalizes it.
+ReplayReport serve_replay(FleetEngine& fleet, const MtsDataset& raw,
                           std::size_t begin_t,
                           const ReplayOptions& options = {});
 

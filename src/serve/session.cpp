@@ -13,18 +13,7 @@
 namespace ns {
 
 void ServeSessionConfig::validate() const {
-  NS_REQUIRE(fleet.shards >= 1, "session: fleet.shards must be >= 1");
-  NS_REQUIRE(fleet.ring_capacity >= 2,
-             "session: fleet.ring_capacity " << fleet.ring_capacity << " < 2");
-  const ServeConfig& engine = fleet.engine;
-  NS_REQUIRE(engine.generations >= 1 && engine.generations <= 8,
-             "session: fleet.engine.generations " << engine.generations
-                                                  << " out of [1,8]");
-  NS_REQUIRE(engine.consensus_quorum >= 1 &&
-                 engine.consensus_quorum <= engine.generations,
-             "session: fleet.engine.consensus_quorum "
-                 << engine.consensus_quorum << " out of [1,"
-                 << engine.generations << "]");
+  fleet.validate();
   NS_REQUIRE(replay.speedup >= 0.0, "session: negative replay speedup");
   NS_REQUIRE(metrics.every == 0 || !metrics.out_prefix.empty(),
              "session: metrics.every needs metrics.out_prefix");
@@ -37,13 +26,6 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
       train_end_(train_end),
       config_(std::move(config)) {
   config_.validate();
-  // A zero-node fitted library leaves the engines' profile mapping
-  // (sample.node % fitted nodes) with nothing to map onto; reject here,
-  // before any resource (store, registry, shard threads) is built, instead
-  // of letting the modulo blow up on the first ingested sample.
-  NS_REQUIRE(sentry.processed().num_nodes() > 0,
-             "session: fitted dataset has no nodes — no standardization "
-             "profile to serve from");
 
   FleetConfig fleet_config = config_.fleet;
   ServeConfig& engine_config = fleet_config.engine;
@@ -58,7 +40,7 @@ ServeSession::ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
   if (!config_.generations.restore_dir.empty())
     registry_->load(config_.generations.restore_dir, sentry.model_config(),
                     sentry.config().seed);
-  engine_config.generation_registry = registry_.get();
+  fleet_config.generation_registry = registry_.get();
   if (config_.generations.retrain_every_ms > 0) {
     retrainer_ = std::make_unique<Retrainer>(*registry_, sentry,
                                              config_.generations.retrainer);

@@ -7,10 +7,11 @@
 // replay + metrics — with one validate() that cross-checks the knobs
 // BEFORE any resource is built.
 // ServeSession then owns the whole serving phase: it constructs the
-// FleetEngine backend (one shard by default), the generation registry it
-// scores through (plus the optional background retrainer), and the store
-// writer, wires them together, replays the dataset, and tears everything
-// down in order. The CLI, the replay harness and tests all construct the
+// FleetEngine (one shard by default), the generation registry it scores
+// through (plus the optional background retrainer), and the store writer,
+// wires them together, replays the dataset, and tears everything down in
+// order. The fleet validates what it is handed; the session adds only the
+// checks of its own knobs. The CLI, the replay harness and tests all construct the
 // same struct instead of re-implementing the wiring.
 #pragma once
 
@@ -19,7 +20,6 @@
 #include <memory>
 #include <string>
 
-#include "serve/backend.hpp"
 #include "serve/fleet.hpp"
 #include "serve/replay.hpp"
 #include "serve/retrainer.hpp"
@@ -28,14 +28,15 @@
 namespace ns {
 
 struct ServeSessionConfig {
-  /// The serving backend: a FleetEngine of `fleet.shards` shards, each
-  /// with one SPSC ring of `fleet.ring_capacity` samples and one worker
-  /// thread (one shard is bitwise a lone ServeEngine, DESIGN.md §14).
-  /// `fleet.engine` is the template for the shard engines: threads, reorder
-  /// slack, batching, metrics registry, scoring path and G/Q
-  /// (`generations`, `consensus_quorum`). The session wires its own
-  /// generation registry (compiled in `scoring_path`), retrainer and store
-  /// writer, so those three pointers are ignored here.
+  /// The FleetEngine: `fleet.shards` shards, each with one SPSC ring of
+  /// `fleet.ring_capacity` samples and one worker thread, scoring on one
+  /// pool of `fleet.threads` workers (DESIGN.md §14). `fleet.engine` is
+  /// the template for the shard engines: reorder slack, batching, metrics
+  /// registry, scoring path and G/Q (`generations`, `consensus_quorum`).
+  /// The session wires its own generation registry (compiled in
+  /// `scoring_path`), retrainer and store writer, so
+  /// `fleet.generation_registry`, `fleet.engine.retrainer` and
+  /// `fleet.engine.store_writer` are ignored here.
   FleetConfig fleet;
 
   /// Rolling generations (DESIGN.md §12): the session's registry has
@@ -69,16 +70,17 @@ struct ServeSessionConfig {
     std::size_t every = 0;
   } metrics;
 
-  /// Cross-checks every knob; throws ns::CheckFailure with a pointed
-  /// message on the first violation. Construction-time resources (store
-  /// directories, registry checkpoints) are validated by their owners —
-  /// this is the pure-config gate.
+  /// Cross-checks every knob (the fleet's through FleetConfig::validate());
+  /// throws ns::InvalidArgument with a pointed message on the first
+  /// violation. Construction-time resources (store directories, registry
+  /// checkpoints) are validated by their owners — this is the pure-config
+  /// gate, and it runs before the session creates a store directory.
   void validate() const;
 };
 
 class ServeSession {
  public:
-  /// Builds the full serving stack (backend, registry, retrainer, store
+  /// Builds the full serving stack (fleet, registry, retrainer, store
   /// writer) for `dataset`'s test region. `sentry` must be fitted (or
   /// restored) and outlive the session; `dataset` must outlive run().
   ServeSession(NodeSentry& sentry, const MtsDataset& dataset,
@@ -89,12 +91,12 @@ class ServeSession {
   ServeSession& operator=(const ServeSession&) = delete;
 
   /// Starts the retrainer (if configured), replays the test region through
-  /// the backend, stops the retrainer, refreshes the metrics files, and
-  /// returns the report. Single-shot (drives the backend's finalize()).
+  /// the fleet, stops the retrainer, refreshes the metrics files, and
+  /// returns the report. Single-shot (drives the fleet's finalize()).
   ReplayReport run();
 
   /// The fleet serving this session.
-  ServeBackend& backend() { return *fleet_; }
+  FleetEngine& backend() { return *fleet_; }
   std::size_t num_shards() const { return fleet_->num_shards(); }
 
   GenerationRegistry* generation_registry() {

@@ -20,15 +20,14 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
-
 namespace ns {
 
 template <typename T>
 class SpscRing {
  public:
+  /// Rounds `capacity` up to a power of two, at least one slot. A fleet
+  /// asks for at least two (FleetConfig::validate() checks it).
   explicit SpscRing(std::size_t capacity) {
-    NS_REQUIRE(capacity >= 2, "SpscRing: capacity " << capacity << " < 2");
     std::size_t pow2 = 1;
     while (pow2 < capacity) pow2 <<= 1;
     slots_.resize(pow2);

@@ -1,5 +1,5 @@
-// Async front of the time-series store: the ServeEngine (or any producer)
-// enqueues per-node sample batches; one consumer thread takes every queued
+// Async front of the time-series store: the serving fleet's shard engines
+// (or any producer) enqueue per-node sample batches; one consumer thread takes every queued
 // batch at once, groups them by node and seals the groups in parallel on
 // ThreadPool::global() — one node's batches in enqueue order, so the bytes
 // on disk match a serial append. The queue is bounded and drops its
@@ -27,9 +27,9 @@ namespace ns {
 
 struct StoreWriterConfig {
   /// Bound on queued batches; past it the oldest batch is dropped. 0 =
-  /// unbounded. ServeEngine::finalize() enqueues one batch per node in one
+  /// unbounded. FleetEngine::finalize() enqueues one batch per node in one
   /// burst, so a bound below the served node count would drop whole node
-  /// histories: the engine rejects such a writer, and ServeSession raises
+  /// histories: the fleet rejects such a writer, and ServeSession raises
   /// a nonzero bound to the node count.
   std::size_t queue_capacity = 256;
 };

@@ -16,7 +16,6 @@
 #include "common/error.hpp"
 #include "core/nodesentry.hpp"
 #include "correlate/incident.hpp"
-#include "serve/engine.hpp"
 #include "serve/fleet.hpp"
 #include "serve/replay.hpp"
 #include "sim/correlated_faults.hpp"
@@ -289,12 +288,11 @@ TEST(IncidentConcurrency, ParallelBuildsAgree) {
   }
 }
 
-// A zero-node fitted library has no standardization profile: every serve
-// entry point must reject it at construction, not divide by zero on the
-// first ingested sample.
+// A zero-node fitted library has no standardization profile: the fleet,
+// the one serving front, must reject it at construction, not divide by
+// zero on the first ingested sample.
 TEST(ServeGuards, RejectsUnfittedSentryAtConstruction) {
   NodeSentry sentry{NodeSentryConfig{}};  // never fit -> zero nodes
-  EXPECT_THROW(ServeEngine engine(sentry), ns::InvalidArgument);
   EXPECT_THROW(FleetEngine fleet(sentry), ns::InvalidArgument);
 }
 
@@ -337,10 +335,11 @@ class CorrelatedFaultFixture : public ::testing::Test {
       config.incremental_updates = false;
       st->sentry = NodeSentry(config);
       st->sentry.fit(st->sim.data, st->sim.train_end);
-      ServeEngine off(st->sentry);
+      FleetEngine off(st->sentry);
       st->reference =
           serve_replay(off, st->sim.data, st->sim.train_end).result;
-      ServeEngine on(st->sentry, ServeConfig{.attribution = true});
+      FleetEngine on(st->sentry,
+                     FleetConfig{.engine = ServeConfig{.attribution = true}});
       st->attributed =
           serve_replay(on, st->sim.data, st->sim.train_end).result;
       for (const MetricMeta& meta : st->sentry.processed().metrics)
@@ -453,6 +452,7 @@ TEST_F(CorrelatedFaultFixture, GroupsInjectedScenarioIntoOneIncident) {
   EXPECT_GT(registry.counter("ns_correlate_incidents_total", "").value(), 0u);
 }
 
+// Four shards give the one-shard run's attribution planes, bit for bit.
 TEST_F(CorrelatedFaultFixture, FleetAttributionMatchesLoneEngineBitwise) {
   State& s = state();
   FleetConfig config;

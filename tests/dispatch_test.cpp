@@ -22,7 +22,7 @@
 #include "nn/scoring.hpp"
 #include "nn/transformer.hpp"
 #include "obs/registry.hpp"
-#include "serve/engine.hpp"
+#include "serve/fleet.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/replay.hpp"
 #include "sim/dataset_builder.hpp"
@@ -449,8 +449,9 @@ class DispatchServeFixture : public ::testing::Test {
   }
 
   static ServeResult replay(ScoringPath path) {
-    ServeEngine engine(*sentry_, ServeConfig{.scoring_path = path});
-    return serve_replay(engine, sim_->data, sim_->train_end).result;
+    FleetEngine fleet(*sentry_,
+                      FleetConfig{.engine = ServeConfig{.scoring_path = path}});
+    return serve_replay(fleet, sim_->data, sim_->train_end).result;
   }
 
   static SimDataset* sim_;
@@ -579,8 +580,8 @@ TEST_F(DispatchServeFixture, FlagDisagreementsOnlyInThresholdEpsilonBand) {
 // timeline per row — the reserve-to-extent policy keeps reallocations to
 // a handful per node instead of O(T).
 TEST_F(DispatchServeFixture, ScoreTimelineReallocationsBounded) {
-  ServeEngine engine(*sentry_);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetEngine fleet(*sentry_);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
   const ServeStats& stats = rep.result.stats;
   const std::size_t ticks = sim_->data.num_timestamps() - sim_->train_end;
   ASSERT_GT(ticks, 64u);
@@ -606,12 +607,14 @@ TEST_F(DispatchServeFixture,
   fs::remove_all(dir);
 
   const auto serve = [](GenerationRegistry& gens, obs::Registry& metrics) {
-    ServeEngine engine(*sentry_, ServeConfig{.registry = &metrics,
-                                             .scoring_path =
-                                                 ScoringPath::kQuantized,
-                                             .generations = 2,
-                                             .generation_registry = &gens});
-    return serve_replay(engine, sim_->data, sim_->train_end).result;
+    FleetEngine fleet(
+        *sentry_,
+        FleetConfig{.generation_registry = &gens,
+                    .engine = ServeConfig{.registry = &metrics,
+                                          .scoring_path =
+                                              ScoringPath::kQuantized,
+                                          .generations = 2}});
+    return serve_replay(fleet, sim_->data, sim_->train_end).result;
   };
   const ServeResult written = serve(registry, obs);
   const ServeResult reloaded = serve(restored, obs2);

@@ -1,6 +1,7 @@
-// Sharded fleet serving (DESIGN.md §14): N=1 bitwise parity with the lone
-// ServeEngine, multi-shard equivalence on clean data (with attribution
-// and a store too), consistent-hash placement stability under fleet
+// Sharded fleet serving (DESIGN.md §14): one- and four-shard bitwise
+// parity with batch detect() and with one shard engine fed directly on
+// clean data, four shards equal to one with
+// attribution and a store, consistent-hash placement stability under fleet
 // growth, fleet-stats merge == sum of shard stats, one scoring pool per
 // fleet, a shard error surfacing from finalize(), ServeSession config
 // validation and generation checkpoint round trip, and two race tests (run
@@ -40,7 +41,7 @@ namespace ns {
 namespace {
 
 // One fitted detector shared by the whole suite; every test builds its own
-// backend on top (serving never mutates the fitted state).
+// fleet on top (serving never mutates the fitted state).
 class FleetFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -50,16 +51,17 @@ class FleetFixture : public ::testing::Test {
     sim_ = new SimDataset(build_sim_dataset(sim_config));
     sentry_ = new NodeSentry(fast_config());
     sentry_->fit(sim_->data, sim_->train_end);
-    ServeEngine engine(*sentry_);
-    single_ = new ReplayReport(
-        serve_replay(engine, sim_->data, sim_->train_end));
+    batch_ = new NodeSentry::DetectReport(sentry_->detect());
+    single_ = new ServeResult(serve_on_one_engine());
   }
 
   static void TearDownTestSuite() {
     delete single_;
+    delete batch_;
     delete sentry_;
     delete sim_;
     single_ = nullptr;
+    batch_ = nullptr;
     sentry_ = nullptr;
     sim_ = nullptr;
   }
@@ -80,6 +82,21 @@ class FleetFixture : public ::testing::Test {
     config.seed = 99;
     config.incremental_updates = false;
     return config;
+  }
+
+  /// The whole stream served by one shard engine, built the way a fleet
+  /// builds its shards (ThreadPool::global(), a registry seeded from the
+  /// library) but fed on this thread: with it as the reference, a fleet's
+  /// placement, rings, workers and merge must add nothing to the bits.
+  static ServeResult serve_on_one_engine() {
+    GenerationRegistry generations(sentry_->library().size(), 1);
+    generations.seed_from_library(sentry_->library());
+    ServeEngine engine(*sentry_, ServeConfig{}, ThreadPool::global(),
+                       generations);
+    TelemetryReplaySource source(sim_->data, sim_->train_end);
+    StreamSample sample;
+    while (source.next(sample)) engine.ingest(sample);
+    return engine.finalize();
   }
 
   /// Bitwise comparison: serving is deterministic per node and scoring is
@@ -103,12 +120,14 @@ class FleetFixture : public ::testing::Test {
 
   static SimDataset* sim_;
   static NodeSentry* sentry_;
-  static ReplayReport* single_;  ///< the lone-ServeEngine reference run
+  static NodeSentry::DetectReport* batch_;  ///< the reference detections
+  static ServeResult* single_;  ///< one directly fed shard engine's run
 };
 
 SimDataset* FleetFixture::sim_ = nullptr;
 NodeSentry* FleetFixture::sentry_ = nullptr;
-ReplayReport* FleetFixture::single_ = nullptr;
+NodeSentry::DetectReport* FleetFixture::batch_ = nullptr;
+ServeResult* FleetFixture::single_ = nullptr;
 
 TEST_F(FleetFixture, OneShardBitwiseIdenticalToServeEngine) {
   FleetConfig config;
@@ -116,12 +135,16 @@ TEST_F(FleetFixture, OneShardBitwiseIdenticalToServeEngine) {
   FleetEngine fleet(*sentry_, config);
   const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
 
-  expect_bitwise_equal(rep.result.detections, single_->result.detections);
-  EXPECT_EQ(rep.result.timeline_end, single_->result.timeline_end);
+  // A shard fed through its ring by its own worker serves what the same
+  // engine serves fed directly, and both are batch's bits.
+  expect_bitwise_equal(rep.result.detections, single_->detections);
+  expect_bitwise_equal(rep.result.detections, batch_->detections);
+  EXPECT_EQ(rep.result.timeline_end, single_->timeline_end);
+  EXPECT_EQ(rep.result.timeline_end, sim_->data.num_timestamps());
+  EXPECT_EQ(rep.result.stats.samples_ingested, rep.samples_streamed);
   EXPECT_EQ(rep.result.stats.samples_ingested,
-            single_->result.stats.samples_ingested);
-  EXPECT_EQ(rep.result.stats.points_scored,
-            single_->result.stats.points_scored);
+            single_->stats.samples_ingested);
+  EXPECT_EQ(rep.result.stats.points_scored, single_->stats.points_scored);
   EXPECT_EQ(rep.result.stats.units_dropped, 0u);
 }
 
@@ -134,13 +157,15 @@ TEST_F(FleetFixture, MultiShardBitwiseIdenticalToServeEngine) {
 
   // Every node's samples reach its owner shard in stream order, and
   // scoring is packing-independent: four shards, same bits.
-  expect_bitwise_equal(rep.result.detections, single_->result.detections);
+  expect_bitwise_equal(rep.result.detections, single_->detections);
+  expect_bitwise_equal(rep.result.detections, batch_->detections);
+  EXPECT_EQ(rep.result.stats.samples_ingested, rep.samples_streamed);
   EXPECT_EQ(rep.result.stats.samples_ingested,
-            single_->result.stats.samples_ingested);
+            single_->stats.samples_ingested);
   EXPECT_EQ(rep.result.stats.segments_opened,
-            single_->result.stats.segments_opened);
-  EXPECT_EQ(rep.result.stats.points_scored,
-            single_->result.stats.points_scored);
+            single_->stats.segments_opened);
+  EXPECT_EQ(rep.result.stats.points_scored, single_->stats.points_scored);
+  EXPECT_EQ(rep.result.stats.units_dropped, 0u);
 }
 
 TEST_F(FleetFixture, TinyRingsStallTheProducerButLoseNothing) {
@@ -154,9 +179,8 @@ TEST_F(FleetFixture, TinyRingsStallTheProducerButLoseNothing) {
   // ring cannot absorb the replay burst, so the backoff ladder must have
   // engaged and been accounted.
   EXPECT_GT(rep.result.stats.ring_stalls, 0u);
-  EXPECT_EQ(rep.result.stats.samples_ingested,
-            single_->result.stats.samples_ingested);
-  expect_bitwise_equal(rep.result.detections, single_->result.detections);
+  EXPECT_EQ(rep.result.stats.samples_ingested, rep.samples_streamed);
+  expect_bitwise_equal(rep.result.detections, batch_->detections);
 }
 
 TEST_F(FleetFixture, StatsMergeEqualsSumOfShardStats) {
@@ -256,14 +280,14 @@ TEST_F(FleetFixture, ConcurrentIngestAndStatsPollingIsRaceFree) {
   monitor.join();
 
   EXPECT_GT(polls.load(), 0u);
-  expect_bitwise_equal(rep.result.detections, single_->result.detections);
+  expect_bitwise_equal(rep.result.detections, batch_->detections);
 }
 
 // Race harness for lock-free scoring (run under TSan via the race label):
 // with forced_k = 1 every segment scores through ONE shared cluster model,
 // so the four shards' pool tasks run forwards through it at the same time
-// with nothing serializing them. The result must still be the lone
-// engine's, bit for bit — with the default one generation and with G = 2
+// with nothing serializing them. Every copy of a node must still get batch
+// detect()'s bits for it — with the default one generation and with G = 2
 // lanes (one seeded generation).
 TEST_F(FleetFixture, OneSharedModelScoresConcurrentlyAcrossShards) {
   NodeSentryConfig config = fast_config();
@@ -274,37 +298,34 @@ TEST_F(FleetFixture, OneSharedModelScoresConcurrentlyAcrossShards) {
   // Four copies of every node, so a run has four times the forwards.
   constexpr std::size_t kCopies = 4;
   const std::size_t fitted = sim_->data.num_nodes();
-  const auto serve_copies = [&](ServeBackend& backend) {
+  const NodeSentry::DetectReport batch = sentry.detect();
+  std::vector<NodeDetection> reference;
+  for (std::size_t copy = 0; copy < kCopies; ++copy)
+    reference.insert(reference.end(), batch.detections.begin(),
+                     batch.detections.end());
+  for (const std::size_t generations : {1, 2}) {
+    SCOPED_TRACE("G = " + std::to_string(generations));
+    FleetConfig fleet_config;
+    fleet_config.shards = 4;
+    fleet_config.engine.num_nodes = fitted * kCopies;
+    // One chunk per forward, dispatched as soon as it is queued: many
+    // small same-model tasks in flight at once instead of a few big ones.
+    fleet_config.engine.max_batch_tokens = 0;
+    fleet_config.engine.pump_watermark = 1;
+    fleet_config.engine.generations = generations;
+    FleetEngine fleet(sentry, fleet_config);
     TelemetryReplaySource source(sim_->data, sim_->train_end);
     StreamSample sample;
     while (source.next(sample)) {
       for (std::size_t copy = 0; copy < kCopies; ++copy) {
         StreamSample tiled = sample;
         tiled.node = sample.node + copy * fitted;
-        backend.ingest(tiled);
+        fleet.ingest(tiled);
       }
     }
-    return backend.finalize();
-  };
-  for (const std::size_t generations : {1, 2}) {
-    SCOPED_TRACE("G = " + std::to_string(generations));
-    ServeConfig engine_config;
-    engine_config.num_nodes = fitted * kCopies;
-    // One chunk per forward, dispatched as soon as it is queued: many
-    // small same-model tasks in flight at once instead of a few big ones.
-    engine_config.max_batch_tokens = 0;
-    engine_config.pump_watermark = 1;
-    engine_config.generations = generations;
-    ServeEngine lone(sentry, engine_config);
-    const ServeResult ref = serve_copies(lone);
-
-    FleetConfig fleet_config;
-    fleet_config.shards = 4;
-    fleet_config.engine = engine_config;
-    FleetEngine fleet(sentry, fleet_config);
-    const ServeResult got = serve_copies(fleet);
+    const ServeResult got = fleet.finalize();
     EXPECT_GE(got.stats.batches_run, 25 * fleet_config.shards);
-    expect_bitwise_equal(got.detections, ref.detections);
+    expect_bitwise_equal(got.detections, reference);
   }
 }
 
@@ -318,10 +339,10 @@ TEST_F(FleetFixture, ShardsShareOneScoringPool) {
   };
   FleetConfig config;
   config.shards = 3;
-  config.engine.threads = 2;
+  config.threads = 2;
   const std::size_t before = live_threads();
   FleetEngine fleet(*sentry_, config);
-  EXPECT_EQ(live_threads(), before + config.shards + config.engine.threads);
+  EXPECT_EQ(live_threads(), before + config.shards + config.threads);
   fleet.finalize();
 }
 
@@ -457,14 +478,14 @@ TEST_F(FleetFixture, FourShardsMatchOneShardWithAttributionAndAStore) {
   EXPECT_GT(flagged, 0u);
 }
 
-TEST_F(FleetFixture, SessionRunsAFleetAndMatchesTheSingleEngine) {
+TEST_F(FleetFixture, SessionRunsAFleetAndMatchesBatchDetect) {
   ServeSessionConfig config;
   config.fleet.shards = 2;
   ServeSession session(*sentry_, sim_->data, sim_->train_end, config);
   EXPECT_EQ(session.num_shards(), 2u);
   EXPECT_EQ(session.backend().num_nodes(), sim_->data.num_nodes());
   const ReplayReport rep = session.run();
-  expect_bitwise_equal(rep.result.detections, single_->result.detections);
+  expect_bitwise_equal(rep.result.detections, batch_->detections);
 
   // Generation checkpoint round trip: a second session warm-started from
   // the saved sets scores through the deserialized models, not the
@@ -522,7 +543,7 @@ TEST(FleetSession, ValidateRejectsBrokenConfigs) {
 TEST_F(FleetFixture, ServedPopulationCanExceedTheFittedOne) {
   // Fleet-scale serving: 3x the fitted node population, profile-mapped
   // onto the fitted standardizers (node mod fitted). The original nodes
-  // must still reproduce the reference run bitwise.
+  // must still reproduce batch detect() bitwise.
   const std::size_t fitted = sim_->data.num_nodes();
   FleetConfig config;
   config.shards = 2;
@@ -545,7 +566,7 @@ TEST_F(FleetFixture, ServedPopulationCanExceedTheFittedOne) {
   ASSERT_EQ(result.detections.size(), fitted * 3);
   for (std::size_t n = 0; n < fitted; ++n) {
     const NodeDetection& orig = result.detections[n];
-    const NodeDetection& ref = single_->result.detections[n];
+    const NodeDetection& ref = batch_->detections[n];
     ASSERT_GE(orig.scores.size(), ref.scores.size());
     for (std::size_t t = 0; t < ref.scores.size(); ++t)
       ASSERT_EQ(std::bit_cast<std::uint32_t>(orig.scores[t]),

@@ -25,8 +25,8 @@
 #include "core/nodesentry.hpp"
 #include "nn/module.hpp"
 #include "obs/export.hpp"
+#include "serve/fleet.hpp"
 #include "serve/model_registry.hpp"
-#include "serve/engine.hpp"
 #include "serve/replay.hpp"
 #include "serve/retrainer.hpp"
 #include "sim/dataset_builder.hpp"
@@ -53,8 +53,8 @@ std::string params_blob(const TransformerReconstructor& model) {
   return std::move(os).str();
 }
 
-// One fitted detector shared by the suite (the serve engine and retrainer
-// never mutate it: models run in eval mode, clones are trained privately).
+// One fitted detector shared by the suite (the fleet and retrainer never
+// mutate it: models run in eval mode, clones are trained privately).
 class GenerationsFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -106,16 +106,16 @@ class GenerationsFixture : public ::testing::Test {
   }
 
   /// Fills `retrainer`'s per-cluster rings with real serving segments by
-  /// replaying the stream through a throwaway engine that scores through
+  /// replaying the stream through a throwaway fleet that scores through
   /// the retrainer's registry and offers every matched closed segment.
   static void feed(Retrainer& retrainer, obs::Registry& obs) {
-    ServeConfig config;
-    config.registry = &obs;
-    config.generations = retrainer.registry().max_generations();
+    FleetConfig config;
+    config.engine.registry = &obs;
+    config.engine.generations = retrainer.registry().max_generations();
     config.generation_registry = &retrainer.registry();
-    config.retrainer = &retrainer;
-    ServeEngine engine(*sentry_, config);
-    serve_replay(engine, sim_->data, sim_->train_end);
+    config.engine.retrainer = &retrainer;
+    FleetEngine fleet(*sentry_, config);
+    serve_replay(fleet, sim_->data, sim_->train_end);
   }
 
   static std::vector<std::shared_ptr<const GenerationSet>> all_snapshots(
@@ -189,10 +189,10 @@ TEST_F(GenerationsFixture, RegistrySnapshotsCompleteUnderConcurrentPublish) {
 
 TEST_F(GenerationsFixture, ConsensusWithOneGenerationMatchesBatchBitwise) {
   obs::Registry obs;
-  ServeConfig config;  // G = 1, Q = 1 defaults: one seeded generation
-  config.registry = &obs;
-  ServeEngine engine(*sentry_, config);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetConfig config;  // G = 1, Q = 1 defaults: one seeded generation
+  config.engine.registry = &obs;
+  FleetEngine fleet(*sentry_, config);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
 
   ASSERT_EQ(rep.result.detections.size(), batch_->detections.size());
   const DetectionDelta delta =
@@ -200,18 +200,18 @@ TEST_F(GenerationsFixture, ConsensusWithOneGenerationMatchesBatchBitwise) {
   EXPECT_EQ(delta.max_abs_score_delta, 0.0);  // bitwise, not just close
   EXPECT_EQ(delta.prediction_mismatches, 0u);
   EXPECT_GT(rep.result.stats.consensus_points, 0u);
-  ASSERT_NE(engine.generation_registry(), nullptr);
-  EXPECT_EQ(engine.generation_registry()->max_generations(), 1u);
+  ASSERT_NE(fleet.generation_registry(), nullptr);
+  EXPECT_EQ(fleet.generation_registry()->max_generations(), 1u);
 }
 
-// A default engine owns and seeds its registry, and the exposition shows
+// A default fleet owns and seeds its registry, and the exposition shows
 // it: one live generation per cluster, and every scored point voted.
 TEST_F(GenerationsFixture, DefaultEngineExposesItsGenerations) {
   obs::Registry obs;
-  ServeConfig config;
-  config.registry = &obs;
-  ServeEngine engine(*sentry_, config);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetConfig config;
+  config.engine.registry = &obs;
+  FleetEngine fleet(*sentry_, config);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
   ASSERT_GT(rep.result.stats.consensus_points, 0u);
 
   const std::string prom = obs::to_prometheus(obs);
@@ -223,21 +223,21 @@ TEST_F(GenerationsFixture, DefaultEngineExposesItsGenerations) {
             std::string::npos);
 }
 
-// A retrainer publishes into its own registry; an engine scoring through
+// A retrainer publishes into its own registry; a fleet scoring through
 // any other would never serve what it trains, so construction refuses it.
 TEST_F(GenerationsFixture, RetrainerMustFeedTheServedRegistry) {
   obs::Registry obs;
   GenerationRegistry registry(sentry_->library().size(), 2, &obs);
   Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
-  ServeConfig config;
-  config.registry = &obs;
-  config.generations = 2;
-  config.retrainer = &retrainer;
-  // Without the registry the engine would score through one of its own.
-  EXPECT_THROW({ ServeEngine engine(*sentry_, config); }, Error);
+  FleetConfig config;
+  config.engine.registry = &obs;
+  config.engine.generations = 2;
+  config.engine.retrainer = &retrainer;
+  // Without the registry the fleet would score through one of its own.
+  EXPECT_THROW({ FleetEngine fleet(*sentry_, config); }, Error);
 
   config.generation_registry = &registry;
-  EXPECT_NO_THROW({ ServeEngine engine(*sentry_, config); });
+  EXPECT_NO_THROW({ FleetEngine fleet(*sentry_, config); });
 }
 
 TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
@@ -245,16 +245,16 @@ TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
   Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
 
-  // First replay seeds the registry (via the engine) and feeds the rings.
-  ServeConfig config;
-  config.registry = &obs;
-  config.generations = 3;
-  config.consensus_quorum = 2;
+  // First replay seeds the registry (via the fleet) and feeds the rings.
+  FleetConfig config;
+  config.engine.registry = &obs;
+  config.engine.generations = 3;
+  config.engine.consensus_quorum = 2;
   config.generation_registry = &registry;
-  config.retrainer = &retrainer;
+  config.engine.retrainer = &retrainer;
   {
-    ServeEngine engine(*sentry_, config);
-    serve_replay(engine, sim_->data, sim_->train_end);
+    FleetEngine fleet(*sentry_, config);
+    serve_replay(fleet, sim_->data, sim_->train_end);
   }
   const RetrainCycleReport report = retrainer.run_cycle();
   EXPECT_GT(report.clusters_with_data, 0u);
@@ -266,10 +266,10 @@ TEST_F(GenerationsFixture, RetrainerPublishesAndConsensusServesNewSet) {
     if (snap->generations.size() >= 2) saw_multi_generation = true;
   EXPECT_TRUE(saw_multi_generation);
 
-  // A fresh engine over the retrained registry must serve cleanly with the
+  // A fresh fleet over the retrained registry must serve cleanly with the
   // staggered set (finite scores, consensus votes happening).
-  ServeEngine engine(*sentry_, config);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetEngine fleet(*sentry_, config);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
   EXPECT_GT(rep.result.stats.consensus_points, 0u);
   for (const NodeDetection& det : rep.result.detections)
     for (const float s : det.scores) ASSERT_TRUE(std::isfinite(s));
@@ -573,7 +573,7 @@ TEST_F(GenerationsFixture, PublishedGenerationsCarryTheirCompiledPlan) {
 }
 
 // An empty generation set cannot be restored, a checkpoint of another
-// format version is not read, and an engine refuses a registry that is
+// format version is not read, and a fleet refuses a registry that is
 // seeded only in part or compiled for another scoring path.
 TEST_F(GenerationsFixture, EmptyOrForeignGenerationSetsAreRejected) {
   const std::size_t clusters = sentry_->library().size();
@@ -600,13 +600,13 @@ TEST_F(GenerationsFixture, EmptyOrForeignGenerationSetsAreRejected) {
   EXPECT_THROW(restored.load(dir, sentry_->model_config(), 1), ParseError);
   fs::remove_all(dir);
 
-  ServeConfig config;
-  config.registry = &obs;
+  FleetConfig config;
+  config.engine.registry = &obs;
   GenerationRegistry quantized(clusters, 1, &obs, ScoringPath::kQuantized);
   config.generation_registry = &quantized;
-  EXPECT_THROW({ ServeEngine engine(*sentry_, config); }, Error);
-  config.scoring_path = ScoringPath::kQuantized;
-  EXPECT_NO_THROW({ ServeEngine engine(*sentry_, config); });  // seeds it
+  EXPECT_THROW({ FleetEngine fleet(*sentry_, config); }, Error);
+  config.engine.scoring_path = ScoringPath::kQuantized;
+  EXPECT_NO_THROW({ FleetEngine fleet(*sentry_, config); });  // seeds it
 
   if (clusters < 2) GTEST_SKIP() << "one cluster cannot be partly seeded";
   GenerationRegistry partial(clusters, 1, &obs);
@@ -615,9 +615,9 @@ TEST_F(GenerationsFixture, EmptyOrForeignGenerationSetsAreRejected) {
   gen.model = entry.model;
   gen.residual_scale = entry.residual_scale.clone();
   partial.publish(0, std::move(gen));
-  config.scoring_path = ScoringPath::kStrict;
+  config.engine.scoring_path = ScoringPath::kStrict;
   config.generation_registry = &partial;
-  EXPECT_THROW({ ServeEngine engine(*sentry_, config); }, Error);
+  EXPECT_THROW({ FleetEngine fleet(*sentry_, config); }, Error);
 }
 
 TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {
@@ -628,13 +628,13 @@ TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {
   GenerationRegistry registry(sentry_->library().size(), 3, &obs);
   Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
 
-  ServeConfig config;
-  config.registry = &obs;
-  config.generations = 3;
-  config.consensus_quorum = 2;
+  FleetConfig config;
+  config.engine.registry = &obs;
+  config.engine.generations = 3;
+  config.engine.consensus_quorum = 2;
   config.generation_registry = &registry;
-  config.retrainer = &retrainer;
-  ServeEngine engine(*sentry_, config);  // seeds the registry
+  config.engine.retrainer = &retrainer;
+  FleetEngine fleet(*sentry_, config);  // seeds the registry
 
   std::atomic<bool> stop{false};
   std::thread trainer([&] {
@@ -643,7 +643,7 @@ TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
   stop.store(true, std::memory_order_release);
   trainer.join();
 
@@ -663,7 +663,7 @@ TEST_F(GenerationsFixture, ConcurrentScoreAndHotSwapIsRaceFree) {
 TEST_F(GenerationsFixture, ServeRetrainerStoreAgreement) {
   const std::string dir = temp_dir("retrain_store");
   {
-    // The writer, engine and retrainer end here, before the store's
+    // The writer, fleet and retrainer end here, before the store's
     // directory is removed: the writer's last flush needs it.
     obs::Registry obs;
     TimeSeriesStore store =
@@ -674,14 +674,14 @@ TEST_F(GenerationsFixture, ServeRetrainerStoreAgreement) {
     registry.seed_from_library(sentry_->library());
     Retrainer retrainer(registry, *sentry_, fast_retrain_config(), &obs);
 
-    ServeConfig config;
-    config.registry = &obs;
-    config.generations = 2;
-    config.consensus_quorum = 1;
+    FleetConfig config;
+    config.engine.registry = &obs;
+    config.engine.generations = 2;
+    config.engine.consensus_quorum = 1;
     config.generation_registry = &registry;
-    config.retrainer = &retrainer;
-    config.store_writer = &writer;
-    ServeEngine engine(*sentry_, config);
+    config.engine.retrainer = &retrainer;
+    config.engine.store_writer = &writer;
+    FleetEngine fleet(*sentry_, config);
 
     // Retrain mid-stream, deterministically: a cycle every ~40 ticks on the
     // streaming thread. Generations hot-swap while segments keep closing
@@ -690,7 +690,7 @@ TEST_F(GenerationsFixture, ServeRetrainerStoreAgreement) {
     options.progress_every = sim_->data.num_nodes() * 40;
     options.on_progress = [&retrainer](std::size_t) { retrainer.run_cycle(); };
     const ReplayReport rep =
-        serve_replay(engine, sim_->data, sim_->train_end, options);
+        serve_replay(fleet, sim_->data, sim_->train_end, options);
     writer.drain();
 
     EXPECT_GT(retrainer.cycles(), 0u);

@@ -1,7 +1,9 @@
-// Online serving engine tests: replay/batch equivalence (also on a segment
-// whose matching window is dead), batched-vs-sequential scoring,
-// late-sample tolerance, backpressure accounting, gap handling, and
-// warm-start from a checkpoint.
+// Online serving tests: replay/batch equivalence (also on a segment whose
+// matching window is dead), batched-vs-sequential scoring, late-sample
+// tolerance at one and four shards, gap handling, and warm-start from a
+// checkpoint, all through a FleetEngine; plus the tests that pin one shard
+// engine's own pump cadence or ingest accounting (backpressure, an unfed
+// node, a malformed sample), which build that engine directly.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,14 +12,18 @@
 #include <atomic>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "core/nodesentry.hpp"
 #include "obs/export.hpp"
 #include "serve/engine.hpp"
+#include "serve/fleet.hpp"
+#include "serve/model_registry.hpp"
 #include "serve/replay.hpp"
 #include "sim/dataset_builder.hpp"
 #include "sim/telemetry_faults.hpp"
@@ -27,7 +33,7 @@ namespace fs = std::filesystem;
 namespace {
 
 // One fitted detector shared by the whole suite; every test builds its own
-// ServeEngine on top (the engine never mutates the fitted state:
+// fleet (or shard engine) on top (serving never mutates the fitted state:
 // incremental updates are off and models are switched to eval mode).
 class ServeFixture : public ::testing::Test {
  protected:
@@ -68,6 +74,15 @@ class ServeFixture : public ::testing::Test {
     return config;
   }
 
+  /// A registry seeded from the library, for a shard engine built directly
+  /// the way a fleet builds one (on ThreadPool::global()).
+  static std::unique_ptr<GenerationRegistry> seeded_registry() {
+    auto generations =
+        std::make_unique<GenerationRegistry>(sentry_->library().size(), 1);
+    generations->seed_from_library(sentry_->library());
+    return generations;
+  }
+
   static SimDataset* sim_;
   static NodeSentry* sentry_;
   static NodeSentry::DetectReport* batch_;
@@ -78,8 +93,8 @@ NodeSentry* ServeFixture::sentry_ = nullptr;
 NodeSentry::DetectReport* ServeFixture::batch_ = nullptr;
 
 TEST_F(ServeFixture, ReplayMatchesBatchDetect) {
-  ServeEngine engine(*sentry_);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetEngine fleet(*sentry_);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
 
   ASSERT_EQ(rep.result.detections.size(), sim_->data.num_nodes());
   EXPECT_EQ(rep.samples_streamed,
@@ -130,8 +145,8 @@ TEST_F(ServeFixture, DeadMatchingWindowIsInsufficientInBatchAndServe) {
                                                  target->end),
             gate);
   const NodeSentry::DetectReport batch = sentry.detect();
-  ServeEngine engine(sentry);
-  const ReplayReport rep = serve_replay(engine, sim.data, sim.train_end);
+  FleetEngine fleet(sentry);
+  const ReplayReport rep = serve_replay(fleet, sim.data, sim.train_end);
 
   const auto outcome = std::find_if(
       batch.outcomes.begin(), batch.outcomes.end(),
@@ -157,15 +172,15 @@ TEST_F(ServeFixture, DeadMatchingWindowIsInsufficientInBatchAndServe) {
 }
 
 TEST_F(ServeFixture, SequentialEqualsBatchedBitwise) {
-  ServeConfig sequential;
-  sequential.max_batch_tokens = 0;  // one chunk per forward
-  ServeEngine seq_engine(*sentry_, sequential);
+  FleetConfig sequential;
+  sequential.engine.max_batch_tokens = 0;  // one chunk per forward
+  FleetEngine seq_fleet(*sentry_, sequential);
   const ReplayReport seq =
-      serve_replay(seq_engine, sim_->data, sim_->train_end);
+      serve_replay(seq_fleet, sim_->data, sim_->train_end);
 
-  ServeEngine batched_engine(*sentry_);  // default cross-node batching
+  FleetEngine batched_fleet(*sentry_);  // default cross-node batching
   const ReplayReport bat =
-      serve_replay(batched_engine, sim_->data, sim_->train_end);
+      serve_replay(batched_fleet, sim_->data, sim_->train_end);
 
   ASSERT_EQ(seq.result.detections.size(), bat.result.detections.size());
   for (std::size_t n = 0; n < seq.result.detections.size(); ++n) {
@@ -181,30 +196,40 @@ TEST_F(ServeFixture, SequentialEqualsBatchedBitwise) {
   EXPECT_GE(bat.result.stats.mean_batch_occupancy, 1.0);
 }
 
+// Jittered delivery within the reorder slack, at one and at four shards:
+// every shard reorders its own nodes' samples back into batch's bits.
 TEST_F(ServeFixture, LateSamplesWithinSlackStillExact) {
-  ServeEngine engine(*sentry_);  // reorder_slack = 8
   ReplayOptions options;
   options.jitter.late_probability = 0.3;
-  options.jitter.max_delay = 6;  // within the reorder slack
+  options.jitter.max_delay = 6;  // within the reorder slack (8)
   options.jitter.seed = 123;
-  const ReplayReport rep =
-      serve_replay(engine, sim_->data, sim_->train_end, options);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    FleetConfig config;
+    config.shards = shards;
+    FleetEngine fleet(*sentry_, config);
+    const ReplayReport rep =
+        serve_replay(fleet, sim_->data, sim_->train_end, options);
 
-  EXPECT_GT(rep.result.stats.samples_out_of_order, 0u);
-  EXPECT_EQ(rep.result.stats.samples_dropped_late, 0u);
-  EXPECT_EQ(rep.result.stats.gap_rows_filled, 0u);
-  const DetectionDelta delta =
-      compare_detections(rep.result.detections, batch_->detections);
-  EXPECT_EQ(delta.max_abs_score_delta, 0.0);
-  EXPECT_EQ(delta.prediction_mismatches, 0u);
+    EXPECT_GT(rep.result.stats.samples_out_of_order, 0u);
+    EXPECT_EQ(rep.result.stats.samples_dropped_late, 0u);
+    EXPECT_EQ(rep.result.stats.gap_rows_filled, 0u);
+    const DetectionDelta delta =
+        compare_detections(rep.result.detections, batch_->detections);
+    EXPECT_EQ(delta.max_abs_score_delta, 0.0);
+    EXPECT_EQ(delta.prediction_mismatches, 0u);
+  }
 }
 
+// A shard engine of its own: a fleet's worker pumps it whenever its ring
+// runs dry, which would drain the queue this test lets fill.
 TEST_F(ServeFixture, BackpressureDropsOldestAndNeverBlocks) {
   ServeConfig config;
   config.max_pending_units = 2;
   // Disable auto-pump so the queue actually fills during ingest.
   config.pump_watermark = std::numeric_limits<std::size_t>::max();
-  ServeEngine engine(*sentry_, config);
+  const auto generations = seeded_registry();
+  ServeEngine engine(*sentry_, config, ThreadPool::global(), *generations);
 
   TelemetryReplaySource source(sim_->data, sim_->train_end);
   StreamSample sample;
@@ -220,7 +245,7 @@ TEST_F(ServeFixture, BackpressureDropsOldestAndNeverBlocks) {
 }
 
 TEST_F(ServeFixture, GapRowsFilledAndMaskedBeyondInterpolationLimit) {
-  ServeEngine engine(*sentry_);
+  FleetEngine fleet(*sentry_);
   const std::size_t gap_begin = sim_->train_end + 50;
   const std::size_t gap_end = gap_begin + 24;  // > max_interpolation_gap
   TelemetryReplaySource source(sim_->data, sim_->train_end);
@@ -228,9 +253,9 @@ TEST_F(ServeFixture, GapRowsFilledAndMaskedBeyondInterpolationLimit) {
   while (source.next(sample)) {
     if (sample.node == 0 && sample.t >= gap_begin && sample.t < gap_end)
       continue;  // node 0 goes silent for a while
-    engine.ingest(sample);
+    fleet.ingest(sample);
   }
-  const ServeResult result = engine.finalize();
+  const ServeResult result = fleet.finalize();
 
   EXPECT_EQ(result.stats.gap_rows_filled, gap_end - gap_begin);
   EXPECT_GT(result.stats.cells_masked, 0u);
@@ -244,33 +269,65 @@ TEST_F(ServeFixture, GapRowsFilledAndMaskedBeyondInterpolationLimit) {
 }
 
 TEST_F(ServeFixture, StaleSamplesAreDroppedNotApplied) {
-  ServeEngine engine(*sentry_);
+  FleetEngine fleet(*sentry_);
   TelemetryReplaySource source(sim_->data, sim_->train_end);
   StreamSample sample;
   std::size_t streamed = 0;
   StreamSample first{};
   while (source.next(sample)) {
     if (streamed == 0) first = sample;
-    engine.ingest(sample);
+    fleet.ingest(sample);
     ++streamed;
   }
   // Re-deliver the very first sample: its row has long been committed.
-  engine.ingest(first);
-  const ServeResult result = engine.finalize();
+  fleet.ingest(first);
+  const ServeResult result = fleet.finalize();
   EXPECT_EQ(result.stats.samples_dropped_late, 1u);
   EXPECT_EQ(result.stats.samples_ingested, streamed + 1);
 }
 
+// A malformed sample (one metric short) is rejected before it counts: it
+// leaves no trace in the counters or in its node's reorder frontier, so
+// the stream that follows is served as if it never arrived.
+TEST_F(ServeFixture, MalformedSampleLeavesNoTrace) {
+  const auto generations = seeded_registry();
+  ServeEngine engine(*sentry_, ServeConfig{}, ThreadPool::global(),
+                     *generations);
+  StreamSample bad;
+  bad.node = 0;
+  bad.t = sim_->train_end + 20;
+  bad.job_id = -1;
+  bad.values.assign(sim_->data.num_metrics() - 1, 0.0f);
+  EXPECT_THROW(engine.ingest(bad), Error);
+  TelemetryReplaySource source(sim_->data, sim_->train_end);
+  StreamSample sample;
+  std::size_t streamed = 0;
+  while (source.next(sample)) {
+    engine.ingest(sample);
+    ++streamed;
+  }
+  const ServeResult result = engine.finalize();
+  EXPECT_EQ(streamed, 960u);
+  EXPECT_EQ(result.stats.samples_ingested, streamed);
+  EXPECT_EQ(result.stats.gap_rows_filled, 0u);
+  EXPECT_EQ(result.stats.samples_dropped_late, 0u);
+  EXPECT_EQ(result.stats.samples_out_of_order, 0u);
+  const DetectionDelta delta =
+      compare_detections(result.detections, batch_->detections);
+  EXPECT_EQ(delta.max_abs_score_delta, 0.0);
+  EXPECT_EQ(delta.prediction_mismatches, 0u);
+}
+
 TEST_F(ServeFixture, FinalizeIsSingleShot) {
-  ServeEngine engine(*sentry_);
-  serve_replay(engine, sim_->data, sim_->train_end);
-  EXPECT_THROW(engine.finalize(), Error);
+  FleetEngine fleet(*sentry_);
+  serve_replay(fleet, sim_->data, sim_->train_end);
+  EXPECT_THROW(fleet.finalize(), Error);
   StreamSample sample;
   sample.node = 0;
   sample.t = sim_->data.num_timestamps();
   sample.job_id = -1;
   sample.values.assign(sim_->data.num_metrics(), 0.0f);
-  EXPECT_THROW(engine.ingest(sample), Error);
+  EXPECT_THROW(fleet.ingest(sample), Error);
 }
 
 // A node no sample reaches commits no row, so finalize() leaves its record
@@ -278,7 +335,9 @@ TEST_F(ServeFixture, FinalizeIsSingleShot) {
 // shards own); every fed node's cover the whole timeline.
 TEST_F(ServeFixture, UnfedNodeGetsAnEmptyRecord) {
   const std::size_t silent = sim_->data.num_nodes() - 1;
-  ServeEngine engine(*sentry_, ServeConfig{.attribution = true});
+  const auto generations = seeded_registry();
+  ServeEngine engine(*sentry_, ServeConfig{.attribution = true},
+                     ThreadPool::global(), *generations);
   TelemetryReplaySource source(sim_->data, sim_->train_end);
   StreamSample sample;
   while (source.next(sample))
@@ -310,8 +369,8 @@ TEST_F(ServeFixture, WarmStartFromCheckpointMatchesBatch) {
   NodeSentry restored(fast_config());
   restored.restore(sim_->data, sim_->train_end, dir);
 
-  ServeEngine engine(restored);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetEngine fleet(restored);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
   const DetectionDelta delta =
       compare_detections(rep.result.detections, batch_->detections);
   EXPECT_EQ(delta.max_abs_score_delta, 0.0);
@@ -326,15 +385,15 @@ TEST_F(ServeFixture, WarmStartFromCheckpointMatchesBatch) {
 // under tsan via the race label.
 TEST_F(ServeFixture, StatsPollingDuringIngestIsRaceFree) {
   obs::Registry registry;
-  ServeConfig config;
-  config.registry = &registry;
-  ServeEngine engine(*sentry_, config);
+  FleetConfig config;
+  config.engine.registry = &registry;
+  FleetEngine fleet(*sentry_, config);
 
   std::atomic<bool> done{false};
-  std::thread monitor([&engine, &done] {
+  std::thread monitor([&fleet, &done] {
     std::uint64_t last_ingested = 0;
     while (!done.load(std::memory_order_acquire)) {
-      const ServeStats snap = engine.stats();
+      const ServeStats snap = fleet.stats();
       // Monotone counters never run backwards across polls.
       EXPECT_GE(snap.samples_ingested, last_ingested);
       last_ingested = snap.samples_ingested;
@@ -343,11 +402,11 @@ TEST_F(ServeFixture, StatsPollingDuringIngestIsRaceFree) {
   });
   TelemetryReplaySource source(sim_->data, sim_->train_end);
   StreamSample sample;
-  while (source.next(sample)) engine.ingest(sample);
+  while (source.next(sample)) fleet.ingest(sample);
   done.store(true, std::memory_order_release);
   monitor.join();
 
-  const ServeResult result = engine.finalize();
+  const ServeResult result = fleet.finalize();
   EXPECT_EQ(result.stats.queue_depth, 0u);
   const DetectionDelta delta =
       compare_detections(result.detections, batch_->detections);
@@ -359,17 +418,17 @@ TEST_F(ServeFixture, StatsPollingDuringIngestIsRaceFree) {
 // number of samples observed.
 TEST_F(ServeFixture, LatencyCountIsCumulativeAcrossWindowWrap) {
   obs::Registry registry;
-  ServeConfig config;
-  config.registry = &registry;
-  config.latency_reservoir = 32;  // force many wraps
-  ServeEngine engine(*sentry_, config);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetConfig config;
+  config.engine.registry = &registry;
+  config.engine.latency_reservoir = 32;  // force many wraps
+  FleetEngine fleet(*sentry_, config);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
 
   const ServeStats& stats = rep.result.stats;
   ASSERT_GT(stats.samples_ingested, 32u);
   // Clean replay: every ingested sample is timed exactly once.
   EXPECT_EQ(stats.ingest_latency.count, stats.samples_ingested);
-  EXPECT_GT(stats.ingest_latency.count, config.latency_reservoir);
+  EXPECT_GT(stats.ingest_latency.count, config.engine.latency_reservoir);
   // Quantiles still come from the bounded window, so they stay finite
   // and ordered even after thousands of wraps.
   EXPECT_LE(stats.ingest_latency.p50_ms, stats.ingest_latency.p90_ms);
@@ -381,10 +440,10 @@ TEST_F(ServeFixture, LatencyCountIsCumulativeAcrossWindowWrap) {
 // exactly once the engine quiesces.
 TEST_F(ServeFixture, StatsViewMatchesRegistryHistograms) {
   obs::Registry registry;
-  ServeConfig config;
-  config.registry = &registry;
-  ServeEngine engine(*sentry_, config);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetConfig config;
+  config.engine.registry = &registry;
+  FleetEngine fleet(*sentry_, config);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
   const ServeStats& stats = rep.result.stats;
 
   const obs::Histogram& ingest = registry.histogram(

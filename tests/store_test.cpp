@@ -23,7 +23,7 @@
 #include "common/fileio.hpp"
 #include "core/nodesentry.hpp"
 #include "io/dataset_io.hpp"
-#include "serve/engine.hpp"
+#include "serve/fleet.hpp"
 #include "serve/replay.hpp"
 #include "serve/session.hpp"
 #include "sim/dataset_builder.hpp"
@@ -1090,10 +1090,10 @@ TEST_F(ServeStoreFixture, ServeSealsBitsMatchingDetectionsAndWarmRestarts) {
   // region, then let the engine seal the served region at flag time.
   store_append_dataset(store, sim_->data, 0, sim_->train_end);
   StoreWriter writer(std::move(store), StoreWriterConfig{}, &registry);
-  ServeConfig serve_config;
-  serve_config.store_writer = &writer;
-  ServeEngine engine(*sentry_, serve_config);
-  const ReplayReport rep = serve_replay(engine, sim_->data, sim_->train_end);
+  FleetConfig serve_config;
+  serve_config.engine.store_writer = &writer;
+  FleetEngine fleet(*sentry_, serve_config);
+  const ReplayReport rep = serve_replay(fleet, sim_->data, sim_->train_end);
   writer.drain();
 
   // Leg 1: the in-band anomaly bits equal the replay's prediction flags
@@ -1118,15 +1118,15 @@ TEST_F(ServeStoreFixture, ServeSealsBitsMatchingDetectionsAndWarmRestarts) {
   // Leg 3: warm restart from segments == warm restart from CSV, bitwise.
   NodeSentry csv_sentry(fast_config());
   csv_sentry.restore(sim_->data, sim_->train_end, checkpoint_);
-  ServeEngine csv_engine(csv_sentry);
+  FleetEngine csv_fleet(csv_sentry);
   const ReplayReport csv_rep =
-      serve_replay(csv_engine, sim_->data, sim_->train_end);
+      serve_replay(csv_fleet, sim_->data, sim_->train_end);
 
   NodeSentry store_sentry(fast_config());
   store_sentry.restore(rebuilt, sim_->train_end, checkpoint_);
-  ServeEngine store_engine(store_sentry);
+  FleetEngine store_fleet(store_sentry);
   const ReplayReport store_rep =
-      serve_replay(store_engine, rebuilt, sim_->train_end);
+      serve_replay(store_fleet, rebuilt, sim_->train_end);
 
   ASSERT_EQ(store_rep.result.detections.size(),
             csv_rep.result.detections.size());
@@ -1151,7 +1151,7 @@ TEST_F(ServeStoreFixture, ServeSealsBitsMatchingDetectionsAndWarmRestarts) {
 
 // finalize() hands the writer one batch per node in one burst, so a
 // nonzero queue bound below the node count would drop whole node
-// histories: the engine refuses such a writer at construction.
+// histories: the fleet refuses such a writer at construction.
 TEST_F(ServeStoreFixture, EngineRejectsAWriterQueueBelowTheNodeCount) {
   const std::size_t nodes = sim_->data.num_nodes();
   ASSERT_GE(nodes, 3u);
@@ -1163,14 +1163,14 @@ TEST_F(ServeStoreFixture, EngineRejectsAWriterQueueBelowTheNodeCount) {
     StoreWriter writer(
         TimeSeriesStore::create(dir, store_meta_from_dataset(sim_->data)),
         StoreWriterConfig{capacity}, &registry);
-    ServeConfig config;
-    config.registry = &registry;
-    config.store_writer = &writer;
+    FleetConfig config;
+    config.engine.registry = &registry;
+    config.engine.store_writer = &writer;
     if (capacity > 0 && capacity < nodes) {
-      EXPECT_THROW({ ServeEngine engine(*sentry_, config); }, Error)
+      EXPECT_THROW({ FleetEngine fleet(*sentry_, config); }, Error)
           << "queue_capacity " << capacity;
     } else {
-      EXPECT_NO_THROW({ ServeEngine engine(*sentry_, config); })
+      EXPECT_NO_THROW({ FleetEngine fleet(*sentry_, config); })
           << "queue_capacity " << capacity;
     }
   }
